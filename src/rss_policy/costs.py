@@ -174,25 +174,18 @@ class CycleCostEngine:
             for m, p in enumerate(pmf.probs)
         )
 
-    def cycle_hp_fn(self, t: int, r: int) -> Callable[[int], float]:
-        """Fast single-argument view of ``expected_cycle_hp`` for fixed (t, r).
+    def cycle_hp_fn(self, t: int, r: int) -> Callable[[np.ndarray], np.ndarray]:
+        """Array view of ``expected_cycle_hp`` for fixed (t, r).
 
-        Valid for post-order positions within [low, high]; used in solver
-        inner loops.
+        The engine level is convolved with the period-t pmf once, here;
+        the returned function only indexes that curve, mapping an array
+        of post-order positions within [low, high] to their expected
+        cycle holding/penalty.
         """
         self._check_state(t, r)
-        pmf = self._pmfs[t - 1]
-        rev = self._rev[t - 1]
-        m = len(pmf)
+        curve = np.convolve(self._level(t, r), self._pmfs[t - 1].probs, "valid")
         shift = self._dmax[t - 1] + self._lo[t]
-        arr = self._level(t, r)
-        dot = np.dot
-
-        def el(y: int) -> float:
-            a = y - shift
-            return float(dot(rev, arr[a : a + m]))
-
-        return el
+        return lambda ys: curve[ys - shift]
 
     def cycle_cost(self, t: int, i: int, q: int, r: int) -> float:
         """Expected cost of a review cycle: review cost, order cost if an

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .model import Instance, Policy
-from .solver import SolveContext, _cycle_value_fn
+from .solver import SolveContext, _lost_sales_curve, cycle_curve
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,10 @@ def expected_cost(
 
     At each review the fixed decision rule applies: order up to the
     order-up-to level iff the opening inventory is below the reorder
-    level. Full backlogging is assumed.
+    level. Each review's no-order curve is the solvers' own: the
+    backlogging ``cycle_curve``, or for beta < 1 the partial-backlog
+    curve ``solve_lost_sales`` uses. Order-up-to levels above the grid
+    are clamped to its ceiling.
     """
     _check_policy(instance, policy)
     ctx = context if context is not None else SolveContext(
@@ -62,12 +65,14 @@ def expected_cost(
     p = ctx.params
     future = np.zeros(grid.size)
     for review in reversed(policy.reviews):
-        fval = _cycle_value_fn(ctx, review.period, review.cycle, future)
-        table = np.empty(grid.size)
-        for i in range(grid.min_inv, grid.max_inv + 1):
-            table[i - grid.min_inv] = p.W + fval(i)
+        t, r = review.period, review.cycle
+        if instance.beta < 1.0:
+            curve = _lost_sales_curve(ctx, t, r, future, instance.beta)
+        else:
+            curve = cycle_curve(ctx, t, r, future)
+        table = p.W + curve
         if review.reorder > grid.min_inv:
-            order_value = (p.W + p.K) + fval(min(review.order_up_to, grid.max_inv))
+            order_value = (p.W + p.K) + curve[grid.index(min(review.order_up_to, grid.max_inv))]
             table[: grid.index(review.reorder)] = order_value
         future = table
     return float(future[grid.index(instance.I0)])

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .model import Instance, Policy, PolicyReview
-from .solver import SolveContext, SolveStats, ValueTables, _review_table
+from .solver import SolveContext, SolveStats, ValueTables, _kconvex_table, cycle_curve
 
 DEFAULT_SCHEDULE_CAP = 14
 
@@ -99,7 +99,7 @@ def scarf_fixed_R(
     order_up_to: dict[int, int] = {}
     future = cost_to_go[T + 1]
     for t, r in zip(reversed(schedule.periods), reversed(cycles)):
-        res = _review_table(ctx, t, r, future, stats)
+        res = _kconvex_table(ctx, cycle_curve(ctx, t, r, future), stats)
         cost_to_go[t] = res.table
         cycle_length[t] = r
         reorder[t] = res.reorder
@@ -159,27 +159,21 @@ def enumerate_optimal(
     )
     T = instance.T
     stats = SolveStats()
-    terminal = np.zeros(ctx.grid.size)
-    memo: dict[tuple[int, ...], np.ndarray] = {}
-
-    def table_for(periods: tuple[int, ...]) -> np.ndarray:
-        hit = memo.get(periods)
-        if hit is not None:
-            return hit
-        t = periods[0]
-        nxt = periods[1] if len(periods) > 1 else T + 1
-        future = table_for(periods[1:]) if len(periods) > 1 else terminal
-        res = _review_table(ctx, t, nxt - t, future, stats)
-        memo[periods] = res.table
-        return res.table
-
+    memo: dict[tuple[int, ...], np.ndarray] = {(): np.zeros(ctx.grid.size)}
     i0_idx = ctx.grid.index(instance.I0)
     best_cost = float("inf")
     best_schedule: Optional[ReviewSchedule] = None
     count = 0
     for schedule in iter_schedules(T):
         count += 1
-        cost = float(table_for(schedule.periods)[i0_idx])
+        periods = schedule.periods
+        ends = periods[1:] + (T + 1,)
+        for j in range(len(periods) - 1, -1, -1):
+            if periods[j:] not in memo:
+                future = memo[periods[j + 1 :]]
+                curve = cycle_curve(ctx, periods[j], ends[j] - periods[j], future)
+                memo[periods[j:]] = _kconvex_table(ctx, curve, stats).table
+        cost = float(memo[schedule.periods][i0_idx])
         if cost < best_cost:
             best_cost = cost
             best_schedule = schedule

@@ -89,13 +89,3 @@ class Policy:
     @property
     def n_reviews(self) -> int:
         return len(self.reviews)
-
-    def gamma(self, t: int) -> int:
-        """Review indicator for period t."""
-        return 1 if t in set(self.review_periods) else 0
-
-    def review_at(self, t: int) -> Optional[PolicyReview]:
-        for rv in self.reviews:
-            if rv.period == t:
-                return rv
-        return None

@@ -9,18 +9,25 @@ comparing cycles). For the chosen cycle the reorder and order-up-to
 levels are then exact, so the output is a well-formed (R,s,S) policy
 whose cost the value tables report consistently.
 
-Two sweeps produce identical results:
+Every step rests on one array, the *cycle curve* of a candidate cycle
+(t, r): the no-order cost over the whole inventory grid, i.e. expected
+in-cycle holding/penalty plus the expected cost-to-go at the next
+review. ``cycle_curve`` builds it from two convolutions, and the
+solvers, the exact baseline and the evaluator all share it. Decisions
+on a curve are array operations:
 
-* ``solve_plain`` searches every order quantity at every inventory
-  level (slow, kept as the reference implementation);
-* ``solve_kconvex`` exploits K-convexity of the no-order cost curve: a
-  single descending scan per candidate cycle finds the order-up-to
-  level (running minimum) and the reorder level (first level whose
-  no-order cost exceeds the minimum by more than K), and every lower
-  state takes the flat ordering-branch value.
+* ``solve_kconvex`` exploits K-convexity: a running minimum from the
+  top gives the order-up-to level, the highest level whose cost exceeds
+  the minimum above it by more than K is the stop, and it and every
+  lower level take the flat ordering-branch value;
+* ``solve_plain`` assumes no K-convexity: every level takes the cheaper
+  of not ordering and ordering up to the best higher level (a suffix
+  minimum), which is the exhaustive order-quantity search. It is the
+  reference the threshold scan is checked against, and the two produce
+  identical results.
 
-``solve_lost_sales`` is the plain sweep with the partial-backlog
-transition applied to negative closing inventories each period.
+``solve_lost_sales`` is the plain sweep on the partial-backlog cycle
+curve, which truncates negative closing inventories each period.
 """
 
 from __future__ import annotations
@@ -89,8 +96,16 @@ def build_grid(
 
 @dataclass
 class SolveStats:
-    """Work counters: inventory states whose cycle value was computed, and
-    order-quantity candidates examined."""
+    """Work counters, summed over the cycles a solve decides.
+
+    ``states_evaluated`` is the depth of the threshold scan for kconvex:
+    the levels from the grid ceiling down to and including the stop
+    level, or the whole grid when there is no stop. The exhaustive
+    search counts the whole grid. ``q_iterations`` is the number of
+    order-quantity candidates the exhaustive search covers, q = 0
+    included: size * (size + 1) / 2 per cycle on a grid of that size,
+    and 0 for kconvex.
+    """
 
     states_evaluated: int = 0
     q_iterations: int = 0
@@ -149,59 +164,22 @@ class ValueTables:
         return self.value(1, i0)
 
 
-class _Scan:
-    """Descending threshold scan over a no-order cost curve.
+def cycle_curve(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.ndarray:
+    """No-order cost of a cycle of length r at period t over the grid of
+    post-order positions, excluding the review/order fixed costs:
+    expected in-cycle holding/penalty plus the expected cost-to-go
+    ``future`` at the next review. Demand mass that would drive the
+    next-review state below the grid accrues at the grid floor.
 
-    Tracks the running minimum (the order-up-to candidate) and stops at
-    the first level whose cost exceeds the minimum by more than K; that
-    level and everything below it prefers ordering. Both solver variants
-    run their decisions through this class so ties break identically.
+    Both terms are convolutions: the cost-engine level with the period
+    pmf (inside ``cycle_hp_fn``), and the floor-padded ``future`` with
+    the pmf of the cycle's cumulative demand.
     """
-
-    __slots__ = ("K", "best_n", "best_i", "stop_i")
-
-    def __init__(self, K: float):
-        self.K = K
-        self.best_n: Optional[float] = None
-        self.best_i: Optional[int] = None
-        self.stop_i: Optional[int] = None
-
-    def push(self, i: int, n: float) -> bool:
-        """Feed the next (lower) level; returns False once the scan stops."""
-        if self.best_n is None or n < self.best_n:
-            self.best_n = n
-            self.best_i = i
-            return True
-        if n > self.best_n + self.K:
-            self.stop_i = i
-            return False
-        return True
-
-
-def _cycle_value_fn(
-    ctx: SolveContext, t: int, r: int, future: np.ndarray
-) -> Callable[[int], float]:
-    """Cost of committing to a cycle of length r at period t from
-    post-order position y, excluding the review/order fixed costs:
-    expected in-cycle holding/penalty plus the expected cost-to-go at
-    the next review. Demand mass that would drive the next-review state
-    below the grid accrues at the grid floor."""
     cum = ctx.demand.cumulative(t, t + r)
-    rev = np.ascontiguousarray(cum.probs[::-1])
-    m = len(cum)
-    pad = cum.max_value
-    padded = np.empty(pad + future.shape[0])
-    padded[:pad] = future[0]
-    padded[pad:] = future
-    base = -ctx.grid.min_inv
-    el = ctx.engine.cycle_hp_fn(t, r)
-    dot = np.dot
-
-    def value(y: int) -> float:
-        a = y + base
-        return el(y) + float(dot(rev, padded[a : a + m]))
-
-    return value
+    padded = np.concatenate((np.full(cum.max_value, future[0]), future))
+    tail = np.convolve(padded, cum.probs, "valid")[: ctx.grid.size]
+    hp = ctx.engine.cycle_hp_fn(t, r)(ctx.grid.levels())
+    return hp + tail
 
 
 @dataclass
@@ -212,97 +190,66 @@ class _CycleResult:
     reorder: int
 
 
-def _publish(
-    grid: InventoryGrid, W: float, wk: float, vals: np.ndarray, scan: _Scan
+def _threshold(curve: np.ndarray, K: float) -> tuple[int, int]:
+    """Descending threshold scan over a no-order curve, as array operations.
+
+    Returns grid indices (stop, best). ``stop`` is the highest level whose
+    value exceeds the minimum over the levels above it by more than K
+    (-1 if there is none); it and every level below prefer ordering.
+    ``best`` is the order-up-to level: the minimum above ``stop``, ties
+    going to the largest level.
+    """
+    sufmin = np.minimum.accumulate(curve[::-1])[::-1]
+    over = np.flatnonzero(curve[:-1] > sufmin[1:] + K)
+    stop = int(over[-1]) if over.size else -1
+    best = curve.shape[0] - 1 - int(np.argmin(curve[stop + 1 :][::-1]))
+    return stop, best
+
+
+def _result(
+    grid: InventoryGrid, table: np.ndarray, curve: np.ndarray, stop: int, best: int
 ) -> _CycleResult:
-    """Turn scanned no-order values into a full cost table: scanned states
-    keep their no-order cost, states at or below the stop level take the
+    return _CycleResult(table, float(curve[best]), grid.min_inv + best, grid.min_inv + stop + 1)
+
+
+def _kconvex_table(ctx: SolveContext, curve: np.ndarray, stats: SolveStats) -> _CycleResult:
+    """K-convexity decision for one cycle: levels above the stop keep
+    their no-order cost, the stop level and below take the flat
     ordering-branch value."""
-    table = np.empty(grid.size)
-    if scan.stop_i is None:
-        table[:] = W + vals
-        reorder = grid.min_inv  # ordering never preferred on the grid
-    else:
-        k = scan.stop_i - grid.min_inv
-        table[k:] = W + vals[k:]
-        table[: k + 1] = wk + scan.best_n
-        reorder = scan.stop_i + 1
-    assert scan.best_i is not None and scan.best_n is not None
-    return _CycleResult(table, scan.best_n, scan.best_i, reorder)
-
-
-def _review_table(
-    ctx: SolveContext,
-    t: int,
-    r: int,
-    future: np.ndarray,
-    stats: SolveStats,
-) -> _CycleResult:
-    """K-convexity sweep for one (period, cycle length) pair: descending
-    scan with early stop, then the flat ordering-branch fill."""
     p = ctx.params
-    grid = ctx.grid
-    fval = _cycle_value_fn(ctx, t, r, future)
-    vals = np.empty(grid.size)
-    scan = _Scan(p.K)
-    for i in range(grid.max_inv, grid.min_inv - 1, -1):
-        n = fval(i)
-        stats.states_evaluated += 1
-        vals[i - grid.min_inv] = n
-        if not scan.push(i, n):
-            break
-    return _publish(grid, p.W, p.W + p.K, vals, scan)
+    stop, best = _threshold(curve, p.K)
+    stats.states_evaluated += curve.shape[0] - max(stop, 0)
+    table = p.W + curve
+    table[: stop + 1] = (p.W + p.K) + curve[best]
+    return _result(ctx.grid, table, curve, stop, best)
 
 
-def _plain_cycle_table(
-    ctx: SolveContext,
-    t: int,
-    r: int,
-    future: np.ndarray,
-    stats: SolveStats,
-    value_fn: Optional[Callable[[int], float]] = None,
-) -> _CycleResult:
-    """Exhaustive sweep for one (period, cycle length) pair: every state,
-    every order quantity. Quantities are searched up to the grid ceiling,
-    where the order-up-to candidates live."""
+def _plain_table(ctx: SolveContext, curve: np.ndarray, stats: SolveStats) -> _CycleResult:
+    """Exhaustive decision for one cycle: every state takes the cheaper of
+    not ordering and the best order up to any higher level. Rounding is
+    monotone, so W + K plus the minimum above a level is exactly the
+    cheapest ordering candidate; no K-convexity is assumed."""
     p = ctx.params
-    grid = ctx.grid
-    fval = value_fn if value_fn is not None else _cycle_value_fn(ctx, t, r, future)
-    min_inv, max_inv = grid.min_inv, grid.max_inv
-    W = p.W
-    wk = W + p.K
-    vals = np.empty(grid.size)
-    for i in range(max_inv, min_inv - 1, -1):
-        vals[i - min_inv] = fval(i)
-        stats.states_evaluated += 1
-        stats.q_iterations += 1  # the q = 0 candidate
-    table = np.empty(grid.size)
-    for idx in range(grid.size):
-        i = min_inv + idx
-        best = W + vals[idx]
-        for q in range(1, max_inv - i + 1):
-            cand = wk + fval(i + q)
-            stats.q_iterations += 1
-            if cand < best:
-                best = cand
-        table[idx] = best
-    scan = _Scan(p.K)
-    for idx in range(grid.size - 1, -1, -1):
-        if not scan.push(min_inv + idx, vals[idx]):
-            break
-    result = _publish(grid, W, wk, vals, scan)
-    return _CycleResult(table, result.best_n, result.order_up_to, result.reorder)
+    n = curve.shape[0]
+    stats.states_evaluated += n
+    stats.q_iterations += n * (n + 1) // 2
+    table = p.W + curve
+    above = np.minimum.accumulate(curve[:0:-1])[::-1]
+    np.minimum(table[:-1], (p.W + p.K) + above, out=table[:-1])
+    stop, best = _threshold(curve, p.K)
+    return _result(ctx.grid, table, curve, stop, best)
 
 
 def _sweep(
     ctx: SolveContext,
-    cycle_table: Callable[..., _CycleResult],
+    curve_fn: Callable[[SolveContext, int, int, np.ndarray], np.ndarray],
+    table_fn: Callable[[SolveContext, np.ndarray, SolveStats], _CycleResult],
     algorithm: str,
 ) -> ValueTables:
     """Backward sweep over periods, keeping the locally best cycle length.
 
     Ties between cycle lengths go to the shorter cycle; the order-up-to
-    tie-break (largest level) is fixed inside the descending scan.
+    tie-break (largest level) is fixed inside the threshold scan.
     """
     T = ctx.instance.T
     grid = ctx.grid
@@ -315,7 +262,7 @@ def _sweep(
         best: Optional[_CycleResult] = None
         best_r = 0
         for r in range(1, T - t + 2):
-            res = cycle_table(ctx, t, r, cost_to_go[t + r], stats)
+            res = table_fn(ctx, curve_fn(ctx, t, r, cost_to_go[t + r]), stats)
             if best is None or res.best_n < best.best_n:
                 best = res
                 best_r = r
@@ -355,7 +302,7 @@ def solve_plain(
     if instance.beta < 1.0:
         raise ValueError("partial backlogging requires solve_lost_sales")
     ctx = _context(instance, context, tail_eps, quantile_eps)
-    return _sweep(ctx, _plain_cycle_table, "plain")
+    return _sweep(ctx, cycle_curve, _plain_table, "plain")
 
 
 def solve_kconvex(
@@ -370,7 +317,7 @@ def solve_kconvex(
     if instance.beta < 1.0:
         raise ValueError("partial backlogging requires solve_lost_sales")
     ctx = _context(instance, context, tail_eps, quantile_eps)
-    return _sweep(ctx, _review_table, "kconvex")
+    return _sweep(ctx, cycle_curve, _kconvex_table, "kconvex")
 
 
 # ----------------------------------------------------------------------
@@ -445,14 +392,10 @@ def solve_lost_sales(
     ctx = _context(instance, context, tail_eps, quantile_eps)
     beta = instance.beta
 
-    def cycle_table(ctx, t, r, future, stats):
-        curve = _lost_sales_curve(ctx, t, r, future, beta)
-        min_inv = ctx.grid.min_inv
-        return _plain_cycle_table(
-            ctx, t, r, future, stats, value_fn=lambda y: float(curve[y - min_inv])
-        )
+    def curve_fn(ctx, t, r, future):
+        return _lost_sales_curve(ctx, t, r, future, beta)
 
-    return _sweep(ctx, cycle_table, "lost_sales")
+    return _sweep(ctx, curve_fn, _plain_table, "lost_sales")
 
 
 # ----------------------------------------------------------------------
@@ -487,6 +430,4 @@ def no_order_curve(
 ) -> np.ndarray:
     """Full no-order cost curve (review cost included) of one candidate
     cycle over the grid; used to validate K-convexity."""
-    fval = _cycle_value_fn(ctx, t, r, future)
-    W = ctx.params.W
-    return np.array([W + fval(i) for i in range(ctx.grid.min_inv, ctx.grid.max_inv + 1)])
+    return ctx.params.W + cycle_curve(ctx, t, r, future)

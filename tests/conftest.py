@@ -51,6 +51,72 @@ def brute_force_every_period(ctx: SolveContext) -> np.ndarray:
     return values
 
 
+def direct_no_order_curve(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.ndarray:
+    """No-order cost curve (review cost included) by direct summation,
+    one post-order position at a time: the cycle cost plus the expected
+    cost-to-go at the next review, with states below the grid clamped to
+    its floor."""
+    grid = ctx.grid
+    cum = ctx.demand.cumulative(t, t + r)
+    curve = np.empty(grid.size)
+    for y in range(grid.min_inv, grid.max_inv + 1):
+        tail = 0.0
+        for m, prob in enumerate(cum.probs):
+            nxt = max(y - (cum.offset + m), grid.min_inv)
+            tail += prob * future[nxt - grid.min_inv]
+        curve[y - grid.min_inv] = direct_cycle_cost(ctx, t, y, 0, r) + tail
+    return curve
+
+
+def scan_oracle(curve: np.ndarray, K: float) -> tuple[int, int, int]:
+    """Per-state descending threshold scan over a no-order curve.
+
+    Keeps the running minimum from the top (strict ``<``, so ties go to
+    the larger level) and stops at the first level whose value exceeds
+    it by more than K. Returns indices (stop, best) and the number of
+    levels scanned; stop is -1 when the scan reaches the floor.
+    """
+    best_n = best_i = None
+    scanned = 0
+    for i in range(curve.shape[0] - 1, -1, -1):
+        n = float(curve[i])
+        scanned += 1
+        if best_n is None or n < best_n:
+            best_n, best_i = n, i
+        elif n > best_n + K:
+            return i, best_i, scanned
+    return -1, best_i, scanned
+
+
+def kconvex_table_oracle(curve: np.ndarray, W: float, K: float) -> np.ndarray:
+    """Cost table of the threshold scan: scanned levels keep W plus their
+    no-order cost, the stop level and below the ordering-branch value."""
+    stop, best, _ = scan_oracle(curve, K)
+    table = np.empty(curve.shape[0])
+    for i in range(curve.shape[0]):
+        table[i] = (W + K) + float(curve[best]) if i <= stop else W + float(curve[i])
+    return table
+
+
+def q_loop_oracle(curve: np.ndarray, W: float, K: float) -> tuple[np.ndarray, int]:
+    """Exhaustive order-quantity search at every level: W plus the
+    no-order cost against W + K plus the cost at every higher level.
+    Returns the table and the number of candidates examined."""
+    n = curve.shape[0]
+    table = np.empty(n)
+    candidates = 0
+    for i in range(n):
+        best = W + float(curve[i])
+        candidates += 1
+        for j in range(i + 1, n):
+            cand = (W + K) + float(curve[j])
+            candidates += 1
+            if cand < best:
+                best = cand
+        table[i] = best
+    return table, candidates
+
+
 def random_desk_instance(rng: np.random.Generator, horizon=None, mean_range=(5.0, 20.0)) -> Instance:
     """Small instance in the randomized-suite parameter box."""
     T = int(rng.integers(2, 7)) if horizon is None else horizon

@@ -15,6 +15,7 @@ from rss_policy import (
     optimality_gap,
     simulate,
     solve_kconvex,
+    solve_lost_sales,
 )
 from conftest import deterministic_instance, random_desk_instance
 
@@ -52,6 +53,27 @@ class TestExpectedCost:
         assert expected_cost(bumped, policy) == pytest.approx(
             base + 13.0 * policy.n_reviews, abs=1e-6
         )
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_partial_backlog_matches_solver_and_simulation(self, beta):
+        # charged as full backlog, beta = 0 evaluated to 680 against 230
+        inst = Instance(
+            T=6,
+            params=CostParams(K=200.0, W=50.0, h=2.0, b=1.5),
+            I0=0,
+            demand=tuple(DemandSpec("poisson", 20.0) for _ in range(6)),
+            beta=beta,
+        )
+        ctx = SolveContext(inst)
+        tables = solve_lost_sales(inst, context=ctx)
+        policy = extract_policy(tables, inst)
+        report = simulate(inst, policy, n_paths=20_000, seed=1, context=ctx)
+        assert report.expected_cost == pytest.approx(tables.value(1, 0), abs=1e-6)
+        assert abs(report.mc_mean - report.expected_cost) <= report.mc_halfwidth_95
+        # reviews every other period, each ordering in most paths
+        policy = _policy(6, (1, 2, 10, 45), (3, 2, 10, 45), (5, 2, 10, 45))
+        report = simulate(inst, policy, n_paths=20_000, seed=2, context=ctx)
+        assert abs(report.mc_mean - report.expected_cost) <= report.mc_halfwidth_95
 
     def test_rejects_horizon_mismatch(self, rng):
         inst = random_desk_instance(rng, horizon=3)

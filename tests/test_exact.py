@@ -1,5 +1,8 @@
 """Exact baseline: fixed-schedule solves and exhaustive enumeration."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +121,24 @@ class TestEnumerateOptimal:
             heur = solve_kconvex(inst, context=ctx).value(1, 0)
             opt = enumerate_optimal(inst, context=ctx).cost
             assert optimality_gap(heur, opt) >= -1e-8
+
+    def test_frees_its_tables_on_return(self, rng):
+        # with the cyclic collector off, the suffix tables must go by
+        # reference counting alone
+        inst = random_desk_instance(rng, horizon=9)
+        ctx = SolveContext(inst)
+        solve_kconvex(inst, context=ctx)  # builds every level and pmf the enumeration uses
+        memo = 2 ** (inst.T - 1) * 8 * ctx.grid.size  # one table per schedule suffix
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            enumerate_optimal(inst, context=ctx)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < memo / 4
 
     def test_rejects_above_cap(self, rng):
         inst = random_desk_instance(rng, horizon=5)

@@ -1,6 +1,8 @@
 """Heuristic sweeps: grid sizing, variant equivalence, policy extraction,
 partial lost sales."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,22 @@ from rss_policy import (
     solve_lost_sales,
     solve_plain,
 )
-from conftest import deterministic_instance, random_desk_instance
+from rss_policy.solver import (
+    InventoryGrid,
+    SolveStats,
+    _kconvex_table,
+    _lost_sales_curve,
+    _plain_table,
+    cycle_curve,
+)
+from conftest import (
+    deterministic_instance,
+    direct_no_order_curve,
+    kconvex_table_oracle,
+    q_loop_oracle,
+    random_desk_instance,
+    scan_oracle,
+)
 
 
 class TestBuildGrid:
@@ -169,6 +186,93 @@ class TestTableStructure:
                 xs, a, b = xs[ok], a[ok], b[ok]
                 lhs = K + curve[xs + a] - curve[xs] - a * (curve[xs] - curve[xs - b]) / b
                 assert lhs.min() >= -1e-6
+
+
+class TestArrayDecisions:
+    """The array threshold scan and suffix-minimum search against the
+    per-state reference loops: equal bitwise, counters included."""
+
+    def _cycles(self, ctx, tables):
+        T = ctx.instance.T
+        for t in range(1, T + 1):
+            for r in range(1, T - t + 2):
+                yield t, r, tables.cost_to_go[t + r]
+
+    def _check_kconvex(self, ctx, curve):
+        p = ctx.params
+        stats = SolveStats()
+        res = _kconvex_table(ctx, curve, stats)
+        stop, best, scanned = scan_oracle(curve, p.K)
+        assert np.array_equal(res.table, kconvex_table_oracle(curve, p.W, p.K))
+        assert (res.reorder, res.order_up_to) == (
+            ctx.grid.min_inv + stop + 1,
+            ctx.grid.min_inv + best,
+        )
+        assert res.best_n == curve[best]
+        assert (stats.states_evaluated, stats.q_iterations) == (scanned, 0)
+
+    def _check_plain(self, ctx, curve):
+        p = ctx.params
+        stats = SolveStats()
+        res = _plain_table(ctx, curve, stats)
+        table, candidates = q_loop_oracle(curve, p.W, p.K)
+        stop, best, _ = scan_oracle(curve, p.K)
+        assert np.array_equal(res.table, table)
+        assert (res.reorder, res.order_up_to) == (
+            ctx.grid.min_inv + stop + 1,
+            ctx.grid.min_inv + best,
+        )
+        assert (stats.states_evaluated, stats.q_iterations) == (curve.shape[0], candidates)
+
+    def test_curve_matches_direct_summation(self, rng):
+        inst = random_desk_instance(rng, horizon=3)
+        ctx = SolveContext(inst)
+        tables = solve_kconvex(inst, context=ctx)
+        for t, r, future in self._cycles(ctx, tables):
+            np.testing.assert_allclose(
+                no_order_curve(ctx, t, r, future),
+                direct_no_order_curve(ctx, t, r, future),
+                rtol=1e-12,
+            )
+
+    def test_kconvex_matches_scan_oracle(self, rng):
+        for _ in range(4):
+            inst = random_desk_instance(rng)
+            ctx = SolveContext(inst)
+            tables = solve_kconvex(inst, context=ctx)
+            for t, r, future in self._cycles(ctx, tables):
+                self._check_kconvex(ctx, cycle_curve(ctx, t, r, future))
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5, 0.0])
+    def test_plain_and_lost_sales_match_q_loop(self, rng, beta):
+        base = random_desk_instance(rng, horizon=3, mean_range=(3.0, 8.0))
+        inst = Instance(T=3, params=base.params, I0=0, demand=base.demand, beta=beta)
+        ctx = SolveContext(inst)
+        tables = solve_lost_sales(inst, context=ctx)
+        for t, r, future in self._cycles(ctx, tables):
+            if beta < 1.0:
+                curve = _lost_sales_curve(ctx, t, r, future, beta)
+            else:
+                curve = cycle_curve(ctx, t, r, future)
+            self._check_plain(ctx, curve)
+
+    @pytest.mark.parametrize(
+        "curve, K, stop, best",
+        [
+            ([3.0, 3.0, 3.0, 3.0, 3.0, 3.0], 10.0, -1, 5),  # flat: no stop, top wins
+            ([5.0, 1.0, 1.0, 1.0, 4.0, 6.0], 1.0, 0, 3),  # plateau: largest level wins
+            ([3.0, 3.0, 1.0, 2.0, 5.0, 6.0], 2.0, -1, 2),  # exactly min + K: no stop
+            ([4.0, 2.0, 1.0, 1.0, 3.0, 6.0], 0.0, 1, 3),  # K = 0 stops at the first rise
+        ],
+    )
+    def test_tie_curves(self, curve, K, stop, best):
+        curve = np.array(curve)
+        ctx = SimpleNamespace(
+            params=CostParams(K=K, W=2.0, h=1.0, b=1.0), grid=InventoryGrid(-2, 3)
+        )
+        assert scan_oracle(curve, K)[:2] == (stop, best)
+        self._check_kconvex(ctx, curve)
+        self._check_plain(ctx, curve)
 
 
 class TestLostSales:
