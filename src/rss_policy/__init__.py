@@ -4,13 +4,21 @@ stochastic lot-sizing problem with fixed review and ordering costs.
 Main entry points:
 
 * :func:`solve_kconvex` / :func:`solve_plain` -- the approximate-SDP
-  heuristic (accelerated and reference sweeps, identical output);
-* :func:`enumerate_optimal` -- exact baseline over all review schedules;
+  heuristic (accelerated and reference sweeps, identical output), and
+  :func:`solve_lost_sales` for partial backlogging (beta < 1);
+* :func:`scarf_fixed_R` / :func:`enumerate_optimal` -- exact baseline for
+  one review schedule and over all of them (full backlogging only);
 * :func:`expected_cost` / :func:`simulate` -- policy evaluation;
 * :mod:`rss_policy.testbed` -- benchmark instance generators.
+
+Each entry point takes an optional ``context``: a :class:`SolveContext`
+built for the same instance, which holds the discretized demand, the
+inventory grid and the cost engine. Its ``tail_eps`` and
+``quantile_eps`` are the only discretization settings; without a
+context the defaults are used.
 """
 
-from .costs import CostParams, CycleCostEngine, holding_penalty
+from .costs import CostParams, CycleCostEngine
 from .demand import (
     CumulativeDemandCache,
     DemandPmf,
@@ -84,7 +92,6 @@ __all__ = [
     "extract_policy",
     "gen_analysis",
     "gen_scalability",
-    "holding_penalty",
     "instance_from_dict",
     "instance_to_dict",
     "iter_schedules",

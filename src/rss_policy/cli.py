@@ -2,8 +2,7 @@
 benchmark campaigns, and generate testbed instance files.
 
 Exit codes: 0 success, 2 input error, 3 capability error (exact solver
-above its horizon cap), 4 output I/O error. ``RSS_THREADS`` caps the
-benchmark worker count (default 1, sequential).
+above its horizon cap), 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -11,25 +10,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Optional
 
 from .evaluate import expected_cost, optimality_gap, simulate
 from .exact import DEFAULT_SCHEDULE_CAP, HorizonCapError, enumerate_optimal
-from .model import Instance, Policy
-from .serialize import (
-    SchemaError,
-    instance_to_dict,
-    load_instance,
-    load_policy,
-    policy_to_dict,
-    save_instance,
-)
+from .model import Instance
+from .serialize import SchemaError, load_instance, load_policy, policy_to_dict, save_instance
 from .solver import SolveContext, extract_policy, solve_kconvex, solve_lost_sales, solve_plain
 from .testbed import gen_analysis, gen_scalability
 
@@ -81,8 +71,6 @@ def _solve_with(name: str, instance: Instance, ctx: SolveContext):
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    if instance.beta < 1.0 and args.solver in ("plain", "kconvex"):
-        raise SchemaError("instances with beta < 1 need --solver lost_sales")
     ctx = SolveContext(instance, tail_eps=args.tail_eps, quantile_eps=args.grid_eps)
     policy, cost, _ = _solve_with(args.solver, instance, ctx)
     doc = policy_to_dict(policy, expected_cost=cost)
@@ -114,7 +102,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def _benchmark_instance(task: tuple) -> list[dict[str, Any]]:
-    """Solve one instance with each requested solver (worker-safe)."""
+    """Solve one instance with each requested solver."""
     instance, solvers, reps, oracle, factors = task
     ctx = SolveContext(instance)
     oracle_cost: Optional[float] = None
@@ -228,29 +216,18 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             tasks.append((instance, tuple(solvers), args.reps, oracle, factor_fn(instance)))
     tasks.sort(key=lambda task: task[0].label or "")
 
-    workers = max(1, int(os.environ.get("RSS_THREADS", "1")))
     all_rows: list[dict[str, Any]] = []
     try:
         with (out_dir / "report.csv").open("w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS, extrasaction="ignore")
             writer.writeheader()
             fh.flush()
-            if workers > 1 and len(tasks) > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [pool.submit(_benchmark_instance, task) for task in tasks]
-                    results = (f.result() for f in futures)
-                    for rows in results:
-                        for row in rows:
-                            writer.writerow(_format_row(row))
-                        fh.flush()
-                        all_rows.extend(rows)
-            else:
-                for task in tasks:
-                    rows = _benchmark_instance(task)
-                    for row in rows:
-                        writer.writerow(_format_row(row))
-                    fh.flush()
-                    all_rows.extend(rows)
+            for task in tasks:
+                rows = _benchmark_instance(task)
+                for row in rows:
+                    writer.writerow(_format_row(row))
+                fh.flush()
+                all_rows.extend(rows)
         for solver in solvers:
             with (out_dir / f"times_{solver}.csv").open("w", newline="") as fh:
                 writer = csv.writer(fh)

@@ -183,6 +183,14 @@ class CumulativeDemandCache:
         if j == t + 1:
             pmf = self.period(t)
         else:
-            pmf = convolve(self.cumulative(t, j - 1), self.period(j - 1))
+            # Fill the missing prefixes (t, k), k < j, shortest first, so
+            # that each of them finds its own prefix stored and long
+            # ranges do not recurse.
+            k = j - 1
+            while k > t and (t, k) not in self._cum:
+                k -= 1
+            for k in range(k + 1, j):
+                self.cumulative(t, k)
+            pmf = convolve(self._cum[(t, j - 1)], self.period(j - 1))
         self._cum[key] = pmf
         return pmf

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .model import Instance, Policy
-from .solver import SolveContext, _lost_sales_curve, cycle_curve
+from .solver import SolveContext, _context, _lost_sales_curve, cycle_curve
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,6 @@ def expected_cost(
     policy: Policy,
     *,
     context: Optional[SolveContext] = None,
-    tail_eps: float = 1e-6,
-    quantile_eps: float = 1e-5,
 ) -> float:
     """Exact expected cost of the policy under the discretized demand.
 
@@ -54,13 +52,12 @@ def expected_cost(
     order-up-to level iff the opening inventory is below the reorder
     level. Each review's no-order curve is the solvers' own: the
     backlogging ``cycle_curve``, or for beta < 1 the partial-backlog
-    curve ``solve_lost_sales`` uses. Order-up-to levels above the grid
-    are clamped to its ceiling.
+    curve ``solve_lost_sales`` uses. Levels off the grid are clamped to
+    it: a reorder level above the ceiling orders at every level, and an
+    order-up-to level above it orders up to the ceiling.
     """
     _check_policy(instance, policy)
-    ctx = context if context is not None else SolveContext(
-        instance, tail_eps=tail_eps, quantile_eps=quantile_eps
-    )
+    ctx = _context(instance, context)
     grid = ctx.grid
     p = ctx.params
     future = np.zeros(grid.size)
@@ -71,9 +68,9 @@ def expected_cost(
         else:
             curve = cycle_curve(ctx, t, r, future)
         table = p.W + curve
-        if review.reorder > grid.min_inv:
-            order_value = (p.W + p.K) + curve[grid.index(min(review.order_up_to, grid.max_inv))]
-            table[: grid.index(review.reorder)] = order_value
+        end = min(max(review.reorder - grid.min_inv, 0), grid.size)
+        up_to = min(max(review.order_up_to - grid.min_inv, 0), grid.size - 1)
+        table[:end] = (p.W + p.K) + curve[up_to]
         future = table
     return float(future[grid.index(instance.I0)])
 
@@ -107,8 +104,6 @@ def simulate(
     *,
     context: Optional[SolveContext] = None,
     continuous: bool = False,
-    tail_eps: float = 1e-6,
-    quantile_eps: float = 1e-5,
 ) -> EvalReport:
     """Seeded Monte-Carlo rollout of the policy.
 
@@ -121,9 +116,7 @@ def simulate(
     _check_policy(instance, policy)
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    ctx = context if context is not None else SolveContext(
-        instance, tail_eps=tail_eps, quantile_eps=quantile_eps
-    )
+    ctx = _context(instance, context)
     p = ctx.params
     rng = np.random.default_rng(seed)
     demands = _sample_demands(ctx, n_paths, rng, continuous)

@@ -16,8 +16,17 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .model import Instance, Policy, PolicyReview
-from .solver import SolveContext, SolveStats, ValueTables, _kconvex_table, cycle_curve
+from .model import Instance, Policy
+from .solver import (
+    SolveContext,
+    SolveStats,
+    ValueTables,
+    _context,
+    _kconvex_table,
+    _sweep,
+    cycle_curve,
+    extract_policy,
+)
 
 DEFAULT_SCHEDULE_CAP = 14
 
@@ -80,48 +89,16 @@ def scarf_fixed_R(
     schedule: ReviewSchedule,
     *,
     context: Optional[SolveContext] = None,
-    tail_eps: float = 1e-6,
-    quantile_eps: float = 1e-5,
 ) -> ScarfResult:
-    """Optimal (s,S) levels for a fixed review schedule, via the backward
-    threshold-scan recursion. The review cost is charged once per
-    scheduled review."""
-    ctx = context if context is not None else SolveContext(
-        instance, tail_eps=tail_eps, quantile_eps=quantile_eps
+    """Optimal (s,S) levels for a fixed review schedule: the heuristic's
+    backward sweep with the scheduled cycle as the only candidate at each
+    review. The review cost is charged once per scheduled review."""
+    ctx = _context(instance, context, full_backlog=True)
+    lengths = {t: (r,) for t, r in zip(schedule.periods, schedule.cycles(instance.T))}
+    tables = _sweep(
+        ctx, cycle_curve, _kconvex_table, "scarf_fixed_R", lambda t: lengths.get(t, ())
     )
-    T = instance.T
-    cycles = schedule.cycles(T)
-    stats = SolveStats()
-    grid = ctx.grid
-    cost_to_go: dict[int, np.ndarray] = {T + 1: np.zeros(grid.size)}
-    cycle_length: dict[int, int] = {}
-    reorder: dict[int, int] = {}
-    order_up_to: dict[int, int] = {}
-    future = cost_to_go[T + 1]
-    for t, r in zip(reversed(schedule.periods), reversed(cycles)):
-        res = _kconvex_table(ctx, cycle_curve(ctx, t, r, future), stats)
-        cost_to_go[t] = res.table
-        cycle_length[t] = r
-        reorder[t] = res.reorder
-        order_up_to[t] = res.order_up_to
-        future = res.table
-    tables = ValueTables(
-        grid=grid,
-        horizon=T,
-        cost_to_go=cost_to_go,
-        cycle_length=cycle_length,
-        reorder=reorder,
-        order_up_to=order_up_to,
-        stats=stats,
-        algorithm="scarf_fixed_R",
-    )
-    policy = Policy(
-        horizon=T,
-        reviews=tuple(
-            PolicyReview(period=t, cycle=r, reorder=reorder[t], order_up_to=order_up_to[t])
-            for t, r in zip(schedule.periods, cycles)
-        ),
-    )
+    policy = extract_policy(tables, instance)
     return ScarfResult(policy=policy, cost=tables.value(1, instance.I0), tables=tables)
 
 
@@ -139,8 +116,6 @@ def enumerate_optimal(
     *,
     cap: int = DEFAULT_SCHEDULE_CAP,
     context: Optional[SolveContext] = None,
-    tail_eps: float = 1e-6,
-    quantile_eps: float = 1e-5,
 ) -> EnumerationResult:
     """Exact optimum over all review schedules.
 
@@ -154,9 +129,7 @@ def enumerate_optimal(
             f"enumeration over 2^{instance.T - 1} schedules exceeds the cap "
             f"T <= {cap}; use the heuristic solver for long horizons"
         )
-    ctx = context if context is not None else SolveContext(
-        instance, tail_eps=tail_eps, quantile_eps=quantile_eps
-    )
+    ctx = _context(instance, context, full_backlog=True)
     T = instance.T
     stats = SolveStats()
     memo: dict[tuple[int, ...], np.ndarray] = {(): np.zeros(ctx.grid.size)}

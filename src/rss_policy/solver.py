@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .costs import CycleCostEngine
-from .demand import CumulativeDemandCache, discretize
+from .demand import DEFAULT_TAIL_EPS, CumulativeDemandCache, discretize
 from .model import Instance, Policy, PolicyReview
 
 DEFAULT_QUANTILE_EPS = 1e-5
@@ -118,7 +118,7 @@ class SolveContext:
     def __init__(
         self,
         instance: Instance,
-        tail_eps: float = 1e-6,
+        tail_eps: float = DEFAULT_TAIL_EPS,
         quantile_eps: float = DEFAULT_QUANTILE_EPS,
     ):
         self.instance = instance
@@ -144,7 +144,8 @@ class ValueTables:
 
     ``cost_to_go[t]`` is indexed by the grid (period T+1 is identically
     zero); ``cycle_length``/``reorder``/``order_up_to`` hold the chosen
-    cycle and thresholds for every period 1..T.
+    cycle and thresholds for every period 1..T the sweep decided: all of
+    them for the heuristic, the scheduled reviews for ``scarf_fixed_R``.
     """
 
     grid: InventoryGrid
@@ -245,11 +246,15 @@ def _sweep(
     curve_fn: Callable[[SolveContext, int, int, np.ndarray], np.ndarray],
     table_fn: Callable[[SolveContext, np.ndarray, SolveStats], _CycleResult],
     algorithm: str,
+    lengths: Optional[Callable[[int], Iterable[int]]] = None,
 ) -> ValueTables:
     """Backward sweep over periods, keeping the locally best cycle length.
 
-    Ties between cycle lengths go to the shorter cycle; the order-up-to
-    tie-break (largest level) is fixed inside the threshold scan.
+    ``lengths(t)`` gives the candidate cycle lengths at period t, by
+    default every length that fits the horizon; a period without
+    candidates gets no table. Ties between cycle lengths go to the
+    shorter cycle; the order-up-to tie-break (largest level) is fixed
+    inside the threshold scan.
     """
     T = ctx.instance.T
     grid = ctx.grid
@@ -261,12 +266,13 @@ def _sweep(
     for t in range(T, 0, -1):
         best: Optional[_CycleResult] = None
         best_r = 0
-        for r in range(1, T - t + 2):
+        for r in range(1, T - t + 2) if lengths is None else lengths(t):
             res = table_fn(ctx, curve_fn(ctx, t, r, cost_to_go[t + r]), stats)
             if best is None or res.best_n < best.best_n:
                 best = res
                 best_r = r
-        assert best is not None
+        if best is None:
+            continue
         cost_to_go[t] = best.table
         cycle_length[t] = best_r
         reorder[t] = best.reorder
@@ -283,40 +289,31 @@ def _sweep(
     )
 
 
-def _context(instance, context, tail_eps, quantile_eps) -> SolveContext:
-    if context is not None:
-        if context.instance is not instance and context.instance != instance:
-            raise ValueError("context was built for a different instance")
-        return context
-    return SolveContext(instance, tail_eps=tail_eps, quantile_eps=quantile_eps)
-
-
-def solve_plain(
-    instance: Instance,
-    *,
-    context: Optional[SolveContext] = None,
-    tail_eps: float = 1e-6,
-    quantile_eps: float = DEFAULT_QUANTILE_EPS,
-) -> ValueTables:
-    """Reference sweep: full order-quantity search at every state."""
-    if instance.beta < 1.0:
+def _context(
+    instance: Instance, context: Optional[SolveContext], *, full_backlog: bool = False
+) -> SolveContext:
+    """The context of a solver or evaluator call: the given one, checked
+    against the instance, or one with the default settings. Callers that
+    only handle full backlogging refuse instances with beta < 1 first."""
+    if full_backlog and instance.beta < 1.0:
         raise ValueError("partial backlogging requires solve_lost_sales")
-    ctx = _context(instance, context, tail_eps, quantile_eps)
+    if context is None:
+        return SolveContext(instance)
+    if context.instance is not instance and context.instance != instance:
+        raise ValueError("context was built for a different instance")
+    return context
+
+
+def solve_plain(instance: Instance, *, context: Optional[SolveContext] = None) -> ValueTables:
+    """Reference sweep: full order-quantity search at every state."""
+    ctx = _context(instance, context, full_backlog=True)
     return _sweep(ctx, cycle_curve, _plain_table, "plain")
 
 
-def solve_kconvex(
-    instance: Instance,
-    *,
-    context: Optional[SolveContext] = None,
-    tail_eps: float = 1e-6,
-    quantile_eps: float = DEFAULT_QUANTILE_EPS,
-) -> ValueTables:
+def solve_kconvex(instance: Instance, *, context: Optional[SolveContext] = None) -> ValueTables:
     """Accelerated sweep using the K-convexity threshold scan. Produces
     the same tables and policy as ``solve_plain``."""
-    if instance.beta < 1.0:
-        raise ValueError("partial backlogging requires solve_lost_sales")
-    ctx = _context(instance, context, tail_eps, quantile_eps)
+    ctx = _context(instance, context, full_backlog=True)
     return _sweep(ctx, cycle_curve, _kconvex_table, "kconvex")
 
 
@@ -369,13 +366,7 @@ def _lost_sales_curve(
     return w  # vlo[0] == grid.min_inv, so w is grid-aligned
 
 
-def solve_lost_sales(
-    instance: Instance,
-    *,
-    context: Optional[SolveContext] = None,
-    tail_eps: float = 1e-6,
-    quantile_eps: float = DEFAULT_QUANTILE_EPS,
-) -> ValueTables:
+def solve_lost_sales(instance: Instance, *, context: Optional[SolveContext] = None) -> ValueTables:
     """Plain sweep under partial backlogging (0 <= beta <= 1).
 
     With beta = 1 this is exactly ``solve_plain``. For beta < 1 the
@@ -383,13 +374,9 @@ def solve_lost_sales(
     reorder level is the threshold of the descending scan and may only
     approximate a non-interval ordering region.
     """
-    if not 0.0 <= instance.beta <= 1.0:
-        raise ValueError("beta must lie in [0, 1]")
     if instance.beta == 1.0:
-        return solve_plain(
-            instance, context=context, tail_eps=tail_eps, quantile_eps=quantile_eps
-        )
-    ctx = _context(instance, context, tail_eps, quantile_eps)
+        return solve_plain(instance, context=context)
+    ctx = _context(instance, context)
     beta = instance.beta
 
     def curve_fn(ctx, t, r, future):

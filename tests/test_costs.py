@@ -3,21 +3,12 @@
 import numpy as np
 import pytest
 
-from rss_policy import CostParams, SolveContext, holding_penalty
+from rss_policy import SolveContext
 from conftest import deterministic_instance, direct_cycle_cost, random_desk_instance
 
-PARAMS = CostParams(K=50.0, W=10.0, h=1.0, b=10.0)
 
-
-class TestHoldingPenalty:
-    def test_zero_inventory(self):
-        assert holding_penalty(0, PARAMS) == 0.0
-
-    def test_holding(self):
-        assert holding_penalty(5, CostParams(K=0, W=0, h=1.0, b=10.0)) == 5.0
-
-    def test_penalty(self):
-        assert holding_penalty(-2, CostParams(K=0, W=0, h=1.0, b=10.0)) == 20.0
+def _hp(x, params):
+    return params.h * np.maximum(x, 0) + params.b * np.maximum(-x, 0)
 
 
 class TestBoundaries:
@@ -25,49 +16,23 @@ class TestBoundaries:
         inst = deterministic_instance([3, 4, 5], K=50, W=10, h=1, b=10)
         return SolveContext(inst)
 
-    def test_zero_length_cycle_costs_nothing(self):
-        eng = self._ctx().engine
-        for t in (1, 2, 3):
-            for i in (-5, 0, 7):
-                assert eng.l(t, i, 0) == 0.0
-
-    def test_terminal_period_costs_nothing(self):
-        eng = self._ctx().engine
-        for i in (-5, 0, 7):
-            for r in (0, 1, 3):
-                assert eng.l(4, i, r) == 0.0
-
     def test_deterministic_two_period_tail(self):
         # with point-mass demand the recursion telescopes into plain sums
         ctx = self._ctx()
-        eng = ctx.engine
-        d2 = 4
-        for i in (-3, 0, 6, 12):
-            expected = holding_penalty(i, ctx.params) + holding_penalty(i - d2, ctx.params)
-            assert eng.l(1, i, 2) == pytest.approx(expected, abs=1e-12)
+        ys = ctx.grid.levels()
+        expected = _hp(ys - 3, ctx.params) + _hp(ys - 3 - 4, ctx.params)
+        np.testing.assert_allclose(ctx.engine.cycle_hp_fn(1, 2)(ys), expected, atol=1e-12)
 
     def test_rejects_cycle_past_horizon(self):
         eng = self._ctx().engine
-        with pytest.raises(ValueError):
-            eng.l(2, 0, 3)
-        with pytest.raises(ValueError):
-            eng.cycle_cost(3, 0, 0, 2)
-        with pytest.raises(ValueError):
-            eng.cycle_cost(1, 0, 0, 0)
+        for t, r in [(2, 3), (3, 2), (1, 0), (2, 0), (4, 1), (0, 1)]:
+            with pytest.raises(ValueError):
+                eng.cycle_hp_fn(t, r)
 
     def test_zero_demand_holding_accumulates(self):
-        inst = deterministic_instance([0, 0, 0], K=50, W=0, h=1, b=10)
-        eng = SolveContext(inst).engine
-        assert eng.cycle_cost(1, 10, 0, 3) == pytest.approx(30.0)
-
-    def test_order_indicator(self):
-        ctx = self._ctx()
-        eng = ctx.engine
-        no_order = eng.cycle_cost(1, 5, 0, 2)
-        with_order = eng.cycle_cost(1, 5, 1, 2)
-        assert with_order - no_order == pytest.approx(
-            ctx.params.K + eng.expected_cycle_hp(1, 6, 2) - eng.expected_cycle_hp(1, 5, 2)
-        )
+        inst = deterministic_instance([0, 0, 0], K=50, W=0, h=1, b=10, I0=10)
+        hp = SolveContext(inst).engine.cycle_hp_fn(1, 3)
+        assert hp(np.array([10]))[0] == pytest.approx(30.0)
 
 
 class TestMemoisationTransparency:
@@ -76,55 +41,33 @@ class TestMemoisationTransparency:
             ctx = SolveContext(random_desk_instance(rng))
             T = ctx.instance.T
             grid = ctx.grid
-            for _ in range(30):
+            for _ in range(6):
                 t = int(rng.integers(1, T + 1))
                 r = int(rng.integers(1, T - t + 2))
-                i = int(rng.integers(grid.min_inv, grid.max_inv + 1))
-                q = int(rng.integers(0, grid.max_inv - i + 1))
-                got = ctx.engine.cycle_cost(t, i, q, r)
-                want = direct_cycle_cost(ctx, t, i, q, r)
-                assert got == pytest.approx(want, abs=1e-8)
-
-    def test_out_of_range_queries_still_exact(self, rng):
-        ctx = SolveContext(random_desk_instance(rng, horizon=3))
-        lo, hi = ctx.grid.min_inv, ctx.grid.max_inv
-        for i in (lo - 250, hi + 90):
-            got = ctx.engine.cycle_cost(1, i, 2, 3)
-            want = direct_cycle_cost(ctx, 1, i, 2, 3)
-            assert got == pytest.approx(want, abs=1e-8)
+                curve = ctx.engine.cycle_hp_fn(t, r)(grid.levels())
+                ys = [grid.min_inv, grid.max_inv, *rng.integers(grid.min_inv, grid.max_inv, 5)]
+                for y in ys:
+                    want = direct_cycle_cost(ctx, t, int(y), 0, r) - ctx.params.W
+                    assert curve[y - grid.min_inv] == pytest.approx(want, abs=1e-8)
 
 
 class TestStructure:
-    def test_shift_identity(self, rng):
-        # holding/penalty depends only on the post-order position
-        ctx = SolveContext(random_desk_instance(rng, horizon=4))
-        eng = ctx.engine
-        K = ctx.params.K
-        for _ in range(25):
-            t = int(rng.integers(1, 5))
-            r = int(rng.integers(1, 4 - t + 2))
-            i = int(rng.integers(ctx.grid.min_inv, ctx.grid.max_inv - 5))
-            q = int(rng.integers(1, ctx.grid.max_inv - i + 1))
-            assert eng.cycle_cost(t, i, q, r) == pytest.approx(
-                eng.cycle_cost(t, i + q, 0, r) + K, abs=1e-10
-            )
-
     def test_convex_in_inventory(self, rng):
         ctx = SolveContext(random_desk_instance(rng, horizon=4))
-        eng = ctx.engine
         for t in range(1, 5):
             for r in range(1, 4 - t + 2):
-                vals = np.array(
-                    [eng.l(t, i, r) for i in range(ctx.grid.min_inv, ctx.grid.max_inv + 1)]
-                )
+                vals = ctx.engine.cycle_hp_fn(t, r)(ctx.grid.levels())
                 second_diff = vals[2:] - 2 * vals[1:-1] + vals[:-2]
                 assert second_diff.min() >= -1e-9
 
     def test_cache_idempotent_and_bounded(self, rng):
         ctx = SolveContext(random_desk_instance(rng, horizon=5))
         eng = ctx.engine
-        first = eng.l(2, 7, 3)
-        assert eng.l(2, 7, 3) == first
+        ys = ctx.grid.levels()
+        first = eng.cycle_hp_fn(2, 3)(ys)
+        stored = eng.stored_states
+        assert np.array_equal(eng.cycle_hp_fn(2, 3)(ys), first)
+        assert eng.stored_states == stored
         total_dmax = sum(ctx.demand.period(t).max_value for t in range(1, 6))
         x_range = ctx.grid.size + total_dmax
         assert eng.stored_states <= (ctx.instance.T + 1) ** 2 * x_range

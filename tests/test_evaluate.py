@@ -17,7 +17,7 @@ from rss_policy import (
     solve_kconvex,
     solve_lost_sales,
 )
-from conftest import deterministic_instance, random_desk_instance
+from conftest import deterministic_instance, direct_cycle_cost, random_desk_instance
 
 
 def _policy(horizon, *reviews):
@@ -74,6 +74,25 @@ class TestExpectedCost:
         policy = _policy(6, (1, 2, 10, 45), (3, 2, 10, 45), (5, 2, 10, 45))
         report = simulate(inst, policy, n_paths=20_000, seed=2, context=ctx)
         assert abs(report.mc_mean - report.expected_cost) <= report.mc_halfwidth_95
+
+    def test_reorder_above_grid_orders_at_every_level(self):
+        # located with grid.index, such reorder levels raised; the review
+        # orders at every level, up to the grid ceiling
+        inst = Instance(
+            T=2,
+            params=CostParams(K=50.0, W=7.0, h=1.0, b=10.0),
+            I0=0,
+            demand=(DemandSpec("poisson", 5.0), DemandSpec("poisson", 5.0)),
+        )
+        ctx = SolveContext(inst)
+        top = ctx.grid.max_inv
+        assert top == 29
+        for s in (top + 1, top + 5):
+            one = expected_cost(inst, _policy(2, (1, 2, s, s)), context=ctx)
+            assert one == pytest.approx(direct_cycle_cost(ctx, 1, 0, top, 2), abs=1e-9)
+            two = expected_cost(inst, _policy(2, (1, 1, s, s), (2, 1, s, s)), context=ctx)
+            want = direct_cycle_cost(ctx, 1, 0, top, 1) + direct_cycle_cost(ctx, 2, 0, top, 1)
+            assert two == pytest.approx(want, abs=1e-9)
 
     def test_rejects_horizon_mismatch(self, rng):
         inst = random_desk_instance(rng, horizon=3)

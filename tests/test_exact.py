@@ -1,6 +1,7 @@
 """Exact baseline: fixed-schedule solves and exhaustive enumeration."""
 
 import gc
+import sys
 import tracemalloc
 
 import numpy as np
@@ -157,3 +158,23 @@ class TestEnumerateOptimal:
         res = enumerate_optimal(inst)
         assert res.schedule.periods == (1,)
         assert res.cost == pytest.approx(0.0)
+
+
+def test_long_horizon_does_not_recurse():
+    # the cumulative-demand cache and the cost-engine levels recursed once
+    # per period and raised RecursionError here
+    inst = Instance(
+        T=300,
+        params=CostParams(K=100.0, W=10.0, h=1.0, b=10.0),
+        I0=0,
+        demand=tuple(DemandSpec("poisson", 2.0) for _ in range(300)),
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        ctx = SolveContext(inst)
+        res = scarf_fixed_R(inst, ReviewSchedule((1,)), context=ctx)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.policy.n_reviews == 1
+    assert np.isfinite(res.cost)

@@ -10,15 +10,24 @@ from rss_policy import (
     CostParams,
     DemandSpec,
     Instance,
+    Policy,
+    PolicyReview,
+    ReviewSchedule,
     SolveContext,
     build_grid,
+    enumerate_optimal,
     expected_cost,
     extract_policy,
+    gen_scalability,
     no_order_curve,
+    save_instance,
+    scarf_fixed_R,
+    simulate,
     solve_kconvex,
     solve_lost_sales,
     solve_plain,
 )
+from rss_policy.cli import main as cli_main
 from rss_policy.solver import (
     InventoryGrid,
     SolveStats,
@@ -321,6 +330,43 @@ class TestLostSales:
             solve_plain(partial)
         with pytest.raises(ValueError):
             solve_kconvex(partial)
+        # the exact solver ignored beta and returned the full-backlog optimum
+        with pytest.raises(ValueError, match="partial backlogging"):
+            scarf_fixed_R(partial, ReviewSchedule((1,)))
+        with pytest.raises(ValueError, match="partial backlogging"):
+            enumerate_optimal(partial)
+
+    def test_cli_refuses_mismatched_variant(self, rng, tmp_path, capsys):
+        base = random_desk_instance(rng, horizon=2)
+        path = tmp_path / "inst.json"
+        save_instance(Instance(T=2, params=base.params, I0=0, demand=base.demand, beta=0.0), path)
+        for solver in ("exact", "plain", "kconvex"):
+            assert cli_main(["solve", str(path), "--solver", solver]) == 2
+            assert "partial backlogging" in capsys.readouterr().err
+        assert cli_main(["solve", str(path), "--solver", "lost_sales"]) == 0
+
+
+_ONE_CYCLE = Policy(horizon=5, reviews=(PolicyReview(1, 5, 10, 40),))
+_ENTRY_POINTS = {
+    "solve_plain": lambda inst, ctx: solve_plain(inst, context=ctx),
+    "solve_kconvex": lambda inst, ctx: solve_kconvex(inst, context=ctx),
+    "solve_lost_sales": lambda inst, ctx: solve_lost_sales(inst, context=ctx),
+    "scarf_fixed_R": lambda inst, ctx: scarf_fixed_R(inst, ReviewSchedule((1, 3)), context=ctx),
+    "enumerate_optimal": lambda inst, ctx: enumerate_optimal(inst, context=ctx),
+    "expected_cost": lambda inst, ctx: expected_cost(inst, _ONE_CYCLE, context=ctx),
+    "simulate": lambda inst, ctx: simulate(inst, _ONE_CYCLE, 10, 0, context=ctx),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_rejects_context_of_another_instance(entry):
+    # unchecked, expected_cost returned 1333.16 and enumerate_optimal
+    # 1076.52 for an instance whose optimum is 709.38
+    inst = gen_scalability(5, 1, seed=3)[0]
+    other = SolveContext(gen_scalability(5, 1, seed=4)[0])
+    with pytest.raises(ValueError, match="different instance"):
+        _ENTRY_POINTS[entry](inst, other)
+    _ENTRY_POINTS[entry](inst, SolveContext(inst))
 
 
 class TestExtractPolicy:
