@@ -101,9 +101,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # Benchmark campaign
 # ----------------------------------------------------------------------
 
-def _benchmark_instance(task: tuple) -> list[dict[str, Any]]:
+def _benchmark_instance(
+    instance: Instance, solvers: list[str], reps: int, oracle: bool, factors: dict[str, str]
+) -> list[dict[str, Any]]:
     """Solve one instance with each requested solver."""
-    instance, solvers, reps, oracle, factors = task
     ctx = SolveContext(instance)
     oracle_cost: Optional[float] = None
     if oracle:
@@ -201,20 +202,13 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         return EXIT_IO
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     horizons = list(range(args.t_min, args.t_max + 1))
-    tasks = []
+    instances: list[Instance] = []
     for T in horizons:
         if args.suite == "scalability":
-            batch = gen_scalability(T, args.n, seed=args.seed + T)
-            factor_fn = lambda inst: {}
-        else:
-            if T not in (10, 20):
-                continue
-            batch = gen_analysis(T, seed=args.seed)
-            factor_fn = _analysis_factors
-        for instance in batch:
-            oracle = (not args.skip_oracle) and instance.T <= args.exact_cap
-            tasks.append((instance, tuple(solvers), args.reps, oracle, factor_fn(instance)))
-    tasks.sort(key=lambda task: task[0].label or "")
+            instances.extend(gen_scalability(T, args.n, seed=args.seed + T))
+        elif T in (10, 20):
+            instances.extend(gen_analysis(T, seed=args.seed))
+    instances.sort(key=lambda inst: inst.label or "")
 
     all_rows: list[dict[str, Any]] = []
     try:
@@ -222,8 +216,14 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS, extrasaction="ignore")
             writer.writeheader()
             fh.flush()
-            for task in tasks:
-                rows = _benchmark_instance(task)
+            for instance in instances:
+                rows = _benchmark_instance(
+                    instance,
+                    solvers,
+                    args.reps,
+                    oracle=(not args.skip_oracle) and instance.T <= args.exact_cap,
+                    factors=_analysis_factors(instance) if args.suite == "analysis" else {},
+                )
                 for row in rows:
                     writer.writerow(_format_row(row))
                 fh.flush()

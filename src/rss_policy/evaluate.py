@@ -52,13 +52,19 @@ def expected_cost(
     order-up-to level iff the opening inventory is below the reorder
     level. Each review's no-order curve is the solvers' own: the
     backlogging ``cycle_curve``, or for beta < 1 the partial-backlog
-    curve ``solve_lost_sales`` uses. Levels off the grid are clamped to
-    it: a reorder level above the ceiling orders at every level, and an
-    order-up-to level above it orders up to the ceiling.
+    curve ``solve_lost_sales`` uses. A policy whose order-up-to level
+    lies above the grid ceiling cannot be priced on the grid and is
+    refused; this covers every reorder level above the ceiling.
     """
     _check_policy(instance, policy)
     ctx = _context(instance, context)
     grid = ctx.grid
+    top = max(rv.order_up_to for rv in policy.reviews)
+    if top > grid.max_inv:
+        raise ValueError(
+            f"order-up-to level {top} lies above the inventory grid "
+            f"[{grid.min_inv}, {grid.max_inv}]"
+        )
     p = ctx.params
     future = np.zeros(grid.size)
     for review in reversed(policy.reviews):
@@ -68,9 +74,9 @@ def expected_cost(
         else:
             curve = cycle_curve(ctx, t, r, future)
         table = p.W + curve
-        end = min(max(review.reorder - grid.min_inv, 0), grid.size)
-        up_to = min(max(review.order_up_to - grid.min_inv, 0), grid.size - 1)
-        table[:end] = (p.W + p.K) + curve[up_to]
+        if review.reorder > grid.min_inv:
+            order_value = (p.W + p.K) + curve[grid.index(review.order_up_to)]
+            table[: grid.index(review.reorder)] = order_value
         future = table
     return float(future[grid.index(instance.I0)])
 

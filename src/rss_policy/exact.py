@@ -124,12 +124,12 @@ def enumerate_optimal(
     across the enumeration; each schedule's result is identical to a
     standalone ``scarf_fixed_R`` call.
     """
+    ctx = _context(instance, context, full_backlog=True)
     if instance.T > cap:
         raise HorizonCapError(
             f"enumeration over 2^{instance.T - 1} schedules exceeds the cap "
             f"T <= {cap}; use the heuristic solver for long horizons"
         )
-    ctx = _context(instance, context, full_backlog=True)
     T = instance.T
     stats = SolveStats()
     memo: dict[tuple[int, ...], np.ndarray] = {(): np.zeros(ctx.grid.size)}

@@ -75,9 +75,10 @@ class TestExpectedCost:
         report = simulate(inst, policy, n_paths=20_000, seed=2, context=ctx)
         assert abs(report.mc_mean - report.expected_cost) <= report.mc_halfwidth_95
 
-    def test_reorder_above_grid_orders_at_every_level(self):
-        # located with grid.index, such reorder levels raised; the review
-        # orders at every level, up to the grid ceiling
+    def test_refuses_levels_above_grid(self):
+        # clamped to the ceiling, an order-up-to level above it priced
+        # another policy (100.00002 for S = 30 and for S = 34, where
+        # simulate gives 102.03 and 110.03), so such policies are refused
         inst = Instance(
             T=2,
             params=CostParams(K=50.0, W=7.0, h=1.0, b=10.0),
@@ -87,12 +88,16 @@ class TestExpectedCost:
         ctx = SolveContext(inst)
         top = ctx.grid.max_inv
         assert top == 29
-        for s in (top + 1, top + 5):
-            one = expected_cost(inst, _policy(2, (1, 2, s, s)), context=ctx)
-            assert one == pytest.approx(direct_cycle_cost(ctx, 1, 0, top, 2), abs=1e-9)
-            two = expected_cost(inst, _policy(2, (1, 1, s, s), (2, 1, s, s)), context=ctx)
-            want = direct_cycle_cost(ctx, 1, 0, top, 1) + direct_cycle_cost(ctx, 2, 0, top, 1)
-            assert two == pytest.approx(want, abs=1e-9)
+        for s, S in ((top + 1, top + 1), (top + 5, top + 5), (10, top + 1)):
+            for policy in (_policy(2, (1, 2, s, S)), _policy(2, (1, 1, 0, 5), (2, 1, s, S))):
+                with pytest.raises(ValueError, match="above the inventory grid"):
+                    expected_cost(inst, policy, context=ctx)
+        # the highest representable policy orders up to the ceiling
+        policy = _policy(2, (1, 2, top, top))
+        cost = expected_cost(inst, policy, context=ctx)
+        assert cost == pytest.approx(direct_cycle_cost(ctx, 1, 0, top, 2), abs=1e-9)
+        report = simulate(inst, policy, n_paths=20_000, seed=5, context=ctx)
+        assert abs(report.mc_mean - cost) <= 3 * report.mc_halfwidth_95
 
     def test_rejects_horizon_mismatch(self, rng):
         inst = random_desk_instance(rng, horizon=3)

@@ -28,6 +28,7 @@ from rss_policy import (
     solve_plain,
 )
 from rss_policy.cli import main as cli_main
+from rss_policy.exact import DEFAULT_SCHEDULE_CAP
 from rss_policy.solver import (
     InventoryGrid,
     SolveStats,
@@ -335,6 +336,9 @@ class TestLostSales:
             scarf_fixed_R(partial, ReviewSchedule((1,)))
         with pytest.raises(ValueError, match="partial backlogging"):
             enumerate_optimal(partial)
+        # the beta refusal comes before the horizon cap
+        with pytest.raises(ValueError, match="partial backlogging"):
+            enumerate_optimal(partial, cap=1)
 
     def test_cli_refuses_mismatched_variant(self, rng, tmp_path, capsys):
         base = random_desk_instance(rng, horizon=2)
@@ -344,6 +348,10 @@ class TestLostSales:
             assert cli_main(["solve", str(path), "--solver", solver]) == 2
             assert "partial backlogging" in capsys.readouterr().err
         assert cli_main(["solve", str(path), "--solver", "lost_sales"]) == 0
+        long = random_desk_instance(rng, horizon=DEFAULT_SCHEDULE_CAP + 1)
+        save_instance(Instance(T=long.T, params=long.params, I0=0, demand=long.demand, beta=0.0), path)
+        assert cli_main(["solve", str(path), "--solver", "exact"]) == 2
+        assert "partial backlogging" in capsys.readouterr().err
 
 
 _ONE_CYCLE = Policy(horizon=5, reviews=(PolicyReview(1, 5, 10, 40),))
