@@ -36,6 +36,7 @@ REPORT_COLUMNS = [
     "n_reviews",
     "wall_time_ms",
     "states_evaluated",
+    "candidates_pruned",
 ]
 
 SUMMARY_COLUMNS = [
@@ -53,10 +54,10 @@ _NON_OPTIMAL_GAP = 1e-8
 
 
 def _solve_with(name: str, instance: Instance, ctx: SolveContext):
-    """Run one solver; returns (policy, cost, states_evaluated)."""
+    """Run one solver; returns (policy, cost, stats)."""
     if name == "exact":
         result = enumerate_optimal(instance, context=ctx)
-        return result.policy, result.cost, result.stats.states_evaluated
+        return result.policy, result.cost, result.stats
     if name == "plain":
         tables = solve_plain(instance, context=ctx)
     elif name == "kconvex":
@@ -66,7 +67,7 @@ def _solve_with(name: str, instance: Instance, ctx: SolveContext):
     else:
         raise ValueError(f"unknown solver {name!r}")
     policy = extract_policy(tables, instance)
-    return policy, tables.value(1, instance.I0), tables.stats.states_evaluated
+    return policy, tables.value(1, instance.I0), tables.stats
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -112,10 +113,10 @@ def _benchmark_instance(
     rows = []
     for name in solvers:
         times = []
-        policy = cost = states = None
+        policy = cost = stats = None
         for _ in range(reps):
             t0 = time.perf_counter()
-            policy, cost, states = _solve_with(name, instance, ctx)
+            policy, cost, stats = _solve_with(name, instance, ctx)
             times.append(time.perf_counter() - t0)
         gap = None
         if name == "exact":
@@ -132,7 +133,8 @@ def _benchmark_instance(
                 "optimality_gap_pct": None if gap is None else 100.0 * gap,
                 "n_reviews": policy.n_reviews,
                 "wall_time_ms": 1000.0 * statistics.median(times),
-                "states_evaluated": states,
+                "states_evaluated": stats.states_evaluated,
+                "candidates_pruned": stats.candidates_pruned,
                 "T": instance.T,
                 "factors": factors,
             }
@@ -256,8 +258,6 @@ def _format_row(row: dict[str, Any]) -> dict[str, Any]:
         out["optimality_gap_pct"] = f"{out['optimality_gap_pct']:.6f}"
     out["expected_cost"] = f"{out['expected_cost']:.6f}"
     out["wall_time_ms"] = f"{out['wall_time_ms']:.3f}"
-    if out["states_evaluated"] is None:
-        out["states_evaluated"] = ""
     return out
 
 

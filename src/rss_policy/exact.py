@@ -95,9 +95,7 @@ def scarf_fixed_R(
     review. The review cost is charged once per scheduled review."""
     ctx = _context(instance, context, full_backlog=True)
     lengths = {t: (r,) for t, r in zip(schedule.periods, schedule.cycles(instance.T))}
-    tables = _sweep(
-        ctx, cycle_curve, _kconvex_table, "scarf_fixed_R", lambda t: lengths.get(t, ())
-    )
+    tables = _sweep(ctx, _kconvex_table, "scarf_fixed_R", lambda t: lengths.get(t, ()))
     policy = extract_policy(tables, instance)
     return ScarfResult(policy=policy, cost=tables.value(1, instance.I0), tables=tables)
 

@@ -28,6 +28,30 @@ on a curve are array operations:
 
 ``solve_lost_sales`` is the plain sweep on the partial-backlog cycle
 curve, which truncates negative closing inventories each period.
+
+Most candidate cycles cannot win, and the sweep of ``solve_kconvex``
+and ``solve_plain`` skips them before building their tail convolution.
+Write hp(t, r) for the holding/penalty curve ``cycle_hp`` of a candidate
+and F for the cost-to-go table of period t + r. The candidate's curve is
+hp plus an expectation of values of F, so each of its levels, among
+them the value at the order-up-to level by which the sweep compares
+candidates, is at least min hp + min F. Two facts make this a bound
+that holds for longer cycles too:
+
+* K, W, h and b are nonnegative, so hp and every table are >= 0;
+* hp(t, r + 1) is hp(t, r) plus the expected holding/penalty of period
+  t + r, a nonnegative term, so hp is pointwise nondecreasing in r and
+  min hp(t, r) bounds the curve of every cycle at t of length r or more.
+
+Let ``best`` be the smallest such value found so far at period t.
+A candidate is skipped when min hp + min F exceeds ``best``, and it and
+every longer cycle are dropped once min hp alone does, since their
+tails are >= 0. Both compare against best + 1e-9 |best|: that margin is
+orders of magnitude above the rounding of the convolutions (about 1e-13
+relative), so no rounding error can turn a skipped candidate into a
+winner. The sweep replaces ``best`` only with a strictly smaller value,
+so the tables, thresholds and cycle lengths are exactly those of the
+sweep that builds every candidate.
 """
 
 from __future__ import annotations
@@ -98,17 +122,21 @@ def build_grid(
 class SolveStats:
     """Work counters, summed over the cycles a solve decides.
 
-    ``states_evaluated`` is the depth of the threshold scan for kconvex:
-    the levels from the grid ceiling down to and including the stop
-    level, or the whole grid when there is no stop. The exhaustive
-    search counts the whole grid. ``q_iterations`` is the number of
-    order-quantity candidates the exhaustive search covers, q = 0
-    included: size * (size + 1) / 2 per cycle on a grid of that size,
-    and 0 for kconvex.
+    Only the candidate cycles the sweep scans are counted in
+    ``states_evaluated`` and ``q_iterations``. ``states_evaluated`` is
+    the depth of the threshold scan for kconvex: the levels from the grid
+    ceiling down to and including the stop level, or the whole grid when
+    there is no stop. The exhaustive search counts the whole grid.
+    ``q_iterations`` is the number of order-quantity candidates the
+    exhaustive search covers, q = 0 included: size * (size + 1) / 2 per
+    cycle on a grid of that size, and 0 for kconvex.
+    ``candidates_pruned`` is the number of candidate cycles the sweep
+    skipped by its bound, without a tail convolution or a scan.
     """
 
     states_evaluated: int = 0
     q_iterations: int = 0
+    candidates_pruned: int = 0
 
 
 class SolveContext:
@@ -165,6 +193,23 @@ class ValueTables:
         return self.value(1, i0)
 
 
+def cycle_hp(ctx: SolveContext, t: int, r: int) -> np.ndarray:
+    """Expected in-cycle holding/penalty of a cycle of length r at period
+    t over the grid of post-order positions: the convolution of the
+    cost-engine level with the period pmf, done inside ``cycle_hp_fn``."""
+    return ctx.engine.cycle_hp_fn(t, r)(ctx.grid.levels())
+
+
+def _cycle_tail(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.ndarray:
+    """Expected cost-to-go ``future`` at the next review of a cycle of
+    length r at period t, over the grid of post-order positions: the
+    floor-padded ``future`` convolved with the cycle's cumulative-demand
+    pmf."""
+    cum = ctx.demand.cumulative(t, t + r)
+    padded = np.concatenate((np.full(cum.max_value, future[0]), future))
+    return np.convolve(padded, cum.probs, "valid")[: ctx.grid.size]
+
+
 def cycle_curve(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.ndarray:
     """No-order cost of a cycle of length r at period t over the grid of
     post-order positions, excluding the review/order fixed costs:
@@ -173,14 +218,10 @@ def cycle_curve(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.nda
     next-review state below the grid accrues at the grid floor.
 
     Both terms are convolutions: the cost-engine level with the period
-    pmf (inside ``cycle_hp_fn``), and the floor-padded ``future`` with
-    the pmf of the cycle's cumulative demand.
+    pmf (``cycle_hp``), and the floor-padded ``future`` with the pmf of
+    the cycle's cumulative demand.
     """
-    cum = ctx.demand.cumulative(t, t + r)
-    padded = np.concatenate((np.full(cum.max_value, future[0]), future))
-    tail = np.convolve(padded, cum.probs, "valid")[: ctx.grid.size]
-    hp = ctx.engine.cycle_hp_fn(t, r)(ctx.grid.levels())
-    return hp + tail
+    return cycle_hp(ctx, t, r) + _cycle_tail(ctx, t, r, future)
 
 
 @dataclass
@@ -241,20 +282,32 @@ def _plain_table(ctx: SolveContext, curve: np.ndarray, stats: SolveStats) -> _Cy
     return _result(ctx.grid, table, curve, stop, best)
 
 
+# Relative slack of the sweep's bound over rounding (see the module docstring).
+_BOUND_MARGIN = 1e-9
+
+
 def _sweep(
     ctx: SolveContext,
-    curve_fn: Callable[[SolveContext, int, int, np.ndarray], np.ndarray],
     table_fn: Callable[[SolveContext, np.ndarray, SolveStats], _CycleResult],
     algorithm: str,
     lengths: Optional[Callable[[int], Iterable[int]]] = None,
+    curve_fn: Optional[Callable[[SolveContext, int, int, np.ndarray], np.ndarray]] = None,
 ) -> ValueTables:
     """Backward sweep over periods, keeping the locally best cycle length.
 
-    ``lengths(t)`` gives the candidate cycle lengths at period t, by
-    default every length that fits the horizon; a period without
-    candidates gets no table. Ties between cycle lengths go to the
-    shorter cycle; the order-up-to tie-break (largest level) is fixed
-    inside the threshold scan.
+    ``lengths(t)`` gives the candidate cycle lengths at period t in
+    increasing order, by default every length that fits the horizon; a
+    period without candidates gets no table. Ties between cycle lengths
+    go to the shorter cycle; the order-up-to tie-break (largest level) is
+    fixed inside the threshold scan.
+
+    On the ``cycle_curve`` kernel the holding/penalty curve of each
+    candidate comes first: by the bound of the module docstring, a
+    candidate that cannot beat the best so far is skipped, and once its
+    holding/penalty alone cannot, the remaining candidates are dropped;
+    neither gets a tail convolution. ``curve_fn`` replaces the kernel;
+    its curve has no separate holding/penalty part, so every candidate
+    is built and decided.
     """
     T = ctx.instance.T
     grid = ctx.grid
@@ -266,11 +319,27 @@ def _sweep(
     for t in range(T, 0, -1):
         best: Optional[_CycleResult] = None
         best_r = 0
-        for r in range(1, T - t + 2) if lengths is None else lengths(t):
-            res = table_fn(ctx, curve_fn(ctx, t, r, cost_to_go[t + r]), stats)
+        limit = math.inf
+        candidates = list(range(1, T - t + 2) if lengths is None else lengths(t))
+        for k, r in enumerate(candidates):
+            future = cost_to_go[t + r]
+            if curve_fn is not None:
+                curve = curve_fn(ctx, t, r, future)
+            else:
+                hp = cycle_hp(ctx, t, r)
+                hp_min = float(hp.min())
+                if hp_min > limit:  # hp alone loses; so does every longer cycle's
+                    stats.candidates_pruned += len(candidates) - k
+                    break
+                if hp_min + float(future.min()) > limit:
+                    stats.candidates_pruned += 1
+                    continue
+                curve = hp + _cycle_tail(ctx, t, r, future)
+            res = table_fn(ctx, curve, stats)
             if best is None or res.best_n < best.best_n:
                 best = res
                 best_r = r
+                limit = best.best_n + _BOUND_MARGIN * abs(best.best_n)
         if best is None:
             continue
         cost_to_go[t] = best.table
@@ -307,14 +376,14 @@ def _context(
 def solve_plain(instance: Instance, *, context: Optional[SolveContext] = None) -> ValueTables:
     """Reference sweep: full order-quantity search at every state."""
     ctx = _context(instance, context, full_backlog=True)
-    return _sweep(ctx, cycle_curve, _plain_table, "plain")
+    return _sweep(ctx, _plain_table, "plain")
 
 
 def solve_kconvex(instance: Instance, *, context: Optional[SolveContext] = None) -> ValueTables:
     """Accelerated sweep using the K-convexity threshold scan. Produces
     the same tables and policy as ``solve_plain``."""
     ctx = _context(instance, context, full_backlog=True)
-    return _sweep(ctx, cycle_curve, _kconvex_table, "kconvex")
+    return _sweep(ctx, _kconvex_table, "kconvex")
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +451,7 @@ def solve_lost_sales(instance: Instance, *, context: Optional[SolveContext] = No
     def curve_fn(ctx, t, r, future):
         return _lost_sales_curve(ctx, t, r, future, beta)
 
-    return _sweep(ctx, curve_fn, _plain_table, "lost_sales")
+    return _sweep(ctx, _plain_table, "lost_sales", curve_fn=curve_fn)
 
 
 # ----------------------------------------------------------------------

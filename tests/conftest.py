@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rss_policy import CostParams, DemandSpec, Instance, SolveContext
+from rss_policy import CostParams, DemandSpec, Instance, SolveContext, SolveStats
+from rss_policy.solver import cycle_curve
 
 
 def direct_cycle_cost(ctx: SolveContext, t: int, i: int, q: int, r: int) -> float:
@@ -115,6 +116,26 @@ def q_loop_oracle(curve: np.ndarray, W: float, K: float) -> tuple[np.ndarray, in
                 best = cand
         table[i] = best
     return table, candidates
+
+
+def unpruned_sweep(ctx: SolveContext, table_fn):
+    """Backward sweep that builds and decides every candidate cycle, with
+    no bound: the locally best length per period, ties to the shorter.
+    Returns (cost_to_go, cycle_length, reorder, order_up_to, stats)."""
+    T = ctx.instance.T
+    stats = SolveStats()
+    cost_to_go = {T + 1: np.zeros(ctx.grid.size)}
+    cycle_length, reorder, order_up_to = {}, {}, {}
+    for t in range(T, 0, -1):
+        best = None
+        for r in range(1, T - t + 2):
+            res = table_fn(ctx, cycle_curve(ctx, t, r, cost_to_go[t + r]), stats)
+            if best is None or res.best_n < best.best_n:
+                best, cycle_length[t] = res, r
+        cost_to_go[t] = best.table
+        reorder[t] = best.reorder
+        order_up_to[t] = best.order_up_to
+    return cost_to_go, cycle_length, reorder, order_up_to, stats
 
 
 def random_desk_instance(rng: np.random.Generator, horizon=None, mean_range=(5.0, 20.0)) -> Instance:

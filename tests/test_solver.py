@@ -1,6 +1,8 @@
 """Heuristic sweeps: grid sizing, variant equivalence, policy extraction,
 partial lost sales."""
 
+import csv
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,6 +46,7 @@ from conftest import (
     q_loop_oracle,
     random_desk_instance,
     scan_oracle,
+    unpruned_sweep,
 )
 
 
@@ -283,6 +286,86 @@ class TestArrayDecisions:
         assert scan_oracle(curve, K)[:2] == (stop, best)
         self._check_kconvex(ctx, curve)
         self._check_plain(ctx, curve)
+
+
+def _tie_prone_instances():
+    steps = [10, 0, 5, 10, 10, 20, 10, 0]
+    poisson = tuple(DemandSpec("poisson", 10.0) for _ in steps)
+    return {
+        "stationary-poisson": Instance(
+            T=8, params=CostParams(K=20.0, W=5.0, h=1.0, b=10.0), I0=0, demand=poisson
+        ),
+        "deterministic": deterministic_instance(steps, K=20.0, W=5.0),
+        "zero-demand": deterministic_instance([0] * 6),
+        "K=0": deterministic_instance(steps, K=0.0, W=5.0),
+        "W=0": deterministic_instance(steps, K=20.0, W=0.0),
+        "K=W=0": deterministic_instance(steps, K=0.0, W=0.0),  # every table is 0
+        "h=0": deterministic_instance(steps, K=20.0, W=5.0, h=0.0, b=5.0),
+        "b=0": Instance(
+            T=8, params=CostParams(K=20.0, W=5.0, h=1.0, b=0.0), I0=0, demand=poisson
+        ),
+        "scalability-T20": gen_scalability(20, 1, seed=20)[0],
+    }
+
+
+class TestSweepBound:
+    """The bound skips only candidates that cannot win: tables, cycle
+    lengths and thresholds equal the unpruned sweep's bitwise."""
+
+    def _check(self, inst):
+        ctx = SolveContext(inst)
+        stats_of = {}
+        for solve, table_fn in ((solve_kconvex, _kconvex_table), (solve_plain, _plain_table)):
+            tables = solve(inst, context=ctx)
+            cost_to_go, cycle_length, reorder, order_up_to, stats = unpruned_sweep(ctx, table_fn)
+            assert tables.cost_to_go.keys() == cost_to_go.keys()
+            for t in cost_to_go:
+                assert np.array_equal(tables.cost_to_go[t], cost_to_go[t])
+            assert tables.cycle_length == cycle_length
+            assert (tables.reorder, tables.order_up_to) == (reorder, order_up_to)
+            assert tables.stats.states_evaluated <= stats.states_evaluated
+            stats_of[tables.algorithm] = tables.stats
+        # the exhaustive search scans the whole grid of each candidate it builds
+        built = stats_of["plain"].states_evaluated // ctx.grid.size
+        assert built + stats_of["plain"].candidates_pruned == inst.T * (inst.T + 1) // 2
+        assert stats_of["kconvex"].candidates_pruned == stats_of["plain"].candidates_pruned
+
+    def test_random_desk_instances(self, rng):
+        for _ in range(8):
+            self._check(random_desk_instance(rng, horizon=8, mean_range=(20.0, 40.0)))
+
+    @pytest.mark.parametrize("case", sorted(_tie_prone_instances()))
+    def test_tie_prone_instances(self, case):
+        self._check(_tie_prone_instances()[case])
+
+    def test_prunes_most_candidates_at_long_horizon(self):
+        inst = gen_scalability(40, 1, seed=40)[0]
+        ctx = SolveContext(inst)
+        tables = solve_kconvex(inst, context=ctx)
+        # of the 820 candidates, 269 are built
+        assert tables.stats.candidates_pruned >= 820 // 2
+        schedule = ReviewSchedule(extract_policy(tables, inst).review_periods)
+        scarf = scarf_fixed_R(inst, schedule, context=ctx)
+        assert scarf.tables.stats.candidates_pruned == 0
+
+    def test_benchmark_report_counts_pruned(self, tmp_path):
+        out = tmp_path / "bench"
+        argv = ["benchmark", "scalability", "--t-min", "10", "--t-max", "10", "--n", "1",
+                "--solvers", "kconvex,exact", "--out", str(out)]
+        assert cli_main(argv) == 0
+        with (out / "report.csv").open(newline="") as fh:
+            rows = {row["solver"]: row for row in csv.DictReader(fh)}
+        stats = solve_kconvex(gen_scalability(10, 1, seed=10)[0]).stats
+        assert int(rows["kconvex"]["candidates_pruned"]) == stats.candidates_pruned > 0
+        assert int(rows["kconvex"]["states_evaluated"]) == stats.states_evaluated
+        assert rows["exact"]["candidates_pruned"] == "0"
+
+    def test_lost_sales_keeps_every_candidate(self):
+        inst = dataclasses.replace(gen_scalability(10, 1, seed=10)[0], beta=0.5)
+        ctx = SolveContext(inst)
+        stats = solve_lost_sales(inst, context=ctx).stats
+        assert stats.candidates_pruned == 0
+        assert stats.states_evaluated == 55 * ctx.grid.size
 
 
 class TestLostSales:
