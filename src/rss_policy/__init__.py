@@ -34,7 +34,6 @@ from .exact import (
     ReviewSchedule,
     ScarfResult,
     enumerate_optimal,
-    iter_schedules,
     scarf_fixed_R,
 )
 from .model import Instance, Policy, PolicyReview
@@ -94,7 +93,6 @@ __all__ = [
     "gen_scalability",
     "instance_from_dict",
     "instance_to_dict",
-    "iter_schedules",
     "load_instance",
     "load_policy",
     "no_order_curve",

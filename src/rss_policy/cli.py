@@ -53,10 +53,10 @@ SUMMARY_COLUMNS = [
 _NON_OPTIMAL_GAP = 1e-8
 
 
-def _solve_with(name: str, instance: Instance, ctx: SolveContext):
+def _solve_with(name: str, instance: Instance, ctx: SolveContext, exact_cap: int):
     """Run one solver; returns (policy, cost, stats)."""
     if name == "exact":
-        result = enumerate_optimal(instance, context=ctx)
+        result = enumerate_optimal(instance, cap=exact_cap, context=ctx)
         return result.policy, result.cost, result.stats
     if name == "plain":
         tables = solve_plain(instance, context=ctx)
@@ -73,7 +73,7 @@ def _solve_with(name: str, instance: Instance, ctx: SolveContext):
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     ctx = SolveContext(instance, tail_eps=args.tail_eps, quantile_eps=args.grid_eps)
-    policy, cost, _ = _solve_with(args.solver, instance, ctx)
+    policy, cost, _ = _solve_with(args.solver, instance, ctx, DEFAULT_SCHEDULE_CAP)
     doc = policy_to_dict(policy, expected_cost=cost)
     print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
@@ -103,20 +103,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 def _benchmark_instance(
-    instance: Instance, solvers: list[str], reps: int, oracle: bool, factors: dict[str, str]
+    instance: Instance,
+    solvers: list[str],
+    reps: int,
+    oracle: bool,
+    factors: dict[str, str],
+    exact_cap: int,
 ) -> list[dict[str, Any]]:
-    """Solve one instance with each requested solver."""
+    """Solve one instance with each requested solver, ``reps >= 1`` times."""
     ctx = SolveContext(instance)
     oracle_cost: Optional[float] = None
     if oracle:
-        oracle_cost = enumerate_optimal(instance, context=ctx).cost
+        oracle_cost = enumerate_optimal(instance, cap=exact_cap, context=ctx).cost
     rows = []
     for name in solvers:
         times = []
         policy = cost = stats = None
         for _ in range(reps):
             t0 = time.perf_counter()
-            policy, cost, stats = _solve_with(name, instance, ctx)
+            policy, cost, stats = _solve_with(name, instance, ctx, exact_cap)
             times.append(time.perf_counter() - t0)
         gap = None
         if name == "exact":
@@ -196,6 +201,8 @@ def _write_summary(path: Path, rows: list[dict[str, Any]]) -> None:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
+    if args.reps < 1:
+        raise SchemaError("--reps needs at least one repetition")
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -225,6 +232,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                     args.reps,
                     oracle=(not args.skip_oracle) and instance.T <= args.exact_cap,
                     factors=_analysis_factors(instance) if args.suite == "analysis" else {},
+                    exact_cap=args.exact_cap,
                 )
                 for row in rows:
                     writer.writerow(_format_row(row))
@@ -319,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="instances per horizon (scalability suite)")
     p_bench.add_argument("--reps", type=int, default=1,
                          help="timing repetitions; the median is reported")
-    p_bench.add_argument("--exact-cap", type=int, default=DEFAULT_SCHEDULE_CAP)
+    p_bench.add_argument("--exact-cap", type=int, default=DEFAULT_SCHEDULE_CAP,
+                         help="largest horizon for the exact solver and the gap oracle")
     p_bench.add_argument("--skip-oracle", action="store_true",
                          help="do not run the exact oracle for gap columns")
     p_bench.add_argument("--seed", type=int, default=0)

@@ -3,16 +3,25 @@
 For a fixed review schedule the problem reduces to a restricted (s,S)
 computation: ordering is only allowed at scheduled reviews, and the
 between-review holding/penalty accrues through the shared cycle-cost
-engine. Enumerating every schedule (every composition of the horizon
-with a mandatory first review) and solving each to optimality yields
-the exact optimum at desk scale, which is what the optimality gap of
-the heuristic is measured against.
+engine. Solving every schedule (every composition of the horizon with a
+mandatory first review) to optimality yields the exact optimum at desk
+scale, which is what the optimality gap of the heuristic is measured
+against.
+
+The schedules are enumerated depth-first over their suffixes. A suffix
+is a set of reviews in t..T with a review at t; its table, the
+cost-to-go at period t, follows from the table of the suffix after it
+by one ``cycle_curve`` and one threshold decision, and a suffix with a
+review at period 1 is a full schedule. Each of the 2^T - 1 suffixes is
+computed once, and only the tables of the current suffix's ancestors
+are alive: O(T) tables in memory. The search is one loop over an
+explicit stack, with no recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -61,20 +70,6 @@ class ReviewSchedule:
         return len(self.periods)
 
 
-def iter_schedules(horizon: int) -> Iterator[ReviewSchedule]:
-    """All 2^(T-1) schedules in lexicographic order of review periods."""
-
-    def rec(prefix: list[int], nxt: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(prefix)
-        for t in range(nxt, horizon + 1):
-            prefix.append(t)
-            yield from rec(prefix, t + 1)
-            prefix.pop()
-
-    for periods in rec([1], 2):
-        yield ReviewSchedule(periods)
-
-
 @dataclass
 class ScarfResult:
     """Optimal thresholds and cost for one fixed schedule."""
@@ -115,12 +110,12 @@ def enumerate_optimal(
     cap: int = DEFAULT_SCHEDULE_CAP,
     context: Optional[SolveContext] = None,
 ) -> EnumerationResult:
-    """Exact optimum over all review schedules.
-
-    Ties between equally cheap schedules go to the lexicographically
-    earliest one. Value tables for shared schedule suffixes are reused
-    across the enumeration; each schedule's result is identical to a
-    standalone ``scarf_fixed_R`` call.
+    """Exact optimum over all review schedules, by the suffix search of
+    the module docstring. Ties between equally cheap schedules go to the
+    lexicographically earliest one by an explicit comparison, since the
+    search meets the schedules in another order. Each schedule's cost is
+    identical to a standalone ``scarf_fixed_R`` call, which gives the
+    returned policy.
     """
     ctx = _context(instance, context, full_backlog=True)
     if instance.T > cap:
@@ -130,25 +125,26 @@ def enumerate_optimal(
         )
     T = instance.T
     stats = SolveStats()
-    memo: dict[tuple[int, ...], np.ndarray] = {(): np.zeros(ctx.grid.size)}
     i0_idx = ctx.grid.index(instance.I0)
+    zeros = np.zeros(ctx.grid.size)
+    # (review t, next review, table at the next review, later reviews); the
+    # children of a popped entry prepend a review u < t and share its table
+    stack = [(t, T + 1, zeros, ()) for t in range(1, T + 1)]
     best_cost = float("inf")
-    best_schedule: Optional[ReviewSchedule] = None
+    best_periods: tuple[int, ...] = ()
     count = 0
-    for schedule in iter_schedules(T):
+    while stack:
+        t, end, future, later = stack.pop()
+        table = _kconvex_table(ctx, cycle_curve(ctx, t, end - t, future), stats).table
+        periods = (t,) + later
+        if t > 1:
+            stack.extend((u, t, table, periods) for u in range(1, t))
+            continue
         count += 1
-        periods = schedule.periods
-        ends = periods[1:] + (T + 1,)
-        for j in range(len(periods) - 1, -1, -1):
-            if periods[j:] not in memo:
-                future = memo[periods[j + 1 :]]
-                curve = cycle_curve(ctx, periods[j], ends[j] - periods[j], future)
-                memo[periods[j:]] = _kconvex_table(ctx, curve, stats).table
-        cost = float(memo[schedule.periods][i0_idx])
-        if cost < best_cost:
-            best_cost = cost
-            best_schedule = schedule
-    assert best_schedule is not None
+        cost = float(table[i0_idx])
+        if cost < best_cost or (cost == best_cost and periods < best_periods):
+            best_cost, best_periods = cost, periods
+    best_schedule = ReviewSchedule(best_periods)
     result = scarf_fixed_R(instance, best_schedule, context=ctx)
     return EnumerationResult(
         policy=result.policy,

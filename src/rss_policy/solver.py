@@ -81,10 +81,6 @@ class InventoryGrid:
             raise ValueError("grid must contain zero")
 
     @property
-    def max_order(self) -> int:
-        return self.max_inv - self.min_inv
-
-    @property
     def size(self) -> int:
         return self.max_inv - self.min_inv + 1
 

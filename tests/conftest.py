@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from rss_policy import CostParams, DemandSpec, Instance, SolveContext, SolveStats
+from rss_policy import (
+    CostParams,
+    DemandSpec,
+    Instance,
+    ReviewSchedule,
+    SolveContext,
+    SolveStats,
+    scarf_fixed_R,
+)
 from rss_policy.solver import cycle_curve
 
 
@@ -136,6 +146,32 @@ def unpruned_sweep(ctx: SolveContext, table_fn):
         reorder[t] = best.reorder
         order_up_to[t] = best.order_up_to
     return cost_to_go, cycle_length, reorder, order_up_to, stats
+
+
+def all_schedules(horizon: int) -> list[ReviewSchedule]:
+    """Every review schedule of the horizon, a review at period 1 plus
+    any subset of periods 2..T, in lexicographic order of review
+    periods."""
+    periods = (
+        (1,) + later
+        for k in range(horizon)
+        for later in itertools.combinations(range(2, horizon + 1), k)
+    )
+    return [ReviewSchedule(p) for p in sorted(periods)]
+
+
+def enumeration_oracle(ctx: SolveContext) -> tuple[float, ReviewSchedule, int]:
+    """Exact optimum by a standalone ``scarf_fixed_R`` solve of every
+    schedule in lexicographic order, keeping the first strict minimum.
+    Returns (cost, schedule, number of schedules)."""
+    inst = ctx.instance
+    schedules = all_schedules(inst.T)
+    best_cost, best = float("inf"), None
+    for sched in schedules:
+        cost = scarf_fixed_R(inst, sched, context=ctx).cost
+        if cost < best_cost:
+            best_cost, best = cost, sched
+    return best_cost, best, len(schedules)
 
 
 def random_desk_instance(rng: np.random.Generator, horizon=None, mean_range=(5.0, 20.0)) -> Instance:

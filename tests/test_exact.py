@@ -16,12 +16,18 @@ from rss_policy import (
     SolveContext,
     enumerate_optimal,
     expected_cost,
-    iter_schedules,
     optimality_gap,
     scarf_fixed_R,
     solve_kconvex,
 )
-from conftest import brute_force_every_period, deterministic_instance, random_desk_instance
+from rss_policy.cli import main as cli_main
+from conftest import (
+    all_schedules,
+    brute_force_every_period,
+    deterministic_instance,
+    enumeration_oracle,
+    random_desk_instance,
+)
 
 
 class TestReviewSchedule:
@@ -38,14 +44,13 @@ class TestReviewSchedule:
             ReviewSchedule((1, 5, 3))
 
     def test_enumeration_counts(self):
-        assert sum(1 for _ in iter_schedules(1)) == 1
-        assert sum(1 for _ in iter_schedules(4)) == 8
-        assert sum(1 for _ in iter_schedules(6)) == 32
+        assert len(all_schedules(1)) == 1
+        assert len(all_schedules(4)) == 8
+        assert len({s.periods for s in all_schedules(6)}) == 32
 
     def test_enumeration_is_lexicographic(self):
-        periods = [s.periods for s in iter_schedules(3)]
-        assert periods == sorted(periods)
-        assert periods[0] == (1,)
+        periods = [s.periods for s in all_schedules(3)]
+        assert periods == [(1,), (1, 2), (1, 2, 3), (1, 3)]
 
 
 class TestScarfFixedSchedule:
@@ -69,7 +74,7 @@ class TestScarfFixedSchedule:
             demand=tuple(DemandSpec("poisson", 0.0) for _ in range(4)),
         )
         ctx = SolveContext(inst)
-        for sched in iter_schedules(4):
+        for sched in all_schedules(4):
             res = scarf_fixed_R(inst, sched, context=ctx)
             assert res.cost == pytest.approx(7.0 * sched.n_reviews)
 
@@ -94,6 +99,37 @@ class TestScarfFixedSchedule:
             np.testing.assert_allclose(res.tables.cost_to_go[1], oracle, atol=1e-9)
 
 
+def _assert_matches_oracle(inst):
+    ctx = SolveContext(inst)
+    res = enumerate_optimal(inst, context=ctx)
+    cost, schedule, count = enumeration_oracle(ctx)
+    assert res.cost == cost  # bitwise
+    assert res.schedule == schedule
+    assert res.n_schedules == count == 2 ** (inst.T - 1)
+
+
+def _poisson_instance(means, K, W, h, b):
+    return Instance(
+        T=len(means),
+        params=CostParams(K=K, W=W, h=h, b=b),
+        I0=0,
+        demand=tuple(DemandSpec("poisson", float(m)) for m in means),
+    )
+
+
+_MEANS = (5.0, 12.0, 8.0, 15.0, 6.0, 10.0)
+
+# instances on which many schedules cost the same or nearly the same
+_TIE_PRONE = {
+    "zero_demand_free_reviews": lambda: _poisson_instance([0.0] * 5, K=50.0, W=0.0, h=1.0, b=1.0),
+    "zero_demand": lambda: _poisson_instance([0.0] * 5, K=50.0, W=7.0, h=1.0, b=1.0),
+    "deterministic": lambda: deterministic_instance([10] * 6, K=20.0, W=5.0, h=1.0, b=10.0),
+    "stationary_poisson": lambda: _poisson_instance([10.0] * 7, K=100.0, W=50.0, h=1.0, b=10.0),
+    "K0": lambda: _poisson_instance(_MEANS, K=0.0, W=30.0, h=1.0, b=8.0),
+    "h0": lambda: _poisson_instance(_MEANS, K=100.0, W=30.0, h=0.0, b=8.0),
+}
+
+
 class TestEnumerateOptimal:
     def test_single_period(self):
         inst = deterministic_instance([5], K=10, W=2, h=1, b=100)
@@ -109,7 +145,7 @@ class TestEnumerateOptimal:
         inst = random_desk_instance(rng, horizon=4)
         ctx = SolveContext(inst)
         res = enumerate_optimal(inst, context=ctx)
-        for sched in iter_schedules(4):
+        for sched in all_schedules(4):
             single = scarf_fixed_R(inst, sched, context=ctx)
             assert res.cost <= single.cost + 1e-9
             if sched.periods == res.schedule.periods:
@@ -141,6 +177,28 @@ class TestEnumerateOptimal:
             gc.enable()
         assert held < memo / 4
 
+    def test_holds_few_tables(self, rng):
+        # only the tables on the search's current path stay alive: a few
+        # per period, against one per schedule suffix (2^T - 1) if memoised
+        inst = random_desk_instance(rng, horizon=12)
+        ctx = SolveContext(inst)
+        enumerate_optimal(inst, context=ctx)  # builds every level and pmf
+        tracemalloc.start()
+        try:
+            enumerate_optimal(inst, context=ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * inst.T * ctx.grid.size * 8
+
+    def test_matches_oracle_on_random_instances(self, rng):
+        for T in (2, 3, 5, 6, 7, 8):
+            _assert_matches_oracle(random_desk_instance(rng, horizon=T))
+
+    @pytest.mark.parametrize("name", sorted(_TIE_PRONE))
+    def test_matches_oracle_on_tie_prone_instances(self, name):
+        _assert_matches_oracle(_TIE_PRONE[name]())
+
     def test_rejects_above_cap(self, rng):
         inst = random_desk_instance(rng, horizon=5)
         with pytest.raises(HorizonCapError, match="heuristic"):
@@ -158,6 +216,30 @@ class TestEnumerateOptimal:
         res = enumerate_optimal(inst)
         assert res.schedule.periods == (1,)
         assert res.cost == pytest.approx(0.0)
+
+
+class TestBenchmarkExactCap:
+    def test_exact_solver_refuses_above_cap(self, tmp_path, capsys):
+        # --exact-cap only gated the oracle; the exact solver kept the default cap
+        argv = ["benchmark", "scalability", "--t-min", "4", "--t-max", "4", "--n", "1",
+                "--solvers", "exact", "--exact-cap", "3", "--out", str(tmp_path / "b")]
+        assert cli_main(argv) == 3
+        assert "T <= 3" in capsys.readouterr().err
+
+    def test_oracle_and_exact_solver_get_the_cap(self, tmp_path, monkeypatch):
+        import rss_policy.cli as cli
+
+        caps = []
+
+        def recording(instance, *, cap, context):
+            caps.append(cap)
+            return enumerate_optimal(instance, cap=cap, context=context)
+
+        monkeypatch.setattr(cli, "enumerate_optimal", recording)
+        argv = ["benchmark", "scalability", "--t-min", "4", "--t-max", "4", "--n", "1",
+                "--solvers", "kconvex,exact", "--exact-cap", "5", "--out", str(tmp_path / "b")]
+        assert cli_main(argv) == 0
+        assert caps == [5, 5]
 
 
 def test_long_horizon_does_not_recurse():

@@ -360,6 +360,15 @@ class TestSweepBound:
         assert int(rows["kconvex"]["states_evaluated"]) == stats.states_evaluated
         assert rows["exact"]["candidates_pruned"] == "0"
 
+    def test_benchmark_refuses_zero_reps(self, tmp_path, capsys):
+        # no repetition ran, and the row read the unset policy
+        out = tmp_path / "bench"
+        argv = ["benchmark", "scalability", "--t-min", "2", "--t-max", "2", "--n", "1",
+                "--solvers", "kconvex", "--reps", "0", "--skip-oracle", "--out", str(out)]
+        assert cli_main(argv) == 2
+        assert "--reps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lost_sales_keeps_every_candidate(self):
         inst = dataclasses.replace(gen_scalability(10, 1, seed=10)[0], beta=0.5)
         ctx = SolveContext(inst)
