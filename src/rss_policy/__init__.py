@@ -7,7 +7,8 @@ Main entry points:
   heuristic (accelerated and reference sweeps, identical output), and
   :func:`solve_lost_sales` for partial backlogging (beta < 1);
 * :func:`scarf_fixed_R` / :func:`enumerate_optimal` -- exact baseline for
-  one review schedule and over all of them (full backlogging only);
+  one review schedule, and over all of them by branch-and-bound within a
+  node budget (full backlogging only);
 * :func:`expected_cost` / :func:`simulate` -- policy evaluation;
 * :mod:`rss_policy.testbed` -- benchmark instance generators.
 

@@ -2,7 +2,7 @@
 benchmark campaigns, and generate testbed instance files.
 
 Exit codes: 0 success, 2 input error, 3 capability error (exact solver
-above its horizon cap), 4 output I/O error.
+over its node budget), 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .evaluate import expected_cost, optimality_gap, simulate
-from .exact import DEFAULT_SCHEDULE_CAP, HorizonCapError, enumerate_optimal
+from .exact import DEFAULT_NODE_BUDGET, HorizonCapError, enumerate_optimal
 from .model import Instance
 from .serialize import SchemaError, load_instance, load_policy, policy_to_dict, save_instance
 from .solver import SolveContext, extract_policy, solve_kconvex, solve_lost_sales, solve_plain
@@ -37,6 +37,8 @@ REPORT_COLUMNS = [
     "wall_time_ms",
     "states_evaluated",
     "candidates_pruned",
+    "nodes_explored",
+    "nodes_pruned",
 ]
 
 SUMMARY_COLUMNS = [
@@ -53,11 +55,12 @@ SUMMARY_COLUMNS = [
 _NON_OPTIMAL_GAP = 1e-8
 
 
-def _solve_with(name: str, instance: Instance, ctx: SolveContext, exact_cap: int):
-    """Run one solver; returns (policy, cost, stats)."""
+def _solve_with(name: str, instance: Instance, ctx: SolveContext, exact_budget: int):
+    """Run one solver; returns (policy, cost, stats, the exact search's
+    result or None for a heuristic)."""
     if name == "exact":
-        result = enumerate_optimal(instance, cap=exact_cap, context=ctx)
-        return result.policy, result.cost, result.stats
+        result = enumerate_optimal(instance, budget=exact_budget, context=ctx)
+        return result.policy, result.cost, result.stats, result
     if name == "plain":
         tables = solve_plain(instance, context=ctx)
     elif name == "kconvex":
@@ -67,13 +70,13 @@ def _solve_with(name: str, instance: Instance, ctx: SolveContext, exact_cap: int
     else:
         raise ValueError(f"unknown solver {name!r}")
     policy = extract_policy(tables, instance)
-    return policy, tables.value(1, instance.I0), tables.stats
+    return policy, tables.value(1, instance.I0), tables.stats, None
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     ctx = SolveContext(instance, tail_eps=args.tail_eps, quantile_eps=args.grid_eps)
-    policy, cost, _ = _solve_with(args.solver, instance, ctx, DEFAULT_SCHEDULE_CAP)
+    policy, cost, _, _ = _solve_with(args.solver, instance, ctx, DEFAULT_NODE_BUDGET)
     doc = policy_to_dict(policy, expected_cost=cost)
     print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
@@ -108,42 +111,48 @@ def _benchmark_instance(
     reps: int,
     oracle: bool,
     factors: dict[str, str],
-    exact_cap: int,
+    exact_budget: int,
 ) -> list[dict[str, Any]]:
-    """Solve one instance with each requested solver, ``reps >= 1`` times."""
+    """Solve one instance with each requested solver, ``reps >= 1`` times.
+
+    The gap oracle is the exact solver's result when it is among the
+    solvers; otherwise, if ``oracle`` is set, an exact search run before
+    the solvers. An oracle over its node budget leaves the gaps empty."""
     ctx = SolveContext(instance)
     oracle_cost: Optional[float] = None
-    if oracle:
-        oracle_cost = enumerate_optimal(instance, cap=exact_cap, context=ctx).cost
+    if oracle and "exact" not in solvers:
+        try:
+            oracle_cost = enumerate_optimal(instance, budget=exact_budget, context=ctx).cost
+        except HorizonCapError:
+            pass
     rows = []
     for name in solvers:
         times = []
-        policy = cost = stats = None
+        policy = cost = stats = exact = None
         for _ in range(reps):
             t0 = time.perf_counter()
-            policy, cost, stats = _solve_with(name, instance, ctx, exact_cap)
+            policy, cost, stats, exact = _solve_with(name, instance, ctx, exact_budget)
             times.append(time.perf_counter() - t0)
-        gap = None
-        if name == "exact":
-            gap = 0.0
-            if oracle_cost is None:
-                oracle_cost = cost
-        elif oracle_cost is not None:
-            gap = optimality_gap(cost, oracle_cost)
+        if exact is not None:
+            oracle_cost = cost
         rows.append(
             {
                 "label": instance.label,
                 "solver": name,
                 "expected_cost": cost,
-                "optimality_gap_pct": None if gap is None else 100.0 * gap,
                 "n_reviews": policy.n_reviews,
                 "wall_time_ms": 1000.0 * statistics.median(times),
                 "states_evaluated": stats.states_evaluated,
                 "candidates_pruned": stats.candidates_pruned,
+                "nodes_explored": None if exact is None else exact.nodes_explored,
+                "nodes_pruned": None if exact is None else exact.nodes_pruned,
                 "T": instance.T,
                 "factors": factors,
             }
         )
+    for row in rows:
+        gap = None if oracle_cost is None else optimality_gap(row["expected_cost"], oracle_cost)
+        row["optimality_gap_pct"] = None if gap is None else 100.0 * gap
     return rows
 
 
@@ -230,9 +239,9 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                     instance,
                     solvers,
                     args.reps,
-                    oracle=(not args.skip_oracle) and instance.T <= args.exact_cap,
+                    oracle=not args.skip_oracle,
                     factors=_analysis_factors(instance) if args.suite == "analysis" else {},
-                    exact_cap=args.exact_cap,
+                    exact_budget=args.exact_budget,
                 )
                 for row in rows:
                     writer.writerow(_format_row(row))
@@ -260,9 +269,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 def _format_row(row: dict[str, Any]) -> dict[str, Any]:
     out = {k: row[k] for k in REPORT_COLUMNS}
-    if out["optimality_gap_pct"] is None:
-        out["optimality_gap_pct"] = ""
-    else:
+    if out["optimality_gap_pct"] is not None:
         out["optimality_gap_pct"] = f"{out['optimality_gap_pct']:.6f}"
     out["expected_cost"] = f"{out['expected_cost']:.6f}"
     out["wall_time_ms"] = f"{out['wall_time_ms']:.3f}"
@@ -327,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="instances per horizon (scalability suite)")
     p_bench.add_argument("--reps", type=int, default=1,
                          help="timing repetitions; the median is reported")
-    p_bench.add_argument("--exact-cap", type=int, default=DEFAULT_SCHEDULE_CAP,
-                         help="largest horizon for the exact solver and the gap oracle")
+    p_bench.add_argument("--exact-budget", type=int, default=DEFAULT_NODE_BUDGET,
+                         help="node budget of the exact solver and the gap oracle")
     p_bench.add_argument("--skip-oracle", action="store_true",
                          help="do not run the exact oracle for gap columns")
     p_bench.add_argument("--seed", type=int, default=0)

@@ -278,7 +278,8 @@ def _plain_table(ctx: SolveContext, curve: np.ndarray, stats: SolveStats) -> _Cy
     return _result(ctx.grid, table, curve, stop, best)
 
 
-# Relative slack of the sweep's bound over rounding (see the module docstring).
+# Relative slack over rounding of the sweep's bound (see the module docstring)
+# and of the exact search's bound (see ``exact``).
 _BOUND_MARGIN = 1e-9
 
 

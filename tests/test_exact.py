@@ -1,5 +1,6 @@
-"""Exact baseline: fixed-schedule solves and exhaustive enumeration."""
+"""Exact baseline: fixed-schedule solves and the branch-and-bound search."""
 
+import csv
 import gc
 import sys
 import tracemalloc
@@ -16,11 +17,14 @@ from rss_policy import (
     SolveContext,
     enumerate_optimal,
     expected_cost,
+    gen_scalability,
     optimality_gap,
     scarf_fixed_R,
     solve_kconvex,
 )
 from rss_policy.cli import main as cli_main
+from rss_policy.exact import _prefix_bound
+from rss_policy.solver import cycle_hp
 from conftest import (
     all_schedules,
     brute_force_every_period,
@@ -105,7 +109,8 @@ def _assert_matches_oracle(inst):
     cost, schedule, count = enumeration_oracle(ctx)
     assert res.cost == cost  # bitwise
     assert res.schedule == schedule
-    assert res.n_schedules == count == 2 ** (inst.T - 1)
+    assert res.nodes_explored + res.nodes_pruned == 2**inst.T - 1
+    assert res.n_schedules <= count
 
 
 def _poisson_instance(means, K, W, h, b):
@@ -135,11 +140,15 @@ class TestEnumerateOptimal:
         inst = deterministic_instance([5], K=10, W=2, h=1, b=100)
         res = enumerate_optimal(inst)
         assert res.schedule.periods == (1,)
-        assert res.n_schedules == 1
+        assert (res.n_schedules, res.nodes_explored, res.nodes_pruned) == (1, 1, 0)
 
     def test_counts_all_compositions(self, rng):
-        inst = random_desk_instance(rng, horizon=4)
-        assert enumerate_optimal(inst).n_schedules == 8
+        # every suffix (a composition of some t..T) is built or pruned
+        for _ in range(4):
+            inst = random_desk_instance(rng, horizon=6)
+            res = enumerate_optimal(inst)
+            assert res.nodes_explored + res.nodes_pruned == 2**6 - 1
+            assert 1 <= res.n_schedules <= 2**5
 
     def test_minimum_over_all_schedules(self, rng):
         inst = random_desk_instance(rng, horizon=4)
@@ -199,10 +208,39 @@ class TestEnumerateOptimal:
     def test_matches_oracle_on_tie_prone_instances(self, name):
         _assert_matches_oracle(_TIE_PRONE[name]())
 
-    def test_rejects_above_cap(self, rng):
+    def test_rejects_above_budget(self, rng):
         inst = random_desk_instance(rng, horizon=5)
         with pytest.raises(HorizonCapError, match="heuristic"):
-            enumerate_optimal(inst, cap=4)
+            enumerate_optimal(inst, budget=1)
+        # the budget counts exactly the nodes built
+        nodes = enumerate_optimal(inst).nodes_explored
+        assert enumerate_optimal(inst, budget=nodes).nodes_explored == nodes
+        with pytest.raises(HorizonCapError, match=f"more than {nodes - 1} nodes"):
+            enumerate_optimal(inst, budget=nodes - 1)
+        assert enumerate_optimal(random_desk_instance(rng, horizon=1), budget=1).n_schedules == 1
+        # the beta refusal comes first
+        partial = Instance(T=5, params=inst.params, I0=0, demand=inst.demand, beta=0.5)
+        with pytest.raises(ValueError, match="partial backlogging"):
+            enumerate_optimal(partial, budget=1)
+
+    def test_bound_never_exceeds_its_subtree(self, rng):
+        # the bound of every suffix lies below the cheapest schedule under
+        # it; cheap orders make the schedules order often, so a bound that
+        # overcharges orders after period 1 fails here
+        for _ in range(4):
+            T = int(rng.integers(2, 8))
+            K, W, b = rng.uniform(1.0, 16.0, 3)
+            inst = _poisson_instance(rng.uniform(5.0, 20.0, T), K=K, W=W, h=1.0, b=b)
+            ctx = SolveContext(inst)
+            scarf = {s.periods: scarf_fixed_R(inst, s, context=ctx) for s in all_schedules(inst.T)}
+            hp1 = {u: cycle_hp(ctx, u, 1) for u in range(1, inst.T)}
+            i0_idx = ctx.grid.index(inst.I0)
+            for suffix in {p[k:] for p in scarf for k in range(1, len(p))}:
+                t = suffix[0]
+                table = scarf[(1,) + suffix].tables.cost_to_go[t]
+                bound = _prefix_bound(ctx, t, table, hp1, i0_idx)
+                cheapest = min(r.cost for p, r in scarf.items() if p[-len(suffix):] == suffix)
+                assert bound <= cheapest + 1e-9
 
     def test_deterministic_tie_break(self):
         # zero demand and prohibitive K: every schedule with the same
@@ -218,28 +256,61 @@ class TestEnumerateOptimal:
         assert res.cost == pytest.approx(0.0)
 
 
-class TestBenchmarkExactCap:
-    def test_exact_solver_refuses_above_cap(self, tmp_path, capsys):
-        # --exact-cap only gated the oracle; the exact solver kept the default cap
-        argv = ["benchmark", "scalability", "--t-min", "4", "--t-max", "4", "--n", "1",
-                "--solvers", "exact", "--exact-cap", "3", "--out", str(tmp_path / "b")]
-        assert cli_main(argv) == 3
-        assert "T <= 3" in capsys.readouterr().err
+def _bench_argv(tmp_path, solvers, *extra):
+    return ["benchmark", "scalability", "--t-min", "4", "--t-max", "4", "--n", "1",
+            "--solvers", solvers, *extra, "--out", str(tmp_path / "b")]
 
-    def test_oracle_and_exact_solver_get_the_cap(self, tmp_path, monkeypatch):
-        import rss_policy.cli as cli
 
-        caps = []
+def _record_budgets(monkeypatch):
+    """Make the CLI's ``enumerate_optimal`` record the budget of each call."""
+    import rss_policy.cli as cli
 
-        def recording(instance, *, cap, context):
-            caps.append(cap)
-            return enumerate_optimal(instance, cap=cap, context=context)
+    budgets = []
 
-        monkeypatch.setattr(cli, "enumerate_optimal", recording)
-        argv = ["benchmark", "scalability", "--t-min", "4", "--t-max", "4", "--n", "1",
-                "--solvers", "kconvex,exact", "--exact-cap", "5", "--out", str(tmp_path / "b")]
+    def recording(instance, *, budget, context):
+        budgets.append(budget)
+        return enumerate_optimal(instance, budget=budget, context=context)
+
+    monkeypatch.setattr(cli, "enumerate_optimal", recording)
+    return budgets
+
+
+def _report_rows(tmp_path):
+    with (tmp_path / "b" / "report.csv").open(newline="") as fh:
+        return {row["solver"]: row for row in csv.DictReader(fh)}
+
+
+class TestBenchmarkExactBudget:
+    def test_exact_solver_refuses_above_budget(self, tmp_path, capsys):
+        # every one of the T suffixes with a single review is built
+        assert cli_main(_bench_argv(tmp_path, "exact", "--exact-budget", "3")) == 3
+        assert "more than 3 nodes" in capsys.readouterr().err
+
+    def test_oracle_above_budget_leaves_gaps_empty(self, tmp_path):
+        assert cli_main(_bench_argv(tmp_path, "kconvex", "--exact-budget", "3")) == 0
+        assert _report_rows(tmp_path)["kconvex"]["optimality_gap_pct"] == ""
+
+    def test_oracle_and_exact_solver_get_the_budget(self, tmp_path, monkeypatch):
+        budgets = _record_budgets(monkeypatch)
+        assert cli_main(_bench_argv(tmp_path, "kconvex", "--exact-budget", "50")) == 0
+        assert cli_main(_bench_argv(tmp_path, "exact", "--exact-budget", "60")) == 0
+        assert budgets == [50, 60]
+
+    def test_exact_solver_is_the_oracle(self, tmp_path, monkeypatch):
+        # one search per repetition; the oracle ran one more before
+        budgets = _record_budgets(monkeypatch)
+        argv = _bench_argv(tmp_path, "kconvex,exact", "--exact-budget", "50", "--reps", "2")
         assert cli_main(argv) == 0
-        assert caps == [5, 5]
+        assert budgets == [50, 50]
+        rows = _report_rows(tmp_path)
+        inst = gen_scalability(4, 1, seed=4)[0]
+        res = enumerate_optimal(inst)
+        gap = optimality_gap(solve_kconvex(inst).root_cost(inst.I0), res.cost)
+        assert rows["kconvex"]["optimality_gap_pct"] == f"{100.0 * gap:.6f}"
+        assert float(rows["exact"]["optimality_gap_pct"]) == 0.0
+        assert rows["kconvex"]["nodes_explored"] == rows["kconvex"]["nodes_pruned"] == ""
+        assert int(rows["exact"]["nodes_explored"]) == res.nodes_explored
+        assert int(rows["exact"]["nodes_pruned"]) == res.nodes_pruned
 
 
 def test_long_horizon_does_not_recurse():

@@ -30,7 +30,6 @@ from rss_policy import (
     solve_plain,
 )
 from rss_policy.cli import main as cli_main
-from rss_policy.exact import DEFAULT_SCHEDULE_CAP
 from rss_policy.solver import (
     InventoryGrid,
     SolveStats,
@@ -428,11 +427,13 @@ class TestLostSales:
             scarf_fixed_R(partial, ReviewSchedule((1,)))
         with pytest.raises(ValueError, match="partial backlogging"):
             enumerate_optimal(partial)
-        # the beta refusal comes before the horizon cap
+        # the beta refusal comes before the node budget
         with pytest.raises(ValueError, match="partial backlogging"):
-            enumerate_optimal(partial, cap=1)
+            enumerate_optimal(partial, budget=1)
 
-    def test_cli_refuses_mismatched_variant(self, rng, tmp_path, capsys):
+    def test_cli_refuses_mismatched_variant(self, rng, tmp_path, capsys, monkeypatch):
+        import rss_policy.cli as cli
+
         base = random_desk_instance(rng, horizon=2)
         path = tmp_path / "inst.json"
         save_instance(Instance(T=2, params=base.params, I0=0, demand=base.demand, beta=0.0), path)
@@ -440,10 +441,14 @@ class TestLostSales:
             assert cli_main(["solve", str(path), "--solver", solver]) == 2
             assert "partial backlogging" in capsys.readouterr().err
         assert cli_main(["solve", str(path), "--solver", "lost_sales"]) == 0
-        long = random_desk_instance(rng, horizon=DEFAULT_SCHEDULE_CAP + 1)
-        save_instance(Instance(T=long.T, params=long.params, I0=0, demand=long.demand, beta=0.0), path)
+        capsys.readouterr()
+        # with a budget the search would exceed, the beta refusal still comes first
+        monkeypatch.setattr(cli, "DEFAULT_NODE_BUDGET", 1)
         assert cli_main(["solve", str(path), "--solver", "exact"]) == 2
         assert "partial backlogging" in capsys.readouterr().err
+        save_instance(base, path)
+        assert cli_main(["solve", str(path), "--solver", "exact"]) == 3
+        assert "node budget" in capsys.readouterr().err
 
 
 _ONE_CYCLE = Policy(horizon=5, reviews=(PolicyReview(1, 5, 10, 40),))
