@@ -212,6 +212,8 @@ def _write_summary(path: Path, rows: list[dict[str, Any]]) -> None:
 def cmd_benchmark(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise SchemaError("--reps needs at least one repetition")
+    if args.exact_budget < 1:
+        raise SchemaError("--exact-budget needs at least one node")
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -307,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tail mass excluded when sizing the inventory grid")
         p.add_argument("--tail-eps", type=float, default=1e-6,
                        help="tail mass cut when discretizing demand")
-        p.add_argument("--seed", type=int, default=0)
 
     p_solve = sub.add_parser("solve", help="compute a policy for an instance file")
     p_solve.add_argument("instance")
@@ -321,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--policy", required=True)
     p_eval.add_argument("--simulate", type=int, default=None, metavar="N",
                         help="also run a Monte-Carlo estimate with N paths")
+    p_eval.add_argument("--seed", type=int, default=0,
+                        help="seed of the Monte-Carlo estimate")
     common(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from .model import Instance, Policy
 from .solver import SolveContext, _context, _lost_sales_curve, cycle_curve
@@ -81,24 +80,16 @@ def expected_cost(
     return float(future[grid.index(instance.I0)])
 
 
-def _sample_demands(
-    ctx: SolveContext, n_paths: int, rng: np.random.Generator, continuous: bool
-) -> np.ndarray:
+def _sample_demands(ctx: SolveContext, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     """(n_paths, T) demand draws; inverse-CDF from a single uniform matrix
     so path i is reproducible independently of batching."""
     T = ctx.instance.T
     u = rng.random((n_paths, T))
     out = np.empty((n_paths, T))
     for t in range(1, T + 1):
-        spec = ctx.instance.demand[t - 1]
-        if continuous and spec.kind == "normal" and spec.sigma > 0:
-            out[:, t - 1] = np.maximum(
-                0.0, spec.mean + spec.sigma * norm.ppf(u[:, t - 1])
-            )
-        else:
-            pmf = ctx.demand.period(t)
-            idx = np.searchsorted(pmf.cdf(), u[:, t - 1], side="left")
-            out[:, t - 1] = pmf.offset + np.minimum(idx, len(pmf) - 1)
+        pmf = ctx.demand.period(t)
+        idx = np.searchsorted(pmf.cdf(), u[:, t - 1], side="left")
+        out[:, t - 1] = pmf.offset + np.minimum(idx, len(pmf) - 1)
     return out
 
 
@@ -109,15 +100,13 @@ def simulate(
     seed: int,
     *,
     context: Optional[SolveContext] = None,
-    continuous: bool = False,
 ) -> EvalReport:
     """Seeded Monte-Carlo rollout of the policy.
 
-    Samples from the discretized pmfs by default so the simulation
-    validates exactly the model the solvers optimise; ``continuous=True``
-    draws normal demand from the continuous distribution instead, for
-    discretization-bias studies. Partial backlogging (instance beta < 1)
-    truncates negative closing inventories after the penalty is charged.
+    Samples from the discretized pmfs, so the simulation validates
+    exactly the model the solvers optimise. Partial backlogging
+    (instance beta < 1) truncates negative closing inventories after the
+    penalty is charged.
     """
     _check_policy(instance, policy)
     if n_paths < 1:
@@ -125,7 +114,7 @@ def simulate(
     ctx = _context(instance, context)
     p = ctx.params
     rng = np.random.default_rng(seed)
-    demands = _sample_demands(ctx, n_paths, rng, continuous)
+    demands = _sample_demands(ctx, n_paths, rng)
     reviews = {rv.period: rv for rv in policy.reviews}
     inv = np.full(n_paths, float(instance.I0))
     cost = np.zeros(n_paths)

@@ -76,11 +76,9 @@ from .solver import (
     SolveStats,
     ValueTables,
     _context,
-    _cycle_tail,
     _kconvex_table,
     _sweep,
     cycle_curve,
-    cycle_hp,
     extract_policy,
     solve_kconvex,
 )
@@ -158,20 +156,18 @@ class EnumerationResult:
     nodes_pruned: int
 
 
-def _prefix_bound(
-    ctx: SolveContext, t: int, table: np.ndarray, hp1: dict[int, np.ndarray], i0_idx: int
-) -> float:
+def _prefix_bound(ctx: SolveContext, t: int, table: np.ndarray, i0_idx: int) -> float:
     """Lower bound on every schedule below the suffix at t > 1 with table
     F_t: W plus the every-period-review SDP of the module docstring over
-    periods 1..t-1. ``hp1[u]`` is the one-period ``cycle_hp`` at u."""
+    periods 1..t-1."""
     p = ctx.params
     value = table
     for u in range(t - 1, 1, -1):
-        curve = hp1[u] + _cycle_tail(ctx, u, 1, value)
+        curve = cycle_curve(ctx, u, 1, value)
         above = np.minimum.accumulate(curve[:0:-1])[::-1]
         np.minimum(curve[:-1], (p.W + p.K) + above, out=curve[:-1])
         value = curve
-    curve = hp1[1] + _cycle_tail(ctx, 1, 1, value)
+    curve = cycle_curve(ctx, 1, 1, value)
     return p.W + min(float(curve[i0_idx]), p.K + float(curve[i0_idx:].min()))
 
 
@@ -183,18 +179,19 @@ def enumerate_optimal(
 ) -> EnumerationResult:
     """Exact optimum over all review schedules, by the branch-and-bound
     search of the module docstring; raises ``HorizonCapError`` if it
-    needs more than ``budget`` nodes. Ties between equally cheap
-    schedules go to the lexicographically earliest one. Each schedule's
-    cost is identical to a standalone ``scarf_fixed_R`` call, which gives
-    the returned policy.
+    needs more than ``budget`` nodes, and ``ValueError`` for a budget
+    below 1. Ties between equally cheap schedules go to the
+    lexicographically earliest one. Each schedule's cost is identical to
+    a standalone ``scarf_fixed_R`` call, which gives the returned policy.
     """
+    if budget < 1:
+        raise ValueError(f"the node budget must be at least 1, not {budget}")
     ctx = _context(instance, context, full_backlog=True)
     T = instance.T
     stats = SolveStats()
     i0_idx = ctx.grid.index(instance.I0)
     incumbent = solve_kconvex(instance, context=ctx).root_cost(instance.I0)
     limit = incumbent + _BOUND_MARGIN * abs(incumbent)
-    hp1 = {u: cycle_hp(ctx, u, 1) for u in range(1, T)}
     zeros = np.zeros(ctx.grid.size)
     # (review t, next review, table at the next review, later reviews); the
     # children of a popped entry prepend a review u < t and share its table
@@ -218,7 +215,7 @@ def enumerate_optimal(
             if cost < best_cost or (cost == best_cost and periods < best_periods):
                 best_cost, best_periods = cost, periods
                 limit = min(limit, best_cost + _BOUND_MARGIN * abs(best_cost))
-        elif _prefix_bound(ctx, t, table, hp1, i0_idx) > limit:
+        elif _prefix_bound(ctx, t, table, i0_idx) > limit:
             pruned += 2 ** (t - 1) - 1  # the suffixes below this one
         else:
             stack.extend((u, t, table, periods) for u in range(1, t))

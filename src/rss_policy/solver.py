@@ -12,8 +12,9 @@ whose cost the value tables report consistently.
 Every step rests on one array, the *cycle curve* of a candidate cycle
 (t, r): the no-order cost over the whole inventory grid, i.e. expected
 in-cycle holding/penalty plus the expected cost-to-go at the next
-review. ``cycle_curve`` builds it from two convolutions, and the
-solvers, the exact baseline and the evaluator all share it. Decisions
+review. ``cycle_curve`` adds the memoised holding/penalty curve of the
+cycle to one convolution of the next review's table, and the solvers,
+the exact baseline and the evaluator all share it. Decisions
 on a curve are array operations:
 
 * ``solve_kconvex`` exploits K-convexity: a running minimum from the
@@ -191,8 +192,8 @@ class ValueTables:
 
 def cycle_hp(ctx: SolveContext, t: int, r: int) -> np.ndarray:
     """Expected in-cycle holding/penalty of a cycle of length r at period
-    t over the grid of post-order positions: the convolution of the
-    cost-engine level with the period pmf, done inside ``cycle_hp_fn``."""
+    t over the grid of post-order positions, read from the cost engine's
+    memoised curve; only the first query of each (t, r) convolves."""
     return ctx.engine.cycle_hp_fn(t, r)(ctx.grid.levels())
 
 
@@ -213,9 +214,10 @@ def cycle_curve(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.nda
     ``future`` at the next review. Demand mass that would drive the
     next-review state below the grid accrues at the grid floor.
 
-    Both terms are convolutions: the cost-engine level with the period
-    pmf (``cycle_hp``), and the floor-padded ``future`` with the pmf of
-    the cycle's cumulative demand.
+    The holding/penalty is the cost engine's memoised curve
+    (``cycle_hp``); the expected cost-to-go is one convolution, of the
+    floor-padded ``future`` with the pmf of the cycle's cumulative
+    demand.
     """
     return cycle_hp(ctx, t, r) + _cycle_tail(ctx, t, r, future)
 

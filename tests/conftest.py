@@ -37,6 +37,37 @@ def direct_cycle_cost(ctx: SolveContext, t: int, i: int, q: int, r: int) -> floa
     return cost
 
 
+def level_recursion_hp(ctx: SolveContext, t: int, r: int) -> np.ndarray:
+    """Cycle holding/penalty over the grid of post-order positions by the
+    two-step level recursion, with nothing memoised.
+
+    Writing l(u, x, k) for the expected holding/penalty of periods
+    u..u+k-1 given closing inventory x at the end of period u, it builds
+    l(u, x, 1) = L(x) and l(u, x, k) = L(x) + E[l(u+1, x - d_{u+1}, k-1)]
+    over the closing inventories the grid can reach, then convolves
+    l(t, ., r) with the period-t pmf: E[l(t, y - d_t, r)]. The array
+    operations are those of the memoised engine this replaced, so the
+    two agree bitwise.
+    """
+    p, grid = ctx.params, ctx.grid
+    pmfs = [ctx.demand.period(u) for u in range(1, ctx.instance.T + 1)]
+
+    def low(u):  # lowest closing inventory of period u from a grid position
+        return grid.min_inv - sum(pmf.max_value for pmf in pmfs[:u])
+
+    def one_period(u):
+        xs = np.arange(low(u), grid.max_inv + 1, dtype=np.float64)
+        return p.h * np.maximum(xs, 0.0) + p.b * np.maximum(-xs, 0.0)
+
+    level = one_period(t + r - 1)
+    for u in range(t + r - 2, t - 1, -1):
+        nxt = pmfs[u]  # period u + 1
+        full = np.convolve(level, nxt.probs)
+        level = one_period(u) + full[len(nxt) - 1 : len(nxt) + grid.max_inv - low(u)]
+    curve = np.convolve(level, pmfs[t - 1].probs, "valid")
+    return curve[grid.min_inv - low(t - 1) :][: grid.size]
+
+
 def brute_force_every_period(ctx: SolveContext) -> np.ndarray:
     """Value iteration with a review in every period and a full order
     search; period-1 value table over the grid. Tiny instances only."""

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from rss_policy import SolveContext
-from conftest import deterministic_instance, direct_cycle_cost, random_desk_instance
+from rss_policy import CostParams, DemandSpec, Instance, SolveContext
+from rss_policy.solver import cycle_hp
+from conftest import (
+    deterministic_instance,
+    direct_cycle_cost,
+    level_recursion_hp,
+    random_desk_instance,
+)
 
 
 def _hp(x, params):
@@ -71,3 +77,68 @@ class TestStructure:
         total_dmax = sum(ctx.demand.period(t).max_value for t in range(1, 6))
         x_range = ctx.grid.size + total_dmax
         assert eng.stored_states <= (ctx.instance.T + 1) ** 2 * x_range
+
+
+def _all_cycles(T):
+    return [(t, r) for t in range(1, T + 1) for r in range(1, T - t + 2)]
+
+
+def _count_convolutions(monkeypatch):
+    calls = []
+    convolve = np.convolve
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counting)
+    return calls
+
+
+class TestCurveRecursion:
+    """The memoised curve recursion against the level recursion it replaced."""
+
+    def _assert_bitwise(self, inst):
+        ctx = SolveContext(inst)
+        # deepest first, the engine's own build order, then the reverse
+        for t, r in _all_cycles(inst.T) + _all_cycles(inst.T)[::-1]:
+            assert np.array_equal(cycle_hp(ctx, t, r), level_recursion_hp(ctx, t, r)), (t, r)
+
+    def test_random_instances(self, rng):
+        for _ in range(8):
+            self._assert_bitwise(random_desk_instance(rng))
+
+    def test_point_mass_demand(self):
+        # positive offsets: the valid convolution runs past the grid ceiling
+        self._assert_bitwise(deterministic_instance([3, 0, 7, 5], K=50, W=10, h=1, b=10))
+
+    def test_zero_demand(self):
+        self._assert_bitwise(deterministic_instance([0, 0, 0], K=50, W=0, h=1, b=10, I0=10))
+
+    def test_single_period(self, rng):
+        self._assert_bitwise(random_desk_instance(rng, horizon=1))
+
+    def test_free_orders_and_reviews(self):
+        demand = tuple(DemandSpec("poisson", m) for m in (4.0, 9.0, 2.0, 6.0))
+        params = CostParams(K=0.0, W=0.0, h=1.0, b=5.0)
+        self._assert_bitwise(Instance(T=4, params=params, I0=0, demand=demand))
+
+
+class TestConvolvesOnce:
+    def test_each_curve_is_convolved_once_per_context(self, rng, monkeypatch):
+        inst = random_desk_instance(rng, horizon=6)
+        cycles = _all_cycles(inst.T)
+        ctx = SolveContext(inst)
+        calls = _count_convolutions(monkeypatch)
+        for k in rng.permutation(len(cycles)):
+            cycle_hp(ctx, *cycles[k])
+        assert len(calls) == len(cycles)
+        # a repeated query only reads the memo
+        for t, r in cycles:
+            cycle_hp(ctx, t, r)
+        assert len(calls) == len(cycles)
+        # a long cycle builds its whole chain at once, one convolution each
+        ctx = SolveContext(inst)
+        calls.clear()
+        cycle_hp(ctx, 1, inst.T)
+        assert len(calls) == inst.T

@@ -24,7 +24,6 @@ from rss_policy import (
 )
 from rss_policy.cli import main as cli_main
 from rss_policy.exact import _prefix_bound
-from rss_policy.solver import cycle_hp
 from conftest import (
     all_schedules,
     brute_force_every_period,
@@ -223,6 +222,18 @@ class TestEnumerateOptimal:
         with pytest.raises(ValueError, match="partial backlogging"):
             enumerate_optimal(partial, budget=1)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_refuses_budget_below_one(self, rng, budget, tmp_path, capsys):
+        # -1 searched without a limit, and 0 raised HorizonCapError (exit 3)
+        inst = random_desk_instance(rng, horizon=3)
+        with pytest.raises(ValueError, match="at least 1") as info:
+            enumerate_optimal(inst, budget=budget)
+        assert not isinstance(info.value, HorizonCapError)
+        argv = _bench_argv(tmp_path, "kconvex,exact", "--exact-budget", str(budget))
+        assert cli_main(argv) == 2
+        assert "--exact-budget" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     def test_bound_never_exceeds_its_subtree(self, rng):
         # the bound of every suffix lies below the cheapest schedule under
         # it; cheap orders make the schedules order often, so a bound that
@@ -233,12 +244,11 @@ class TestEnumerateOptimal:
             inst = _poisson_instance(rng.uniform(5.0, 20.0, T), K=K, W=W, h=1.0, b=b)
             ctx = SolveContext(inst)
             scarf = {s.periods: scarf_fixed_R(inst, s, context=ctx) for s in all_schedules(inst.T)}
-            hp1 = {u: cycle_hp(ctx, u, 1) for u in range(1, inst.T)}
             i0_idx = ctx.grid.index(inst.I0)
             for suffix in {p[k:] for p in scarf for k in range(1, len(p))}:
                 t = suffix[0]
                 table = scarf[(1,) + suffix].tables.cost_to_go[t]
-                bound = _prefix_bound(ctx, t, table, hp1, i0_idx)
+                bound = _prefix_bound(ctx, t, table, i0_idx)
                 cheapest = min(r.cost for p, r in scarf.items() if p[-len(suffix):] == suffix)
                 assert bound <= cheapest + 1e-9
 

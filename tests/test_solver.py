@@ -451,6 +451,23 @@ class TestLostSales:
         assert "node budget" in capsys.readouterr().err
 
 
+def test_cli_seed_only_where_sampled(rng, tmp_path, capsys):
+    # solve parsed --seed and never read it; evaluate seeds its simulation
+    inst = random_desk_instance(rng, horizon=2)
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    with pytest.raises(SystemExit) as info:
+        cli_main(["solve", str(path), "--seed", "3"])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert cli_main(["solve", str(path)]) == 0
+    policy_path = tmp_path / "policy.json"
+    policy_path.write_text(capsys.readouterr().out)
+    argv = ["evaluate", str(path), "--policy", str(policy_path), "--simulate", "10", "--seed", "3"]
+    assert cli_main(argv) == 0
+    assert '"seed": 3' in capsys.readouterr().out
+
+
 _ONE_CYCLE = Policy(horizon=5, reviews=(PolicyReview(1, 5, 10, 40),))
 _ENTRY_POINTS = {
     "solve_plain": lambda inst, ctx: solve_plain(inst, context=ctx),
