@@ -55,7 +55,6 @@ from .solver import (
     ValueTables,
     build_grid,
     extract_policy,
-    no_order_curve,
     solve_kconvex,
     solve_lost_sales,
     solve_plain,
@@ -96,7 +95,6 @@ __all__ = [
     "instance_to_dict",
     "load_instance",
     "load_policy",
-    "no_order_curve",
     "optimality_gap",
     "pattern_means",
     "point_mass",

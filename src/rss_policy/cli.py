@@ -54,6 +54,8 @@ SUMMARY_COLUMNS = [
 
 _NON_OPTIMAL_GAP = 1e-8
 
+SOLVERS = ("plain", "kconvex", "exact", "lost_sales")
+
 
 def _solve_with(name: str, instance: Instance, ctx: SolveContext, exact_budget: int):
     """Run one solver; returns (policy, cost, stats, the exact search's
@@ -214,13 +216,12 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         raise SchemaError("--reps needs at least one repetition")
     if args.exact_budget < 1:
         raise SchemaError("--exact-budget needs at least one node")
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_IO
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    if not solvers:
+        raise SchemaError("--solvers names no solver")
+    unknown = sorted(set(solvers) - set(SOLVERS))
+    if unknown:
+        raise SchemaError(f"unknown solvers {unknown}; expected some of {list(SOLVERS)}")
     horizons = list(range(args.t_min, args.t_max + 1))
     instances: list[Instance] = []
     for T in horizons:
@@ -228,7 +229,15 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             instances.extend(gen_scalability(T, args.n, seed=args.seed + T))
         elif T in (10, 20):
             instances.extend(gen_analysis(T, seed=args.seed))
+    if not instances:
+        raise SchemaError(f"no {args.suite} instances for T in [{args.t_min}, {args.t_max}]")
     instances.sort(key=lambda inst: inst.label or "")
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_IO
 
     all_rows: list[dict[str, Any]] = []
     try:
@@ -279,13 +288,13 @@ def _format_row(row: dict[str, Any]) -> dict[str, Any]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.suite == "scalability":
+        batch = gen_scalability(args.t, args.n, args.seed)
+    else:
+        batch = gen_analysis(args.t, seed=args.seed)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.suite == "scalability":
-            batch = gen_scalability(args.t, args.n, args.seed)
-        else:
-            batch = gen_analysis(args.t, seed=args.seed)
         for instance in batch:
             save_instance(instance, out_dir / f"{instance.label}.json")
     except OSError as exc:
@@ -312,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="compute a policy for an instance file")
     p_solve.add_argument("instance")
-    p_solve.add_argument("--solver", choices=["plain", "kconvex", "exact", "lost_sales"],
-                         default="kconvex")
+    p_solve.add_argument("--solver", choices=SOLVERS, default="kconvex")
     common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -363,7 +371,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except HorizonCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except (SchemaError, ValueError, FileNotFoundError) as exc:
+    except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -24,6 +24,7 @@ which those demands can drive that far below the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -43,8 +44,8 @@ class CostParams:
     b: float
 
     def __post_init__(self) -> None:
-        if min(self.K, self.W, self.h, self.b) < 0:
-            raise ValueError("cost parameters must be nonnegative")
+        if not all(0 <= c < math.inf for c in (self.K, self.W, self.h, self.b)):
+            raise ValueError("cost parameters must be finite and nonnegative")
         if self.h + self.b <= 0:
             raise ValueError("holding and penalty cost cannot both be zero")
 

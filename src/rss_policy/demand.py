@@ -10,6 +10,7 @@ same period ranges many times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,10 +36,10 @@ class DemandSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("poisson", "normal"):
             raise ValueError(f"unknown demand kind: {self.kind!r}")
-        if self.mean < 0:
-            raise ValueError("demand mean must be nonnegative")
-        if self.cv < 0:
-            raise ValueError("coefficient of variation must be nonnegative")
+        if not 0 <= self.mean < math.inf:
+            raise ValueError("demand mean must be finite and nonnegative")
+        if not 0 <= self.cv < math.inf:
+            raise ValueError("coefficient of variation must be finite and nonnegative")
 
     @property
     def sigma(self) -> float:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .model import Instance, Policy
-from .solver import SolveContext, _context, _lost_sales_curve, cycle_curve
+from .solver import SolveContext, _context, _truncate, cycle_curve
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,11 @@ def expected_cost(
 
     At each review the fixed decision rule applies: order up to the
     order-up-to level iff the opening inventory is below the reorder
-    level. Each review's no-order curve is the solvers' own: the
-    backlogging ``cycle_curve``, or for beta < 1 the partial-backlog
-    curve ``solve_lost_sales`` uses. A policy whose order-up-to level
-    lies above the grid ceiling cannot be priced on the grid and is
-    refused; this covers every reorder level above the ceiling.
+    level. Each review's no-order curve is the solvers' own
+    ``cycle_curve``, partial backlogging included. A policy whose
+    order-up-to level lies above the grid ceiling cannot be priced on
+    the grid and is refused; this covers every reorder level above the
+    ceiling.
     """
     _check_policy(instance, policy)
     ctx = _context(instance, context)
@@ -68,29 +68,13 @@ def expected_cost(
     future = np.zeros(grid.size)
     for review in reversed(policy.reviews):
         t, r = review.period, review.cycle
-        if instance.beta < 1.0:
-            curve = _lost_sales_curve(ctx, t, r, future, instance.beta)
-        else:
-            curve = cycle_curve(ctx, t, r, future)
+        curve = cycle_curve(ctx, t, r, future)
         table = p.W + curve
         if review.reorder > grid.min_inv:
             order_value = (p.W + p.K) + curve[grid.index(review.order_up_to)]
             table[: grid.index(review.reorder)] = order_value
         future = table
     return float(future[grid.index(instance.I0)])
-
-
-def _sample_demands(ctx: SolveContext, n_paths: int, rng: np.random.Generator) -> np.ndarray:
-    """(n_paths, T) demand draws; inverse-CDF from a single uniform matrix
-    so path i is reproducible independently of batching."""
-    T = ctx.instance.T
-    u = rng.random((n_paths, T))
-    out = np.empty((n_paths, T))
-    for t in range(1, T + 1):
-        pmf = ctx.demand.period(t)
-        idx = np.searchsorted(pmf.cdf(), u[:, t - 1], side="left")
-        out[:, t - 1] = pmf.offset + np.minimum(idx, len(pmf) - 1)
-    return out
 
 
 def simulate(
@@ -104,17 +88,18 @@ def simulate(
     """Seeded Monte-Carlo rollout of the policy.
 
     Samples from the discretized pmfs, so the simulation validates
-    exactly the model the solvers optimise. Partial backlogging
-    (instance beta < 1) truncates negative closing inventories after the
-    penalty is charged.
+    exactly the model the solvers optimise. Each period's demand is
+    drawn by inverse CDF from one (n_paths, T) matrix of uniforms, so
+    path i keeps its draws whatever the number of paths. Partial
+    backlogging (instance beta < 1) truncates negative closing
+    inventories after the penalty is charged.
     """
     _check_policy(instance, policy)
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     ctx = _context(instance, context)
     p = ctx.params
-    rng = np.random.default_rng(seed)
-    demands = _sample_demands(ctx, n_paths, rng)
+    u = np.random.default_rng(seed).random((n_paths, instance.T))
     reviews = {rv.period: rv for rv in policy.reviews}
     inv = np.full(n_paths, float(instance.I0))
     cost = np.zeros(n_paths)
@@ -125,10 +110,12 @@ def simulate(
             q = np.where(order, rv.order_up_to - inv, 0.0)
             cost += p.W + p.K * (q > 0)
             inv = inv + q
-        inv = inv - demands[:, t - 1]
+        pmf = ctx.demand.period(t)
+        idx = np.searchsorted(pmf.cdf(), u[:, t - 1], side="left")
+        inv = inv - (pmf.offset + np.minimum(idx, len(pmf) - 1))
         cost += p.h * np.maximum(inv, 0.0) + p.b * np.maximum(-inv, 0.0)
         if instance.beta < 1.0:
-            inv = np.where(inv < 0, np.round(instance.beta * inv), inv)
+            inv = _truncate(inv, instance.beta)
     mc_mean = float(cost.mean())
     if n_paths > 1:
         halfwidth = float(1.96 * cost.std(ddof=1) / math.sqrt(n_paths))

@@ -49,19 +49,11 @@ def instance_from_dict(doc: Any) -> Instance:
     demand_doc = doc["demand"]
     if not isinstance(demand_doc, list) or len(demand_doc) != doc["T"]:
         raise SchemaError("demand must be a list with one entry per period")
-    specs = []
     for entry in demand_doc:
         if not isinstance(entry, dict) or set(entry) - _DEMAND_KEYS:
             raise SchemaError(f"bad demand entry: {entry!r}")
         if "kind" not in entry or "mean" not in entry:
             raise SchemaError(f"demand entry needs kind and mean: {entry!r}")
-        specs.append(
-            DemandSpec(
-                kind=entry["kind"],
-                mean=float(entry["mean"]),
-                cv=float(entry.get("cv", 0.0)),
-            )
-        )
     try:
         return Instance(
             T=int(doc["T"]),
@@ -69,20 +61,30 @@ def instance_from_dict(doc: Any) -> Instance:
                 K=float(doc["K"]), W=float(doc["W"]), h=float(doc["h"]), b=float(doc["b"])
             ),
             I0=int(doc["I0"]),
-            demand=tuple(specs),
+            demand=tuple(
+                DemandSpec(kind=e["kind"], mean=float(e["mean"]), cv=float(e.get("cv", 0.0)))
+                for e in demand_doc
+            ),
             beta=float(doc["beta"]),
             label=doc.get("label"),
         )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"bad instance value: {exc}") from exc
+
+
+def _read_json(path: str | Path) -> Any:
+    """The JSON document in a file; an unreadable file or invalid JSON
+    raises ``SchemaError``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+        raise SchemaError(f"not valid JSON: {exc}") from exc
 
 
 def load_instance(path: str | Path) -> Instance:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    return instance_from_dict(doc)
+    return instance_from_dict(_read_json(path))
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:
@@ -102,7 +104,7 @@ def policy_to_dict(policy: Policy, expected_cost: Optional[float] = None) -> dic
 
 
 def policy_from_dict(doc: Any, horizon: int) -> Policy:
-    if not isinstance(doc, dict) or "reviews" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("reviews"), list):
         raise SchemaError("policy document must be an object with a 'reviews' list")
     reviews = []
     for entry in doc["reviews"]:
@@ -115,7 +117,7 @@ def policy_from_dict(doc: Any, horizon: int) -> Policy:
                     order_up_to=int(entry["S"]),
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad review entry: {entry!r}") from exc
     try:
         return Policy(horizon=horizon, reviews=tuple(reviews))
@@ -124,8 +126,4 @@ def policy_from_dict(doc: Any, horizon: int) -> Policy:
 
 
 def load_policy(path: str | Path, horizon: int) -> Policy:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    return policy_from_dict(doc, horizon)
+    return policy_from_dict(_read_json(path), horizon)

@@ -27,11 +27,14 @@ on a curve are array operations:
   reference the threshold scan is checked against, and the two produce
   identical results.
 
-``solve_lost_sales`` is the plain sweep on the partial-backlog cycle
-curve, which truncates negative closing inventories each period.
+``solve_lost_sales`` is the plain sweep for any backlogged fraction
+beta. Below full backlogging, ``cycle_curve`` is the partial-backlog
+curve, which truncates negative closing inventories each period; it has
+no separate holding/penalty part, so the bound below does not apply and
+the sweep builds every candidate.
 
-Most candidate cycles cannot win, and the sweep of ``solve_kconvex``
-and ``solve_plain`` skips them before building their tail convolution.
+Most candidate cycles cannot win, and under full backlogging the sweep
+skips them before building their tail convolution.
 Write hp(t, r) for the holding/penalty curve ``cycle_hp`` of a candidate
 and F for the cost-to-go table of period t + r. The candidate's curve is
 hp plus an expectation of values of F, so each of its levels, among
@@ -214,11 +217,15 @@ def cycle_curve(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.nda
     ``future`` at the next review. Demand mass that would drive the
     next-review state below the grid accrues at the grid floor.
 
-    The holding/penalty is the cost engine's memoised curve
-    (``cycle_hp``); the expected cost-to-go is one convolution, of the
-    floor-padded ``future`` with the pmf of the cycle's cumulative
-    demand.
+    Under full backlogging the holding/penalty is the cost engine's
+    memoised curve (``cycle_hp``) and the expected cost-to-go is one
+    convolution, of the floor-padded ``future`` with the pmf of the
+    cycle's cumulative demand. With beta < 1 it is the partial-backlog
+    curve, which recurses over the cycle's periods one at a time.
     """
+    beta = ctx.instance.beta
+    if beta < 1.0:
+        return _lost_sales_curve(ctx, t, r, future, beta)
     return cycle_hp(ctx, t, r) + _cycle_tail(ctx, t, r, future)
 
 
@@ -290,7 +297,6 @@ def _sweep(
     table_fn: Callable[[SolveContext, np.ndarray, SolveStats], _CycleResult],
     algorithm: str,
     lengths: Optional[Callable[[int], Iterable[int]]] = None,
-    curve_fn: Optional[Callable[[SolveContext, int, int, np.ndarray], np.ndarray]] = None,
 ) -> ValueTables:
     """Backward sweep over periods, keeping the locally best cycle length.
 
@@ -300,15 +306,16 @@ def _sweep(
     go to the shorter cycle; the order-up-to tie-break (largest level) is
     fixed inside the threshold scan.
 
-    On the ``cycle_curve`` kernel the holding/penalty curve of each
-    candidate comes first: by the bound of the module docstring, a
-    candidate that cannot beat the best so far is skipped, and once its
-    holding/penalty alone cannot, the remaining candidates are dropped;
-    neither gets a tail convolution. ``curve_fn`` replaces the kernel;
-    its curve has no separate holding/penalty part, so every candidate
-    is built and decided.
+    Under full backlogging the holding/penalty curve of each candidate
+    comes first: by the bound of the module docstring, a candidate that
+    cannot beat the best so far is skipped, and once its holding/penalty
+    alone cannot, the remaining candidates are dropped; neither gets a
+    tail convolution. With beta < 1 the curve has no separate
+    holding/penalty part, so every candidate is built by ``cycle_curve``
+    and decided.
     """
     T = ctx.instance.T
+    prune = ctx.instance.beta == 1.0
     grid = ctx.grid
     stats = SolveStats()
     cost_to_go: dict[int, np.ndarray] = {T + 1: np.zeros(grid.size)}
@@ -322,8 +329,8 @@ def _sweep(
         candidates = list(range(1, T - t + 2) if lengths is None else lengths(t))
         for k, r in enumerate(candidates):
             future = cost_to_go[t + r]
-            if curve_fn is not None:
-                curve = curve_fn(ctx, t, r, future)
+            if not prune:
+                curve = cycle_curve(ctx, t, r, future)
             else:
                 hp = cycle_hp(ctx, t, r)
                 hp_min = float(hp.min())
@@ -412,49 +419,31 @@ def _lost_sales_curve(
     for k in range(1, r):
         pre = vlo[k - 1] - periods[k - 1].max_value
         vlo.append(int(pre if pre >= 0 else round(beta * pre)))
-    w: Optional[np.ndarray] = None
+    w, w_lo = future, grid.min_inv  # next-state values and their floor
     for k in range(r - 1, -1, -1):
         pmf = periods[k]
-        xlo = vlo[k] - pmf.max_value
-        xs = np.arange(xlo, hi + 1)
+        xs = np.arange(vlo[k] - pmf.max_value, hi + 1)
         closing = p.h * np.maximum(xs, 0.0) + p.b * np.maximum(-xs, 0.0)
-        nxt_state = _truncate(xs, beta)
-        if k == r - 1:
-            idx = np.clip(nxt_state, grid.min_inv, hi) - grid.min_inv
-            nxt_vals = future[idx]
-        else:
-            assert w is not None
-            idx = np.clip(nxt_state - vlo[k + 1], 0, w.shape[0] - 1)
-            nxt_vals = w[idx]
-        a = closing + nxt_vals
-        m = len(pmf)
-        conv = np.convolve(a, pmf.probs)
-        w = conv[m - 1 : m - 1 + (hi - vlo[k] + 1)]
-    assert w is not None
+        idx = np.clip(_truncate(xs, beta) - w_lo, 0, w.shape[0] - 1)
+        conv = np.convolve(closing + w[idx], pmf.probs, "valid")
+        w, w_lo = conv[: hi - vlo[k] + 1], vlo[k]
     return w  # vlo[0] == grid.min_inv, so w is grid-aligned
 
 
 def solve_lost_sales(instance: Instance, *, context: Optional[SolveContext] = None) -> ValueTables:
     """Plain sweep under partial backlogging (0 <= beta <= 1).
 
-    With beta = 1 this is exactly ``solve_plain``. For beta < 1 the
-    no-order cost curve is not guaranteed K-convex, so the published
-    reorder level is the threshold of the descending scan and may only
-    approximate a non-interval ordering region.
+    With beta = 1 the tables and policy are exactly those of
+    ``solve_plain``. For beta < 1 the no-order cost curve is not
+    guaranteed K-convex, so the published reorder level is the threshold
+    of the descending scan and may only approximate a non-interval
+    ordering region.
     """
-    if instance.beta == 1.0:
-        return solve_plain(instance, context=context)
-    ctx = _context(instance, context)
-    beta = instance.beta
-
-    def curve_fn(ctx, t, r, future):
-        return _lost_sales_curve(ctx, t, r, future, beta)
-
-    return _sweep(ctx, _plain_table, "lost_sales", curve_fn=curve_fn)
+    return _sweep(_context(instance, context), _plain_table, "lost_sales")
 
 
 # ----------------------------------------------------------------------
-# Policy extraction and diagnostics
+# Policy extraction
 # ----------------------------------------------------------------------
 
 def extract_policy(tables: ValueTables, instance: Instance) -> Policy:
@@ -478,11 +467,3 @@ def extract_policy(tables: ValueTables, instance: Instance) -> Policy:
         )
         t += r
     return Policy(horizon=instance.T, reviews=tuple(reviews))
-
-
-def no_order_curve(
-    ctx: SolveContext, t: int, r: int, future: np.ndarray
-) -> np.ndarray:
-    """Full no-order cost curve (review cost included) of one candidate
-    cycle over the grid; used to validate K-convexity."""
-    return ctx.params.W + cycle_curve(ctx, t, r, future)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +109,66 @@ def direct_no_order_curve(ctx: SolveContext, t: int, r: int, future: np.ndarray)
             tail += prob * future[nxt - grid.min_inv]
         curve[y - grid.min_inv] = direct_cycle_cost(ctx, t, y, 0, r) + tail
     return curve
+
+
+def two_branch_lost_sales_curve(
+    ctx: SolveContext, t: int, r: int, future: np.ndarray, beta: float
+) -> np.ndarray:
+    """Partial-backlog no-order curve by the recursion that special-cases
+    the cycle's last period: it reads ``future`` on the grid, clamped to
+    the grid, while earlier periods read the curve of the period after
+    them, clamped to its own range; each step takes a full convolution
+    and slices it to the entry-state range. Bitwise the array operations
+    of the curve ``cycle_curve`` uses for beta < 1."""
+    grid, p = ctx.grid, ctx.params
+    hi = grid.max_inv
+    periods = [ctx.demand.period(u) for u in range(t, t + r)]
+    vlo = [grid.min_inv]
+    for k in range(1, r):
+        pre = vlo[k - 1] - periods[k - 1].max_value
+        vlo.append(int(pre if pre >= 0 else round(beta * pre)))
+    w = None
+    for k in range(r - 1, -1, -1):
+        pmf = periods[k]
+        xs = np.arange(vlo[k] - pmf.max_value, hi + 1)
+        closing = p.h * np.maximum(xs, 0.0) + p.b * np.maximum(-xs, 0.0)
+        nxt_state = np.where(xs < 0, np.round(beta * xs).astype(np.int64), xs)
+        if k == r - 1:
+            nxt_vals = future[np.clip(nxt_state, grid.min_inv, hi) - grid.min_inv]
+        else:
+            nxt_vals = w[np.clip(nxt_state - vlo[k + 1], 0, w.shape[0] - 1)]
+        m = len(pmf)
+        w = np.convolve(closing + nxt_vals, pmf.probs)[m - 1 : m - 1 + (hi - vlo[k] + 1)]
+    return w
+
+
+def demand_matrix_rollout(ctx: SolveContext, policy, n_paths: int, seed: int) -> tuple[float, float]:
+    """Monte-Carlo rollout of a policy that first samples an (n_paths, T)
+    float demand matrix, column by column by inverse CDF from one matrix
+    of uniforms, and truncates backlogs by its own rounding. Returns the
+    mean cost and the 95% half-width."""
+    inst, p = ctx.instance, ctx.params
+    u = np.random.default_rng(seed).random((n_paths, inst.T))
+    demands = np.empty((n_paths, inst.T))
+    for t in range(1, inst.T + 1):
+        pmf = ctx.demand.period(t)
+        idx = np.searchsorted(pmf.cdf(), u[:, t - 1], side="left")
+        demands[:, t - 1] = pmf.offset + np.minimum(idx, len(pmf) - 1)
+    reviews = {rv.period: rv for rv in policy.reviews}
+    inv = np.full(n_paths, float(inst.I0))
+    cost = np.zeros(n_paths)
+    for t in range(1, inst.T + 1):
+        rv = reviews.get(t)
+        if rv is not None:
+            q = np.where(inv < rv.reorder, rv.order_up_to - inv, 0.0)
+            cost += p.W + p.K * (q > 0)
+            inv = inv + q
+        inv = inv - demands[:, t - 1]
+        cost += p.h * np.maximum(inv, 0.0) + p.b * np.maximum(-inv, 0.0)
+        if inst.beta < 1.0:
+            inv = np.where(inv < 0, np.round(inst.beta * inv), inv)
+    halfwidth = 1.96 * cost.std(ddof=1) / math.sqrt(n_paths) if n_paths > 1 else 0.0
+    return float(cost.mean()), float(halfwidth)
 
 
 def scan_oracle(curve: np.ndarray, K: float) -> tuple[int, int, int]:

@@ -17,7 +17,12 @@ from rss_policy import (
     solve_kconvex,
     solve_lost_sales,
 )
-from conftest import deterministic_instance, direct_cycle_cost, random_desk_instance
+from conftest import (
+    demand_matrix_rollout,
+    deterministic_instance,
+    direct_cycle_cost,
+    random_desk_instance,
+)
 
 
 def _policy(horizon, *reviews):
@@ -160,6 +165,21 @@ class TestSimulate:
         policy = extract_policy(solve_kconvex(inst, context=ctx), inst)
         report = simulate(inst, policy, n_paths=40_000, seed=7, context=ctx)
         assert abs(report.mc_mean - report.expected_cost) <= 4 * report.mc_halfwidth_95
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_rollout_matches_demand_matrix_oracle(self, rng, beta):
+        # per-period draws from one uniform matrix give bitwise the
+        # estimate of sampling the whole demand matrix first
+        point_mass = deterministic_instance([6, 0, 9, 3, 4], K=20.0, W=5.0, b=8.0)
+        for base in (random_desk_instance(rng, horizon=5), point_mass):
+            inst = Instance(T=base.T, params=base.params, I0=3, demand=base.demand, beta=beta)
+            ctx = SolveContext(inst)
+            policy = extract_policy(solve_lost_sales(inst, context=ctx), inst)
+            for n_paths, seed in ((1, 4), (2_000, 11)):
+                report = simulate(inst, policy, n_paths, seed, context=ctx)
+                assert (report.mc_mean, report.mc_halfwidth_95) == demand_matrix_rollout(
+                    ctx, policy, n_paths, seed
+                )
 
     def test_partial_backlog_paths_truncate(self):
         # no orders, full shortage: beta=0.5 halves the carried backlog,

@@ -21,7 +21,6 @@ from rss_policy import (
     expected_cost,
     extract_policy,
     gen_scalability,
-    no_order_curve,
     save_instance,
     scarf_fixed_R,
     simulate,
@@ -34,7 +33,6 @@ from rss_policy.solver import (
     InventoryGrid,
     SolveStats,
     _kconvex_table,
-    _lost_sales_curve,
     _plain_table,
     cycle_curve,
 )
@@ -45,6 +43,7 @@ from conftest import (
     q_loop_oracle,
     random_desk_instance,
     scan_oracle,
+    two_branch_lost_sales_curve,
     unpruned_sweep,
 )
 
@@ -189,7 +188,7 @@ class TestTableStructure:
         K = inst.params.K
         for t in range(1, 5):
             for r in range(1, 4 - t + 2):
-                curve = no_order_curve(ctx, t, r, tables.cost_to_go[t + r])
+                curve = inst.params.W + cycle_curve(ctx, t, r, tables.cost_to_go[t + r])
                 n = curve.shape[0]
                 xs = rng.integers(0, n, size=300)
                 a = rng.integers(1, 10, size=300)
@@ -242,7 +241,7 @@ class TestArrayDecisions:
         tables = solve_kconvex(inst, context=ctx)
         for t, r, future in self._cycles(ctx, tables):
             np.testing.assert_allclose(
-                no_order_curve(ctx, t, r, future),
+                inst.params.W + cycle_curve(ctx, t, r, future),
                 direct_no_order_curve(ctx, t, r, future),
                 rtol=1e-12,
             )
@@ -262,11 +261,7 @@ class TestArrayDecisions:
         ctx = SolveContext(inst)
         tables = solve_lost_sales(inst, context=ctx)
         for t, r, future in self._cycles(ctx, tables):
-            if beta < 1.0:
-                curve = _lost_sales_curve(ctx, t, r, future, beta)
-            else:
-                curve = cycle_curve(ctx, t, r, future)
-            self._check_plain(ctx, curve)
+            self._check_plain(ctx, cycle_curve(ctx, t, r, future))
 
     @pytest.mark.parametrize(
         "curve, K, stop, best",
@@ -376,14 +371,57 @@ class TestSweepBound:
         assert stats.states_evaluated == 55 * ctx.grid.size
 
 
+def _one_curve_instances(rng):
+    mixed = tuple(
+        DemandSpec("normal", m, cv) for m, cv in ((6.0, 0.0), (5.0, 0.3), (0.0, 0.0), (9.0, 0.0))
+    )
+    return [
+        random_desk_instance(rng, horizon=4, mean_range=(3.0, 8.0)),
+        deterministic_instance([6, 0, 9, 3, 4], K=20.0, W=5.0, b=8.0),  # point masses
+        Instance(T=4, params=CostParams(K=30.0, W=5.0, h=1.0, b=8.0), I0=2, demand=mixed),
+        gen_scalability(5, 1, seed=5)[0],
+    ]
+
+
+class TestOneCurve:
+    """``cycle_curve`` is the one curve for every beta: below 1 it is
+    bitwise the two-branch partial-backlog recursion, and at 1 that
+    recursion agrees with the backlogging curve to rounding."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_matches_two_branch_recursion(self, rng, beta):
+        for base in _one_curve_instances(rng):
+            inst = dataclasses.replace(base, beta=beta)
+            ctx = SolveContext(inst)
+            tables = solve_lost_sales(inst, context=ctx)
+            for t in range(1, inst.T + 1):
+                for r in range(1, inst.T - t + 2):
+                    future = tables.cost_to_go[t + r]
+                    curve = cycle_curve(ctx, t, r, future)
+                    oracle = two_branch_lost_sales_curve(ctx, t, r, future, beta)
+                    if beta < 1.0:
+                        assert np.array_equal(curve, oracle)
+                    else:
+                        np.testing.assert_allclose(curve, oracle, rtol=1e-12, atol=1e-9)
+
+
 class TestLostSales:
     def test_full_backlog_identical_to_plain(self, rng):
         base = random_desk_instance(rng, horizon=3)
-        inst = Instance(T=3, params=base.params, I0=0, demand=base.demand, beta=1.0)
-        ls = solve_lost_sales(inst)
-        plain = solve_plain(inst)
-        assert ls.value(1, 0) == plain.value(1, 0)
-        assert extract_policy(ls, inst) == extract_policy(plain, inst)
+        first = Instance(T=3, params=base.params, I0=0, demand=base.demand, beta=1.0)
+        for inst in [first] + _one_curve_instances(rng):
+            ls = solve_lost_sales(inst)
+            plain = solve_plain(inst)
+            assert ls.value(1, 0) == plain.value(1, 0)
+            assert extract_policy(ls, inst) == extract_policy(plain, inst)
+            # the pruned plain sweep itself, bitwise; only the name differs
+            assert ls.cost_to_go.keys() == plain.cost_to_go.keys()
+            for t in ls.cost_to_go:
+                assert np.array_equal(ls.cost_to_go[t], plain.cost_to_go[t])
+            assert (ls.cycle_length, ls.reorder, ls.order_up_to, ls.stats) == (
+                plain.cycle_length, plain.reorder, plain.order_up_to, plain.stats
+            )
+            assert (ls.algorithm, plain.algorithm) == ("lost_sales", "plain")
 
     def test_pure_lost_sales_resets_shortage(self):
         # shortage vanishes instead of backlogging: with ordering priced
