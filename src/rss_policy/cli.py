@@ -13,6 +13,7 @@ import json
 import statistics
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Optional
 
@@ -88,17 +89,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     policy = load_policy(args.policy, horizon=instance.T)
     ctx = SolveContext(instance, tail_eps=args.tail_eps, quantile_eps=args.grid_eps)
-    doc: dict[str, Any] = {"expected_cost": expected_cost(instance, policy, context=ctx)}
-    if args.simulate is not None:
+    if args.simulate is None:
+        doc: dict[str, Any] = {"expected_cost": expected_cost(instance, policy, context=ctx)}
+    else:
         if args.simulate < 1:
             raise SchemaError("--simulate needs at least one path")
-        report = simulate(instance, policy, args.simulate, args.seed, context=ctx)
-        doc.update(
-            mc_mean=report.mc_mean,
-            mc_halfwidth_95=report.mc_halfwidth_95,
-            n_paths=report.n_paths,
-            seed=report.seed,
-        )
+        doc = asdict(simulate(instance, policy, args.simulate, args.seed, context=ctx))
     print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
 

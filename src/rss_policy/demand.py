@@ -104,6 +104,25 @@ class DemandPmf:
         idx = int(np.searchsorted(self.cdf(), q, side="left"))
         return self.offset + min(idx, len(self) - 1)
 
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """``quantile`` of each u in [0, 1), elementwise and exactly.
+
+        M is a power of two of at least 32 * len(self) and 1024, so j / M
+        and u * M are exact, and G[j] is the support index of
+        quantile(j / M) for j = 0..M. For j = floor(u * M),
+        j / M <= u < (j + 1) / M and quantile is monotone, so
+        G[j] <= answer <= G[j + 1]. Where the two agree, G[j] is the
+        answer; only the draws in buckets that hold a cdf step (about
+        1 % of them) are searched.
+        """
+        cdf, last = self.cdf(), len(self) - 1
+        m = 1 << max(10, (32 * len(self) - 1).bit_length())
+        table = np.minimum(np.searchsorted(cdf, np.arange(m + 1) / m, side="left"), last)
+        idx = np.where(table[:-1] == table[1:], table[:-1], -1)[(u * m).astype(np.intp)]
+        step = np.flatnonzero(idx < 0)
+        idx[step] = np.minimum(np.searchsorted(cdf, u[step], side="left"), last)
+        return self.offset + idx
+
 
 def point_mass(value: int) -> DemandPmf:
     """Degenerate pmf concentrated at ``value``."""

@@ -5,8 +5,9 @@ the same inventory grid (and with the same boundary clamping) the
 solvers use, so a solver's reported cost and the evaluator's answer for
 its extracted policy agree to floating-point noise; any larger mismatch
 signals a bug rather than tolerance slack. The Monte-Carlo route samples
-demand trajectories from the same discretized pmfs and provides an
-independent stochastic check.
+demand trajectories from the same discretized pmfs, by the exact
+inverse-CDF lookup of ``DemandPmf.sample``, and provides an independent
+stochastic check.
 """
 
 from __future__ import annotations
@@ -89,10 +90,11 @@ def simulate(
 
     Samples from the discretized pmfs, so the simulation validates
     exactly the model the solvers optimise. Each period's demand is
-    drawn by inverse CDF from one (n_paths, T) matrix of uniforms, so
-    path i keeps its draws whatever the number of paths. Partial
-    backlogging (instance beta < 1) truncates negative closing
-    inventories after the penalty is charged.
+    drawn by inverse CDF (``DemandPmf.sample``, equal to ``quantile``
+    draw by draw) from one (n_paths, T) matrix of uniforms, so path i
+    keeps its draws whatever the number of paths. Partial backlogging
+    (instance beta < 1) truncates negative closing inventories after
+    the penalty is charged.
     """
     _check_policy(instance, policy)
     if n_paths < 1:
@@ -107,12 +109,9 @@ def simulate(
         rv = reviews.get(t)
         if rv is not None:
             order = inv < rv.reorder
-            q = np.where(order, rv.order_up_to - inv, 0.0)
-            cost += p.W + p.K * (q > 0)
-            inv = inv + q
-        pmf = ctx.demand.period(t)
-        idx = np.searchsorted(pmf.cdf(), u[:, t - 1], side="left")
-        inv = inv - (pmf.offset + np.minimum(idx, len(pmf) - 1))
+            cost += p.W + p.K * order
+            inv = np.where(order, rv.order_up_to, inv)
+        inv = inv - ctx.demand.period(t).sample(u[:, t - 1])
         cost += p.h * np.maximum(inv, 0.0) + p.b * np.maximum(-inv, 0.0)
         if instance.beta < 1.0:
             inv = _truncate(inv, instance.beta)

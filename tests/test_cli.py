@@ -1,14 +1,15 @@
-"""Command-line refusals: malformed input files and campaign arguments
-exit 2 with a one-line error, before anything is written."""
+"""Command-line behaviour: malformed input files and campaign arguments
+exit 2 with a one-line error, before anything is written, and
+``evaluate`` prices a policy analytically once."""
 
 import json
 import math
 
 import pytest
 
-from rss_policy import instance_to_dict, save_instance
+from rss_policy import cli, evaluate, instance_to_dict, save_instance
 from rss_policy.cli import main as cli_main
-from conftest import deterministic_instance
+from conftest import deterministic_instance, random_desk_instance
 
 
 def _instance_doc():
@@ -62,6 +63,32 @@ def test_bad_input_paths_exit_2(tmp_path, capsys, case):
         argv = ["evaluate", str(inst_path), "--policy", str(policy_path)]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("simulate", [[], ["--simulate", "500"]])
+def test_evaluate_prices_the_policy_once(tmp_path, capsys, monkeypatch, rng, simulate):
+    # simulate's report carries the analytic cost, so evaluate prices
+    # the policy once with or without --simulate
+    inst_path = tmp_path / "inst.json"
+    save_instance(random_desk_instance(rng, horizon=4), inst_path)
+    assert cli_main(["solve", str(inst_path)]) == 0
+    policy_path = tmp_path / "policy.json"
+    solved = capsys.readouterr().out
+    policy_path.write_text(solved)
+    calls = []
+    priced = evaluate.expected_cost
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return priced(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "expected_cost", counted)
+    monkeypatch.setattr(evaluate, "expected_cost", counted)
+    assert cli_main(["evaluate", str(inst_path), "--policy", str(policy_path)] + simulate) == 0
+    assert len(calls) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["expected_cost"] == pytest.approx(json.loads(solved)["expected_cost"], rel=1e-9)
+    assert ("mc_mean" in doc) == bool(simulate)
 
 
 _BENCH = ["benchmark", "scalability", "--t-min", "2", "--t-max", "2", "--n", "1",

@@ -189,6 +189,41 @@ class TestDemandPmf:
         assert pmf.quantile(1.0) == 4
 
 
+# a point mass at 0 and one above it, short and long supports, repeated
+# cdf values that are also bucket edges, and a last cdf value below the
+# largest double under 1
+SAMPLE_PMFS = {
+    "mass-at-0": point_mass(0),
+    "mass-at-7": point_mass(7),
+    "poisson-0.1": discretize(DemandSpec("poisson", 0.1)),
+    "poisson-35": discretize(DemandSpec("poisson", 35.0)),
+    "normal-500-0.4": discretize(DemandSpec("normal", 500.0, 0.4)),
+    "zero-interior": DemandPmf(offset=2, probs=np.array([0.25, 0.0, 0.0, 0.5, 0.0, 0.25])),
+    "cdf-below-1": DemandPmf(offset=3, probs=np.ones(37)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_PMFS))
+def test_sample_equals_quantile(name):
+    pmf = SAMPLE_PMFS[name]
+    cdf = pmf.cdf()
+    below_one = np.nextafter(1.0, 0.0)
+    if name == "cdf-below-1":
+        assert cdf[-1] < below_one
+    # every edge j / M of the lookup table's M buckets
+    buckets = 1 << max(10, (32 * len(pmf) - 1).bit_length())
+    keys = np.concatenate([
+        [0.0, below_one],
+        np.arange(buckets) / buckets,
+        cdf,
+        np.nextafter(cdf, 0.0),
+        np.nextafter(cdf, 1.0),
+        np.random.default_rng(17).random(100_000),
+    ])
+    keys = keys[(keys >= 0.0) & (keys < 1.0)]
+    assert pmf.sample(keys).tolist() == [pmf.quantile(x) for x in keys]
+
+
 def test_cli_solve_accepts_coarse_tail_eps(tmp_path, capsys):
     instance = Instance(
         T=3,

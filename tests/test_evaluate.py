@@ -169,9 +169,17 @@ class TestSimulate:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_rollout_matches_demand_matrix_oracle(self, rng, beta):
         # per-period draws from one uniform matrix give bitwise the
-        # estimate of sampling the whole demand matrix first
+        # estimate of sampling the whole demand matrix first; normal
+        # demand at cv 0.4 has long pmfs, so many of the sampler's
+        # buckets straddle a cdf step
         point_mass = deterministic_instance([6, 0, 9, 3, 4], K=20.0, W=5.0, b=8.0)
-        for base in (random_desk_instance(rng, horizon=5), point_mass):
+        normal = Instance(
+            T=4,
+            params=CostParams(K=150.0, W=40.0, h=1.0, b=9.0),
+            I0=0,
+            demand=tuple(DemandSpec("normal", m, 0.4) for m in (120.0, 300.0, 60.0, 210.0)),
+        )
+        for base in (random_desk_instance(rng, horizon=5), point_mass, normal):
             inst = Instance(T=base.T, params=base.params, I0=3, demand=base.demand, beta=beta)
             ctx = SolveContext(inst)
             policy = extract_policy(solve_lost_sales(inst, context=ctx), inst)
