@@ -56,22 +56,16 @@ SUMMARY_COLUMNS = [
 _NON_OPTIMAL_GAP = 1e-8
 
 SOLVERS = ("plain", "kconvex", "exact", "lost_sales")
+_HEURISTICS = {"plain": solve_plain, "kconvex": solve_kconvex, "lost_sales": solve_lost_sales}
 
 
 def _solve_with(name: str, instance: Instance, ctx: SolveContext, exact_budget: int):
-    """Run one solver; returns (policy, cost, stats, the exact search's
-    result or None for a heuristic)."""
+    """Run one solver of ``SOLVERS``; returns (policy, cost, stats, the
+    exact search's result or None for a heuristic)."""
     if name == "exact":
         result = enumerate_optimal(instance, budget=exact_budget, context=ctx)
         return result.policy, result.cost, result.stats, result
-    if name == "plain":
-        tables = solve_plain(instance, context=ctx)
-    elif name == "kconvex":
-        tables = solve_kconvex(instance, context=ctx)
-    elif name == "lost_sales":
-        tables = solve_lost_sales(instance, context=ctx)
-    else:
-        raise ValueError(f"unknown solver {name!r}")
+    tables = _HEURISTICS[name](instance, context=ctx)
     policy = extract_policy(tables, instance)
     return policy, tables.value(1, instance.I0), tables.stats, None
 

@@ -9,11 +9,12 @@ closing inventory x. With p_t the period-t pmf, the curves satisfy
     hp(t, r)(y) = E[ L(y - d_t) + hp(t+1, r-1)(y - d_t) ]
 
 because the closing inventory of period t is the post-order position
-of the rest of the cycle. Each step is one valid convolution with p_t,
-of L plus the next curve, so every (t, r) curve is built once, from
-the curve (t+1, r-1), and memoised. The curve does not depend on the
-order quantity, only on the post-order position, which is what lets
-the solvers share it across every decision at a cycle.
+of the rest of the cycle. Each step (``step``) is one valid convolution
+with p_t, of L plus the next curve, so every (t, r) curve is built once,
+from the curve (t+1, r-1), and memoised; partial backlogging takes the
+same step on the next values at truncated inventories (``cycle_curve``).
+The curve does not depend on the order quantity, only on the post-order
+position, which lets the solvers share it across every decision at a cycle.
 
 Curve (t, r) is one dense array over [lo[t-1], high]: the post-order
 positions on the solvers' grid, extended down by the largest demands
@@ -90,19 +91,20 @@ class CycleCostEngine:
         while chain[-1] not in self._curves and chain[-1][1] > 1:
             chain.append((chain[-1][0] + 1, chain[-1][1] - 1))
         for u, k in reversed(chain):
-            if (u, k) in self._curves:
-                continue
-            # L over the closing inventories [lo[u], hi] of period u
-            cost = self._one_period[self._lo[u] - self._lo[-1] :]
-            if k > 1:
-                cost = cost + self._curves[(u + 1, k - 1)]
-            # a pmf with a positive offset makes the valid output run
-            # past hi by that offset; the slice drops it
-            curve = np.convolve(cost, self._pmfs[u - 1].probs, "valid")
-            curve = curve[: self._hi - self._lo[u - 1] + 1]
-            curve.setflags(write=False)
-            self._curves[(u, k)] = curve
+            if (u, k) not in self._curves:
+                nxt = self._curves[(u + 1, k - 1)] if k > 1 else 0.0
+                self._curves[(u, k)] = curve = self.step(u, self._lo[u - 1], nxt)
+                curve.setflags(write=False)
         return self._curves[(t, r)]
+
+    def step(self, u: int, lo: int, nxt: np.ndarray | float) -> np.ndarray:
+        """E[L(y - d_u) + nxt(y - d_u)] for y in [lo, high], one period of
+        any cycle recursion; ``nxt`` is 0 or spans [lo - dmax_u, high]."""
+        pmf = self._pmfs[u - 1]
+        cost = self._one_period[lo - pmf.max_value - self._lo[-1] :] + nxt
+        # a pmf with a positive offset makes the valid output run past
+        # high by that offset; the slice drops it
+        return np.convolve(cost, pmf.probs, "valid")[: self._hi - lo + 1]
 
     def cycle_hp_fn(self, t: int, r: int) -> Callable[[np.ndarray], np.ndarray]:
         """Expected holding/penalty over a cycle of r periods starting at

@@ -28,10 +28,12 @@ on a curve are array operations:
   identical results.
 
 ``solve_lost_sales`` is the plain sweep for any backlogged fraction
-beta. Below full backlogging, ``cycle_curve`` is the partial-backlog
-curve, which truncates negative closing inventories each period; it has
-no separate holding/penalty part, so the bound below does not apply and
-the sweep builds every candidate.
+beta. Below it a cycle's curve is one cost-engine step per period, fed
+the next values at the truncated closing inventories. Cycles (t, r) and
+(t - 1, r + 1) make the same steps over t..t+r-1, so the sweep keeps
+one level per next review and advances each by one step per period:
+T(T+1)/2 steps, not T(T+1)(T+2)/6, and each value one dot product, as
+in ``cycle_curve``. Without a holding/penalty part the bound below fails.
 
 Most candidate cycles cannot win, and under full backlogging the sweep
 skips them before building their tail convolution.
@@ -220,13 +222,15 @@ def cycle_curve(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.nda
     Under full backlogging the holding/penalty is the cost engine's
     memoised curve (``cycle_hp``) and the expected cost-to-go is one
     convolution, of the floor-padded ``future`` with the pmf of the
-    cycle's cumulative demand. With beta < 1 it is the partial-backlog
-    curve, which recurses over the cycle's periods one at a time.
+    cycle's cumulative demand. With beta < 1 it is one ``_backlog_step``
+    per period back from the last, which reads ``future``, cut to the grid.
     """
-    beta = ctx.instance.beta
-    if beta < 1.0:
-        return _lost_sales_curve(ctx, t, r, future, beta)
-    return cycle_hp(ctx, t, r) + _cycle_tail(ctx, t, r, future)
+    if ctx.instance.beta == 1.0:
+        return cycle_hp(ctx, t, r) + _cycle_tail(ctx, t, r, future)
+    floors, w = _backlog_floors(ctx), future
+    for u in range(t + r - 1, t - 1, -1):
+        w = _backlog_step(ctx, u, floors[u - 1], w)
+    return w[-ctx.grid.size :]
 
 
 @dataclass
@@ -310,9 +314,10 @@ def _sweep(
     comes first: by the bound of the module docstring, a candidate that
     cannot beat the best so far is skipped, and once its holding/penalty
     alone cannot, the remaining candidates are dropped; neither gets a
-    tail convolution. With beta < 1 the curve has no separate
-    holding/penalty part, so every candidate is built by ``cycle_curve``
-    and decided.
+    tail convolution. With beta < 1 every candidate is decided, cut from
+    the level of its next review e: period t adds e = t + 1's table as a
+    level and advances each by one ``_backlog_step``. The levels need the
+    default lengths and depend on the tables, so the engine never keeps them.
     """
     T = ctx.instance.T
     prune = ctx.instance.beta == 1.0
@@ -322,7 +327,12 @@ def _sweep(
     cycle_length: dict[int, int] = {}
     reorder: dict[int, int] = {}
     order_up_to: dict[int, int] = {}
+    floors = [] if prune else _backlog_floors(ctx)
+    levels: dict[int, np.ndarray] = {}  # beta < 1: next review -> level at t
     for t in range(T, 0, -1):
+        if not prune:
+            levels[t + 1] = cost_to_go[t + 1]
+            levels = {e: _backlog_step(ctx, t, floors[t - 1], w) for e, w in levels.items()}
         best: Optional[_CycleResult] = None
         best_r = 0
         limit = math.inf
@@ -330,7 +340,7 @@ def _sweep(
         for k, r in enumerate(candidates):
             future = cost_to_go[t + r]
             if not prune:
-                curve = cycle_curve(ctx, t, r, future)
+                curve = levels[t + r][-grid.size :]
             else:
                 hp = cycle_hp(ctx, t, r)
                 hp_min = float(hp.min())
@@ -402,42 +412,36 @@ def _truncate(x: np.ndarray, beta: float) -> np.ndarray:
     return np.where(x < 0, np.round(beta * x).astype(np.int64), x)
 
 
-def _lost_sales_curve(
-    ctx: SolveContext, t: int, r: int, future: np.ndarray, beta: float
-) -> np.ndarray:
-    """No-order cost curve of a cycle under partial backlogging, on the
-    grid of post-order positions. Penalty is charged on the full
-    pre-truncation shortfall each period; only the backlogged fraction
-    carries over."""
-    grid = ctx.grid
-    p = ctx.params
-    hi = grid.max_inv
-    periods = [ctx.demand.period(tau) for tau in range(t, t + r)]
-    # Entry-state floors per in-cycle period: each period reaches one
-    # demand span lower before truncation pulls the state back up.
-    vlo = [grid.min_inv]
-    for k in range(1, r):
-        pre = vlo[k - 1] - periods[k - 1].max_value
-        vlo.append(int(pre if pre >= 0 else round(beta * pre)))
-    w, w_lo = future, grid.min_inv  # next-state values and their floor
-    for k in range(r - 1, -1, -1):
-        pmf = periods[k]
-        xs = np.arange(vlo[k] - pmf.max_value, hi + 1)
-        closing = p.h * np.maximum(xs, 0.0) + p.b * np.maximum(-xs, 0.0)
-        idx = np.clip(_truncate(xs, beta) - w_lo, 0, w.shape[0] - 1)
-        conv = np.convolve(closing + w[idx], pmf.probs, "valid")
-        w, w_lo = conv[: hi - vlo[k] + 1], vlo[k]
-    return w  # vlo[0] == grid.min_inv, so w is grid-aligned
+def _backlog_floors(ctx: SolveContext) -> list[int]:
+    """floor_u = ``floors[u - 1]``, the lowest post-order position of period
+    u over all cycle starts at beta < 1: floor_1 is the grid floor and
+    floor_{u+1} = min(grid floor, trunc(floor_u - dmax_u))."""
+    beta, floor = ctx.instance.beta, ctx.grid.min_inv
+    floors = [floor]
+    for u in range(1, ctx.instance.T):  # floor <= 0, so trunc is a rounding
+        floors.append(min(floor, round(beta * (floors[-1] - ctx.demand.period(u).max_value))))
+    return floors
+
+
+def _backlog_step(ctx: SolveContext, u: int, lo: int, w: np.ndarray) -> np.ndarray:
+    """Partial-backlog period u over the post-order positions [lo, high]:
+    the engine's step on the next values ``w``, which end at high, read
+    at the truncated closing inventories, so penalty is charged on the
+    full shortfall. The clip binds only at the grid floor of a table."""
+    hi = ctx.grid.max_inv
+    xs = np.arange(lo - ctx.demand.period(u).max_value, hi + 1)
+    idx = _truncate(xs, ctx.instance.beta) - (hi + 1 - w.shape[0])
+    return ctx.engine.step(u, lo, w[np.clip(idx, 0, w.shape[0] - 1)])
 
 
 def solve_lost_sales(instance: Instance, *, context: Optional[SolveContext] = None) -> ValueTables:
     """Plain sweep under partial backlogging (0 <= beta <= 1).
 
     With beta = 1 the tables and policy are exactly those of
-    ``solve_plain``. For beta < 1 the no-order cost curve is not
-    guaranteed K-convex, so the published reorder level is the threshold
-    of the descending scan and may only approximate a non-interval
-    ordering region.
+    ``solve_plain``; for beta < 1 the sweep chains the levels of the
+    module docstring. The no-order cost curve is then not guaranteed
+    K-convex, so the published reorder level is the threshold of the
+    descending scan and may only approximate a non-interval ordering region.
     """
     return _sweep(_context(instance, context), _plain_table, "lost_sales")
 

@@ -1,9 +1,20 @@
 """Cycle-cost engine: boundaries, memoisation transparency, structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from rss_policy import CostParams, DemandSpec, Instance, SolveContext
+from rss_policy import (
+    CostParams,
+    DemandSpec,
+    Instance,
+    SolveContext,
+    expected_cost,
+    extract_policy,
+    gen_scalability,
+    solve_lost_sales,
+)
 from rss_policy.solver import cycle_hp
 from conftest import (
     deterministic_instance,
@@ -142,3 +153,15 @@ class TestConvolvesOnce:
         calls.clear()
         cycle_hp(ctx, 1, inst.T)
         assert len(calls) == inst.T
+
+    def test_partial_backlog_steps_once_per_period_and_review(self, monkeypatch):
+        inst = dataclasses.replace(gen_scalability(10, 1, seed=10)[0], beta=0.5)
+        ctx = SolveContext(inst)
+        calls = _count_convolutions(monkeypatch)
+        tables = solve_lost_sales(inst, context=ctx)
+        # one step per period and next review: T(T+1)/2, where building
+        # every cycle's curve on its own takes T(T+1)(T+2)/6 = 220
+        assert len(calls) == 55
+        calls.clear()
+        expected_cost(inst, extract_policy(tables, inst), context=ctx)
+        assert len(calls) == inst.T  # one step per period of the policy's cycles

@@ -32,8 +32,10 @@ from rss_policy.cli import main as cli_main
 from rss_policy.solver import (
     InventoryGrid,
     SolveStats,
+    _backlog_floors,
     _kconvex_table,
     _plain_table,
+    _sweep,
     cycle_curve,
 )
 from conftest import (
@@ -403,6 +405,38 @@ class TestOneCurve:
                         assert np.array_equal(curve, oracle)
                     else:
                         np.testing.assert_allclose(curve, oracle, rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.99])
+    def test_chained_sweep_matches_per_cycle_curves(self, rng, beta):
+        # solve_lost_sales advances one level per next review; the
+        # reference decides every candidate from its own cycle_curve
+        below_grid = False
+        for base in _one_curve_instances(rng) + [gen_scalability(12, 1, seed=12)[0]]:
+            inst = dataclasses.replace(base, beta=beta)
+            ctx = SolveContext(inst)
+            tables = solve_lost_sales(inst, context=ctx)
+            reference = unpruned_sweep(ctx, _plain_table)
+            cost_to_go, cycle_length, reorder, order_up_to, stats = reference
+            assert tables.cost_to_go.keys() == cost_to_go.keys()
+            for t in cost_to_go:
+                assert np.array_equal(tables.cost_to_go[t], cost_to_go[t]), t
+            assert (tables.cycle_length, tables.reorder, tables.order_up_to, tables.stats) == (
+                cycle_length, reorder, order_up_to, stats
+            )
+            # every candidate curve too, also where ordering overrides it
+            curves = []
+
+            def recording(ctx, curve, stats):
+                curves.append(curve.copy())
+                return _plain_table(ctx, curve, stats)
+
+            _sweep(ctx, recording, "lost_sales")
+            order = [(t, r) for t in range(inst.T, 0, -1) for r in range(1, inst.T - t + 2)]
+            for (t, r), curve in zip(order, curves, strict=True):
+                assert np.array_equal(curve, cycle_curve(ctx, t, r, cost_to_go[t + r])), (t, r)
+            below_grid |= min(_backlog_floors(ctx)) < ctx.grid.min_inv
+        if beta >= 0.9:  # near-full backlogging carries the levels below the grid floor
+            assert below_grid
 
 
 class TestLostSales:
