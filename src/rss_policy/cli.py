@@ -38,6 +38,7 @@ REPORT_COLUMNS = [
     "wall_time_ms",
     "states_evaluated",
     "candidates_pruned",
+    "window_widenings",
     "nodes_explored",
     "nodes_pruned",
 ]
@@ -136,6 +137,7 @@ def _benchmark_instance(
                 "wall_time_ms": 1000.0 * statistics.median(times),
                 "states_evaluated": stats.states_evaluated,
                 "candidates_pruned": stats.candidates_pruned,
+                "window_widenings": stats.window_widenings,
                 "nodes_explored": None if exact is None else exact.nodes_explored,
                 "nodes_pruned": None if exact is None else exact.nodes_pruned,
                 "T": instance.T,

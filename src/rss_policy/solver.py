@@ -58,6 +58,78 @@ relative), so no rounding error can turn a skipped candidate into a
 winner. The sweep replaces ``best`` only with a strictly smaller value,
 so the tables, thresholds and cycle lengths are exactly those of the
 sweep that builds every candidate.
+
+The window. The grid [g, G] is the state space, sized from total horizon
+demand, but the decisions live at cycle scale: on the T = 35 scalability
+instance of seed 35 the grid spans +-2088 and no table orders above 303
+or reorders below 38. So under full backlogging the sweep decides on a
+window [f, c] of the grid: its tail convolutions, tables and threshold
+scans span only the window, while the hp curves stay the engine's, on
+the grid. The window starts at plus and minus the largest period-demand
+support, widened to hold I0, and every candidate the sweep builds checks
+a certificate that its window decision is the grid's. When one fails at
+period t, the failing end of the window about doubles, the winners of
+periods t+1..T are decided again on it with their chosen lengths (a
+fixed-lengths sweep, which checks them again), and period t starts over.
+A window end at the grid's needs no check, so the window equal to the
+grid is the full-grid sweep.
+
+Certificate. For a candidate with holding/penalty hp, next table F,
+curve v = hp + E[F(max(y - D, f))] on [f, c], order-up-to level b and
+m the lowest minimiser of hp on the window:
+
+* ceiling (c < G): hp(c) >= hp(c - 1) and hp(c) + min F > min v[m..c];
+* floor (f > g): hp(f) >= hp(f + 1) and hp(f) + min F > v(b) + K.
+
+The first floor condition holds for every hp the sweep reads, skipped
+candidates included, and needs no check: the window holds 0 and its
+floor, when above the grid's, is at most -1, so from f and f + 1 every
+closing inventory of the cycle is <= 0, where the one-period cost has
+slope -b, and hp(f) - hp(f + 1) = r b >= 0.
+
+Proof, by induction over the periods decided; assume F on the window
+equals the grid's F there and that the grid's F is constant on [g, f]
+(the terminal F = 0 is). Then v is the grid's curve on the window,
+since levels below f carry F(f) on both. Three facts:
+
+1. hp is convex, an expectation of convex costs of shifted positions;
+2. every table the sweep builds, kconvex or plain, satisfies
+   F(x) <= F(x') + K for x < x': above the stop no level exceeds the
+   minimum above it by more than K and the flat part is W + K plus that
+   minimum, and a plain level is at most W + K plus any higher curve
+   value;
+3. if hp is nondecreasing on [m, G], no level x >= m is a stop on any
+   grid: for x < x', hp(x) <= hp(x') and F(max(x - d, g)) <=
+   F(max(x' - d, g)) + K, so v(x) <= v(x') + K.
+
+Ceiling. By 1 the first condition makes hp nondecreasing on [m, G]. A
+level x > c has grid curve >= hp(x) + min F >= hp(c) + min F >
+min v[m..c], so for x < m the minimum over the levels above x is
+attained in the window, and the stop test agrees on window and grid;
+by 3 neither has a stop at or above m. The order-up-to level, the
+minimum above the stop (< m), and its tie-break to the largest level
+are therefore the grid's, and so are kconvex tables on the window.
+A plain level x < m takes the same suffix minimum; at x >= m, by 3,
+both take W + v(x).
+
+Floor. By 1, hp(x) >= hp(f) for x <= f, so every grid level x <= f has
+curve > v(b) + K: f is a stop of the window (b > f), so the window's
+stop is the grid's highest. Below it the grid's kconvex table is the
+flat ordering value; the plain table is W + K plus the minimum of v over
+(f, G], attained in the window. Either way the grid's table is constant
+on [g, f] and equals the window's at f, which carries the induction. The
+prune reads min hp over [f, G], which is the grid's minimum since hp
+does not increase below f, and min F, which the window attains (levels
+above c cost more, levels below f the same), so the sweep skips, builds
+and compares the grid's candidates.
+
+Exactness. Each window level is computed by the grid's own arithmetic
+on the same values: one dot product of the same pmf with the same
+next values, the floor padding being F(f) = F(g). So the tables,
+thresholds, cycle lengths and root cost are the full-grid sweep's
+bitwise. The two strict comparisons of the certificate use the bound's
+margin of 1e-9 relative, far above the rounding of the curves, so
+rounding cannot certify a decision the exact values would not.
 """
 
 from __future__ import annotations
@@ -106,9 +178,12 @@ def build_grid(
 ) -> InventoryGrid:
     """Size the grid from the total-demand quantile, with 10% headroom.
 
-    The ceiling is the (1 - quantile_eps) quantile of total horizon
-    demand rounded up by 10%; the floor is its negative. Both are
-    widened if needed so the initial inventory lies on the grid.
+    The grid is the state space: the cost engine's curves, the exact
+    search and the evaluator span it, and the heuristic sweep decides on
+    a certified window of it (see the module docstring). The ceiling is
+    the (1 - quantile_eps) quantile of total horizon demand rounded up by
+    10%; the floor is its negative. Both are widened if needed so the
+    initial inventory lies on the grid.
     """
     if not 0 < quantile_eps <= 1e-4:
         raise ValueError("quantile_eps must lie in (0, 1e-4]")
@@ -125,25 +200,34 @@ class SolveStats:
     """Work counters, summed over the cycles a solve decides.
 
     Only the candidate cycles the sweep scans are counted in
-    ``states_evaluated`` and ``q_iterations``. ``states_evaluated`` is
-    the depth of the threshold scan for kconvex: the levels from the grid
-    ceiling down to and including the stop level, or the whole grid when
-    there is no stop. The exhaustive search counts the whole grid.
-    ``q_iterations`` is the number of order-quantity candidates the
-    exhaustive search covers, q = 0 included: size * (size + 1) / 2 per
-    cycle on a grid of that size, and 0 for kconvex.
-    ``candidates_pruned`` is the number of candidate cycles the sweep
-    skipped by its bound, without a tail convolution or a scan.
+    ``states_evaluated`` and ``q_iterations``, on the window each period
+    was decided on (the grid for beta < 1); a period that widens the
+    window counts only its decision on the wider one, and the periods
+    decided again after a widening are not counted again.
+    ``states_evaluated`` is the depth of the threshold scan for kconvex:
+    the levels from the window ceiling down to and including the stop
+    level, or the whole window when there is no stop. The exhaustive
+    search counts the whole window. ``q_iterations`` is the number of
+    order-quantity candidates the exhaustive search covers, q = 0
+    included: size * (size + 1) / 2 per cycle on a window of that size,
+    and 0 for kconvex. ``candidates_pruned`` is the number of candidate
+    cycles the sweep skipped by its bound, without a tail convolution or
+    a scan; it is the full-grid sweep's. ``window_widenings`` counts the
+    times a failed certificate grew the window.
     """
 
     states_evaluated: int = 0
     q_iterations: int = 0
     candidates_pruned: int = 0
+    window_widenings: int = 0
 
 
 class SolveContext:
     """Discretized demand, grid and cost engine shared by solver runs,
-    the exact baseline and the policy evaluator on one instance."""
+    the exact baseline and the policy evaluator on one instance.
+
+    The grid is the state space; the heuristic sweep decides on a
+    certified window of it (see the module docstring)."""
 
     def __init__(
         self,
@@ -172,8 +256,9 @@ class SolveContext:
 class ValueTables:
     """Cost-to-go tables and per-period cycle choices from one solve.
 
-    ``cost_to_go[t]`` is indexed by the grid (period T+1 is identically
-    zero); ``cycle_length``/``reorder``/``order_up_to`` hold the chosen
+    ``grid`` is the window the sweep decided on, the context's grid
+    for beta < 1, and ``cost_to_go[t]`` is indexed by it (period T+1 is
+    identically zero); ``cycle_length``/``reorder``/``order_up_to`` hold the chosen
     cycle and thresholds for every period 1..T the sweep decided: all of
     them for the heuristic, the scheduled reviews for ``scarf_fixed_R``.
     """
@@ -195,21 +280,23 @@ class ValueTables:
         return self.value(1, i0)
 
 
-def cycle_hp(ctx: SolveContext, t: int, r: int) -> np.ndarray:
+def cycle_hp(ctx: SolveContext, t: int, r: int, low: Optional[int] = None) -> np.ndarray:
     """Expected in-cycle holding/penalty of a cycle of length r at period
-    t over the grid of post-order positions, read from the cost engine's
-    memoised curve; only the first query of each (t, r) convolves."""
-    return ctx.engine.cycle_hp_fn(t, r)(ctx.grid.levels())
+    t over the post-order positions from ``low`` (by default the grid
+    floor) to the grid ceiling, read from the cost engine's memoised
+    curve; only the first query of each (t, r) convolves."""
+    low = ctx.grid.min_inv if low is None else low
+    return ctx.engine.cycle_hp_fn(t, r)(np.arange(low, ctx.grid.max_inv + 1))
 
 
 def _cycle_tail(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.ndarray:
     """Expected cost-to-go ``future`` at the next review of a cycle of
-    length r at period t, over the grid of post-order positions: the
-    floor-padded ``future`` convolved with the cycle's cumulative-demand
-    pmf."""
+    length r at period t, over the post-order positions ``future`` spans
+    (the grid or a window of it): the floor-padded ``future`` convolved
+    with the cycle's cumulative-demand pmf."""
     cum = ctx.demand.cumulative(t, t + r)
     padded = np.concatenate((np.full(cum.max_value, future[0]), future))
-    return np.convolve(padded, cum.probs, "valid")[: ctx.grid.size]
+    return np.convolve(padded, cum.probs, "valid")[: future.shape[0]]
 
 
 def cycle_curve(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.ndarray:
@@ -235,32 +322,34 @@ def cycle_curve(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.nda
 
 @dataclass
 class _CycleResult:
+    """One cycle's decision: its cost-to-go table and the curve indices of
+    the stop (-1 if none) and the order-up-to level, whose curve value
+    ``best_n`` the sweep compares candidates by."""
+
     table: np.ndarray
     best_n: float
-    order_up_to: int
-    reorder: int
+    stop: int
+    best: int
 
 
-def _threshold(curve: np.ndarray, K: float) -> tuple[int, int]:
-    """Descending threshold scan over a no-order curve, as array operations.
+def _threshold(curve: np.ndarray, sufmin: np.ndarray, K: float) -> tuple[int, int]:
+    """Descending threshold scan over a no-order curve, as array operations,
+    given the curve's suffix minimum ``sufmin``.
 
-    Returns grid indices (stop, best). ``stop`` is the highest level whose
+    Returns curve indices (stop, best). ``stop`` is the highest level whose
     value exceeds the minimum over the levels above it by more than K
     (-1 if there is none); it and every level below prefer ordering.
     ``best`` is the order-up-to level: the minimum above ``stop``, ties
     going to the largest level.
     """
-    sufmin = np.minimum.accumulate(curve[::-1])[::-1]
     over = np.flatnonzero(curve[:-1] > sufmin[1:] + K)
     stop = int(over[-1]) if over.size else -1
     best = curve.shape[0] - 1 - int(np.argmin(curve[stop + 1 :][::-1]))
     return stop, best
 
 
-def _result(
-    grid: InventoryGrid, table: np.ndarray, curve: np.ndarray, stop: int, best: int
-) -> _CycleResult:
-    return _CycleResult(table, float(curve[best]), grid.min_inv + best, grid.min_inv + stop + 1)
+def _suffix_min(curve: np.ndarray) -> np.ndarray:
+    return np.minimum.accumulate(curve[::-1])[::-1]
 
 
 def _kconvex_table(ctx: SolveContext, curve: np.ndarray, stats: SolveStats) -> _CycleResult:
@@ -268,11 +357,11 @@ def _kconvex_table(ctx: SolveContext, curve: np.ndarray, stats: SolveStats) -> _
     their no-order cost, the stop level and below take the flat
     ordering-branch value."""
     p = ctx.params
-    stop, best = _threshold(curve, p.K)
+    stop, best = _threshold(curve, _suffix_min(curve), p.K)
     stats.states_evaluated += curve.shape[0] - max(stop, 0)
     table = p.W + curve
     table[: stop + 1] = (p.W + p.K) + curve[best]
-    return _result(ctx.grid, table, curve, stop, best)
+    return _CycleResult(table, float(curve[best]), stop, best)
 
 
 def _plain_table(ctx: SolveContext, curve: np.ndarray, stats: SolveStats) -> _CycleResult:
@@ -284,16 +373,64 @@ def _plain_table(ctx: SolveContext, curve: np.ndarray, stats: SolveStats) -> _Cy
     n = curve.shape[0]
     stats.states_evaluated += n
     stats.q_iterations += n * (n + 1) // 2
+    sufmin = _suffix_min(curve)
     table = p.W + curve
-    above = np.minimum.accumulate(curve[:0:-1])[::-1]
-    np.minimum(table[:-1], (p.W + p.K) + above, out=table[:-1])
-    stop, best = _threshold(curve, p.K)
-    return _result(ctx.grid, table, curve, stop, best)
+    np.minimum(table[:-1], (p.W + p.K) + sufmin[1:], out=table[:-1])
+    stop, best = _threshold(curve, sufmin, p.K)
+    return _CycleResult(table, float(curve[best]), stop, best)
 
 
-# Relative slack over rounding of the sweep's bound (see the module docstring)
-# and of the exact search's bound (see ``exact``).
+# Relative slack over rounding of the sweep's bound and certificate (see the
+# module docstring) and of the exact search's bound (see ``exact``).
 _BOUND_MARGIN = 1e-9
+
+
+def _exceeds(a: float, b: float) -> bool:
+    """a > b by more than the rounding margin."""
+    return a > b + _BOUND_MARGIN * abs(b)
+
+
+class _Widen(Exception):
+    """A candidate's decision on the window is not certified; the sweep
+    continues on ``window``."""
+
+    def __init__(self, window: InventoryGrid):
+        super().__init__(window)
+        self.window = window
+
+
+def _initial_window(ctx: SolveContext) -> InventoryGrid:
+    """The sweep's first window: plus and minus the largest period-demand
+    support (at least 1), widened to hold the initial inventory and cut to
+    the grid."""
+    grid, i0 = ctx.grid, ctx.instance.I0
+    d = max([1] + [ctx.demand.period(t).max_value for t in range(1, ctx.instance.T + 1)])
+    return InventoryGrid(max(grid.min_inv, min(-d, i0)), min(grid.max_inv, max(d, i0)))
+
+
+def _certify(
+    ctx: SolveContext,
+    window: InventoryGrid,
+    hp: np.ndarray,
+    future_min: float,
+    curve: np.ndarray,
+    res: _CycleResult,
+) -> None:
+    """Raise ``_Widen`` unless the candidate's decision on the window is the
+    grid's: the ceiling and floor conditions of the module docstring. ``hp``
+    spans [window floor, grid ceiling]; an end at the grid's needs no check.
+    The window grows by about doubling its failing ends, cut to the grid."""
+    grid, n = ctx.grid, window.size
+    lo, hi = window.min_inv, window.max_inv
+    if hi < grid.max_inv:
+        m = int(np.argmin(hp[:n]))
+        beyond = hp[n - 1] + future_min  # bounds the curve above c once hp rises at c
+        if not (hp[n - 1] >= hp[n - 2] and _exceeds(beyond, float(curve[m:].min()))):
+            hi = min(grid.max_inv, 2 * hi + 1)
+    if lo > grid.min_inv and not _exceeds(hp[0] + future_min, res.best_n + ctx.params.K):
+        lo = max(grid.min_inv, 2 * lo - 1)
+    if (lo, hi) != (window.min_inv, window.max_inv):
+        raise _Widen(InventoryGrid(lo, hi))
 
 
 def _sweep(
@@ -301,6 +438,7 @@ def _sweep(
     table_fn: Callable[[SolveContext, np.ndarray, SolveStats], _CycleResult],
     algorithm: str,
     lengths: Optional[Callable[[int], Iterable[int]]] = None,
+    window: Optional[InventoryGrid] = None,
 ) -> ValueTables:
     """Backward sweep over periods, keeping the locally best cycle length.
 
@@ -310,20 +448,30 @@ def _sweep(
     go to the shorter cycle; the order-up-to tie-break (largest level) is
     fixed inside the threshold scan.
 
-    Under full backlogging the holding/penalty curve of each candidate
-    comes first: by the bound of the module docstring, a candidate that
-    cannot beat the best so far is skipped, and once its holding/penalty
-    alone cannot, the remaining candidates are dropped; neither gets a
-    tail convolution. With beta < 1 every candidate is decided, cut from
-    the level of its next review e: period t adds e = t + 1's table as a
-    level and advances each by one ``_backlog_step``. The levels need the
-    default lengths and depend on the tables, so the engine never keeps them.
+    Under full backlogging the sweep decides on a window of the grid,
+    ``_initial_window`` unless given (the whole grid makes it the
+    full-grid sweep; a given window's floor is the grid's or at most -1),
+    and returns its tables on the final window. The
+    holding/penalty curve of each candidate comes first: by the bound of
+    the module docstring, a candidate that cannot beat the best so far is
+    skipped, and once its holding/penalty alone cannot, the remaining
+    candidates are dropped; neither gets a tail convolution. Every other
+    candidate is certified; when a certificate fails at period t, the
+    window grows, periods t+1..T are decided again on it with their
+    chosen lengths, and period t starts over. With beta < 1 the window is
+    the grid and every candidate is decided, cut from the level of its
+    next review e: period t adds e = t + 1's table as a level and advances
+    each by one ``_backlog_step``. The levels need the default lengths and
+    depend on the tables, so the engine never keeps them.
     """
     T = ctx.instance.T
     prune = ctx.instance.beta == 1.0
-    grid = ctx.grid
+    if not prune:
+        window = ctx.grid
+    elif window is None:
+        window = _initial_window(ctx)
     stats = SolveStats()
-    cost_to_go: dict[int, np.ndarray] = {T + 1: np.zeros(grid.size)}
+    cost_to_go: dict[int, np.ndarray] = {T + 1: np.zeros(window.size)}
     cycle_length: dict[int, int] = {}
     reorder: dict[int, int] = {}
     order_up_to: dict[int, int] = {}
@@ -333,37 +481,30 @@ def _sweep(
         if not prune:
             levels[t + 1] = cost_to_go[t + 1]
             levels = {e: _backlog_step(ctx, t, floors[t - 1], w) for e, w in levels.items()}
-        best: Optional[_CycleResult] = None
-        best_r = 0
-        limit = math.inf
         candidates = list(range(1, T - t + 2) if lengths is None else lengths(t))
-        for k, r in enumerate(candidates):
-            future = cost_to_go[t + r]
-            if not prune:
-                curve = levels[t + r][-grid.size :]
-            else:
-                hp = cycle_hp(ctx, t, r)
-                hp_min = float(hp.min())
-                if hp_min > limit:  # hp alone loses; so does every longer cycle's
-                    stats.candidates_pruned += len(candidates) - k
-                    break
-                if hp_min + float(future.min()) > limit:
-                    stats.candidates_pruned += 1
-                    continue
-                curve = hp + _cycle_tail(ctx, t, r, future)
-            res = table_fn(ctx, curve, stats)
-            if best is None or res.best_n < best.best_n:
-                best = res
-                best_r = r
-                limit = best.best_n + _BOUND_MARGIN * abs(best.best_n)
+        while True:
+            period = SolveStats()
+            try:
+                best, best_r = _decide(
+                    ctx, t, candidates, cost_to_go, window, table_fn, period, levels
+                )
+                break
+            except _Widen as grow:
+                decided = {u: (r,) for u, r in cycle_length.items()}
+                redo = _sweep(ctx, table_fn, algorithm, lambda u: decided.get(u, ()), grow.window)
+                window, cost_to_go = redo.grid, redo.cost_to_go
+                stats.window_widenings += 1 + redo.stats.window_widenings
+        stats.states_evaluated += period.states_evaluated
+        stats.q_iterations += period.q_iterations
+        stats.candidates_pruned += period.candidates_pruned
         if best is None:
             continue
         cost_to_go[t] = best.table
         cycle_length[t] = best_r
-        reorder[t] = best.reorder
-        order_up_to[t] = best.order_up_to
+        reorder[t] = window.min_inv + best.stop + 1
+        order_up_to[t] = window.min_inv + best.best
     return ValueTables(
-        grid=grid,
+        grid=window,
         horizon=T,
         cost_to_go=cost_to_go,
         cycle_length=cycle_length,
@@ -372,6 +513,47 @@ def _sweep(
         stats=stats,
         algorithm=algorithm,
     )
+
+
+def _decide(
+    ctx: SolveContext,
+    t: int,
+    candidates: list[int],
+    cost_to_go: dict[int, np.ndarray],
+    window: InventoryGrid,
+    table_fn: Callable[[SolveContext, np.ndarray, SolveStats], _CycleResult],
+    stats: SolveStats,
+    levels: dict[int, np.ndarray],
+) -> tuple[Optional[_CycleResult], int]:
+    """The best candidate cycle at period t on the window and its length
+    (None, 0 without candidates); raises ``_Widen`` as ``_certify`` does."""
+    prune = ctx.instance.beta == 1.0
+    best: Optional[_CycleResult] = None
+    best_r = 0
+    limit = math.inf
+    for k, r in enumerate(candidates):
+        future = cost_to_go[t + r]
+        if not prune:
+            curve = levels[t + r][-window.size :]
+        else:
+            hp = cycle_hp(ctx, t, r, window.min_inv)
+            hp_min = float(hp.min())
+            if hp_min > limit:  # hp alone loses; so does every longer cycle's
+                stats.candidates_pruned += len(candidates) - k
+                break
+            future_min = float(future.min())
+            if hp_min + future_min > limit:
+                stats.candidates_pruned += 1
+                continue
+            curve = hp[: window.size] + _cycle_tail(ctx, t, r, future)
+        res = table_fn(ctx, curve, stats)
+        if prune:
+            _certify(ctx, window, hp, future_min, curve, res)
+        if best is None or res.best_n < best.best_n:
+            best = res
+            best_r = r
+            limit = best.best_n + _BOUND_MARGIN * abs(best.best_n)
+    return best, best_r
 
 
 def _context(

@@ -15,9 +15,10 @@ from rss_policy import (
     ReviewSchedule,
     SolveContext,
     SolveStats,
+    extract_policy,
     scarf_fixed_R,
 )
-from rss_policy.solver import cycle_curve
+from rss_policy.solver import _kconvex_table, _sweep, cycle_curve
 
 
 def direct_cycle_cost(ctx: SolveContext, t: int, i: int, q: int, r: int) -> float:
@@ -235,9 +236,45 @@ def unpruned_sweep(ctx: SolveContext, table_fn):
             if best is None or res.best_n < best.best_n:
                 best, cycle_length[t] = res, r
         cost_to_go[t] = best.table
-        reorder[t] = best.reorder
-        order_up_to[t] = best.order_up_to
+        reorder[t] = ctx.grid.min_inv + best.stop + 1
+        order_up_to[t] = ctx.grid.min_inv + best.best
     return cost_to_go, cycle_length, reorder, order_up_to, stats
+
+
+def full_grid_sweep(ctx: SolveContext, table_fn, algorithm="full-grid", lengths=None):
+    """The heuristic sweep forced onto the whole grid, with no window."""
+    return _sweep(ctx, table_fn, algorithm, lengths, window=ctx.grid)
+
+
+def full_grid_scarf(ctx: SolveContext, schedule: ReviewSchedule):
+    """The tables of ``scarf_fixed_R`` on the whole grid."""
+    cycles = zip(schedule.periods, schedule.cycles(ctx.instance.T))
+    lengths = {t: (r,) for t, r in cycles}
+    return full_grid_sweep(ctx, _kconvex_table, "scarf_fixed_R", lambda t: lengths.get(t, ()))
+
+
+def window_slice(ctx: SolveContext, window, table: np.ndarray) -> np.ndarray:
+    """The part of a table over the grid that lies on ``window``."""
+    lo = window.min_inv - ctx.grid.min_inv
+    return table[lo : lo + window.size]
+
+
+def assert_window_matches_full_grid(ctx: SolveContext, windowed, full) -> None:
+    """The windowed sweep decided what the full-grid sweep decides: its
+    tables are the full tables on the window, bitwise, with the same cycle
+    lengths, thresholds, root cost and candidates pruned."""
+    inst = ctx.instance
+    assert full.grid == ctx.grid
+    assert windowed.cost_to_go.keys() == full.cost_to_go.keys()
+    for t, table in windowed.cost_to_go.items():
+        assert np.array_equal(table, window_slice(ctx, windowed.grid, full.cost_to_go[t])), t
+    assert (windowed.cycle_length, windowed.reorder, windowed.order_up_to) == (
+        full.cycle_length, full.reorder, full.order_up_to
+    )
+    if 1 in full.cycle_length:
+        assert windowed.root_cost(inst.I0) == full.root_cost(inst.I0)
+        assert extract_policy(windowed, inst) == extract_policy(full, inst)
+    assert windowed.stats.candidates_pruned == full.stats.candidates_pruned
 
 
 def all_schedules(horizon: int) -> list[ReviewSchedule]:
@@ -267,7 +304,9 @@ def enumeration_oracle(ctx: SolveContext) -> tuple[float, ReviewSchedule, int]:
 
 
 def random_desk_instance(rng: np.random.Generator, horizon=None, mean_range=(5.0, 20.0)) -> Instance:
-    """Small instance in the randomized-suite parameter box."""
+    """Small instance in the randomized-suite parameter box: Poisson
+    demand, or normal demand with cv at most 0.4, and an initial inventory
+    in [-M, M], M the top of the mean range."""
     T = int(rng.integers(2, 7)) if horizon is None else horizon
     params = CostParams(
         K=float(rng.uniform(20.0, 320.0)),
@@ -275,10 +314,15 @@ def random_desk_instance(rng: np.random.Generator, horizon=None, mean_range=(5.0
         h=1.0,
         b=float(rng.uniform(4.0, 16.0)),
     )
-    demand = tuple(
-        DemandSpec("poisson", float(m)) for m in rng.uniform(*mean_range, size=T)
-    )
-    return Instance(T=T, params=params, I0=0, demand=demand)
+    means = rng.uniform(*mean_range, size=T)
+    if rng.random() < 0.5:
+        demand = tuple(DemandSpec("poisson", float(m)) for m in means)
+    else:
+        cv = float(rng.uniform(0.0, 0.4))
+        demand = tuple(DemandSpec("normal", float(m), cv) for m in means)
+    bound = int(mean_range[1])
+    I0 = int(rng.integers(-bound, bound + 1))
+    return Instance(T=T, params=params, I0=I0, demand=demand)
 
 
 def deterministic_instance(means, K=100.0, W=10.0, h=1.0, b=1000.0, I0=0) -> Instance:

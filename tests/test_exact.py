@@ -29,7 +29,9 @@ from conftest import (
     brute_force_every_period,
     deterministic_instance,
     enumeration_oracle,
+    full_grid_scarf,
     random_desk_instance,
+    window_slice,
 )
 
 
@@ -98,7 +100,7 @@ class TestScarfFixedSchedule:
             )
             ctx = SolveContext(inst)
             res = scarf_fixed_R(inst, ReviewSchedule(tuple(range(1, T + 1))), context=ctx)
-            oracle = brute_force_every_period(ctx)
+            oracle = window_slice(ctx, res.tables.grid, brute_force_every_period(ctx))
             np.testing.assert_allclose(res.tables.cost_to_go[1], oracle, atol=1e-9)
 
 
@@ -247,7 +249,7 @@ class TestEnumerateOptimal:
             i0_idx = ctx.grid.index(inst.I0)
             for suffix in {p[k:] for p in scarf for k in range(1, len(p))}:
                 t = suffix[0]
-                table = scarf[(1,) + suffix].tables.cost_to_go[t]
+                table = full_grid_scarf(ctx, ReviewSchedule((1,) + suffix)).cost_to_go[t]
                 bound = _prefix_bound(ctx, t, table, i0_idx)
                 cheapest = min(r.cost for p, r in scarf.items() if p[-len(suffix):] == suffix)
                 assert bound <= cheapest + 1e-9

@@ -39,8 +39,11 @@ from rss_policy.solver import (
     cycle_curve,
 )
 from conftest import (
+    assert_window_matches_full_grid,
     deterministic_instance,
     direct_no_order_curve,
+    full_grid_scarf,
+    full_grid_sweep,
     kconvex_table_oracle,
     q_loop_oracle,
     random_desk_instance,
@@ -137,7 +140,7 @@ class TestVariantEquivalence:
             tables = solve_kconvex(inst, context=ctx)
             policy = extract_policy(tables, inst)
             assert expected_cost(inst, policy, context=ctx) == pytest.approx(
-                tables.value(1, 0), abs=1e-6
+                tables.root_cost(inst.I0), abs=1e-6
             )
 
 
@@ -186,7 +189,7 @@ class TestTableStructure:
     def test_no_order_curves_are_k_convex(self, rng):
         inst = random_desk_instance(rng, horizon=4)
         ctx = SolveContext(inst)
-        tables = solve_kconvex(inst, context=ctx)
+        tables = full_grid_sweep(ctx, _kconvex_table)
         K = inst.params.K
         for t in range(1, 5):
             for r in range(1, 4 - t + 2):
@@ -203,7 +206,8 @@ class TestTableStructure:
 
 class TestArrayDecisions:
     """The array threshold scan and suffix-minimum search against the
-    per-state reference loops: equal bitwise, counters included."""
+    per-state reference loops: equal bitwise, counters included. The
+    curves are those of the full-grid sweep."""
 
     def _cycles(self, ctx, tables):
         T = ctx.instance.T
@@ -217,10 +221,7 @@ class TestArrayDecisions:
         res = _kconvex_table(ctx, curve, stats)
         stop, best, scanned = scan_oracle(curve, p.K)
         assert np.array_equal(res.table, kconvex_table_oracle(curve, p.W, p.K))
-        assert (res.reorder, res.order_up_to) == (
-            ctx.grid.min_inv + stop + 1,
-            ctx.grid.min_inv + best,
-        )
+        assert (res.stop, res.best) == (stop, best)
         assert res.best_n == curve[best]
         assert (stats.states_evaluated, stats.q_iterations) == (scanned, 0)
 
@@ -231,16 +232,13 @@ class TestArrayDecisions:
         table, candidates = q_loop_oracle(curve, p.W, p.K)
         stop, best, _ = scan_oracle(curve, p.K)
         assert np.array_equal(res.table, table)
-        assert (res.reorder, res.order_up_to) == (
-            ctx.grid.min_inv + stop + 1,
-            ctx.grid.min_inv + best,
-        )
+        assert (res.stop, res.best) == (stop, best)
         assert (stats.states_evaluated, stats.q_iterations) == (curve.shape[0], candidates)
 
     def test_curve_matches_direct_summation(self, rng):
         inst = random_desk_instance(rng, horizon=3)
         ctx = SolveContext(inst)
-        tables = solve_kconvex(inst, context=ctx)
+        tables = full_grid_sweep(ctx, _kconvex_table)
         for t, r, future in self._cycles(ctx, tables):
             np.testing.assert_allclose(
                 inst.params.W + cycle_curve(ctx, t, r, future),
@@ -252,7 +250,7 @@ class TestArrayDecisions:
         for _ in range(4):
             inst = random_desk_instance(rng)
             ctx = SolveContext(inst)
-            tables = solve_kconvex(inst, context=ctx)
+            tables = full_grid_sweep(ctx, _kconvex_table)
             for t, r, future in self._cycles(ctx, tables):
                 self._check_kconvex(ctx, cycle_curve(ctx, t, r, future))
 
@@ -261,7 +259,7 @@ class TestArrayDecisions:
         base = random_desk_instance(rng, horizon=3, mean_range=(3.0, 8.0))
         inst = Instance(T=3, params=base.params, I0=0, demand=base.demand, beta=beta)
         ctx = SolveContext(inst)
-        tables = solve_lost_sales(inst, context=ctx)
+        tables = full_grid_sweep(ctx, _plain_table)  # solve_lost_sales's for any beta
         for t, r, future in self._cycles(ctx, tables):
             self._check_plain(ctx, cycle_curve(ctx, t, r, future))
 
@@ -276,9 +274,7 @@ class TestArrayDecisions:
     )
     def test_tie_curves(self, curve, K, stop, best):
         curve = np.array(curve)
-        ctx = SimpleNamespace(
-            params=CostParams(K=K, W=2.0, h=1.0, b=1.0), grid=InventoryGrid(-2, 3)
-        )
+        ctx = SimpleNamespace(params=CostParams(K=K, W=2.0, h=1.0, b=1.0))
         assert scan_oracle(curve, K)[:2] == (stop, best)
         self._check_kconvex(ctx, curve)
         self._check_plain(ctx, curve)
@@ -306,22 +302,26 @@ def _tie_prone_instances():
 
 class TestSweepBound:
     """The bound skips only candidates that cannot win: tables, cycle
-    lengths and thresholds equal the unpruned sweep's bitwise."""
+    lengths and thresholds of the full-grid sweep equal the unpruned
+    sweep's bitwise, and the windowed sweep's equal those on its window."""
 
     def _check(self, inst):
         ctx = SolveContext(inst)
         stats_of = {}
         for solve, table_fn in ((solve_kconvex, _kconvex_table), (solve_plain, _plain_table)):
-            tables = solve(inst, context=ctx)
+            full = full_grid_sweep(ctx, table_fn, solve.__name__)
             cost_to_go, cycle_length, reorder, order_up_to, stats = unpruned_sweep(ctx, table_fn)
-            assert tables.cost_to_go.keys() == cost_to_go.keys()
+            assert full.cost_to_go.keys() == cost_to_go.keys()
             for t in cost_to_go:
-                assert np.array_equal(tables.cost_to_go[t], cost_to_go[t])
-            assert tables.cycle_length == cycle_length
-            assert (tables.reorder, tables.order_up_to) == (reorder, order_up_to)
-            assert tables.stats.states_evaluated <= stats.states_evaluated
-            stats_of[tables.algorithm] = tables.stats
-        # the exhaustive search scans the whole grid of each candidate it builds
+                assert np.array_equal(full.cost_to_go[t], cost_to_go[t])
+            assert full.cycle_length == cycle_length
+            assert (full.reorder, full.order_up_to) == (reorder, order_up_to)
+            assert full.stats.states_evaluated <= stats.states_evaluated
+            tables = solve(inst, context=ctx)
+            assert_window_matches_full_grid(ctx, tables, full)
+            assert tables.stats.states_evaluated <= full.stats.states_evaluated
+            stats_of[tables.algorithm] = full.stats
+        # the full-grid exhaustive search scans the whole grid of each candidate it builds
         built = stats_of["plain"].states_evaluated // ctx.grid.size
         assert built + stats_of["plain"].candidates_pruned == inst.T * (inst.T + 1) // 2
         assert stats_of["kconvex"].candidates_pruned == stats_of["plain"].candidates_pruned
@@ -354,7 +354,8 @@ class TestSweepBound:
         stats = solve_kconvex(gen_scalability(10, 1, seed=10)[0]).stats
         assert int(rows["kconvex"]["candidates_pruned"]) == stats.candidates_pruned > 0
         assert int(rows["kconvex"]["states_evaluated"]) == stats.states_evaluated
-        assert rows["exact"]["candidates_pruned"] == "0"
+        assert int(rows["kconvex"]["window_widenings"]) == stats.window_widenings > 0
+        assert rows["exact"]["candidates_pruned"] == rows["exact"]["window_widenings"] == "0"
 
     def test_benchmark_refuses_zero_reps(self, tmp_path, capsys):
         # no repetition ran, and the row read the unset policy
@@ -371,6 +372,49 @@ class TestSweepBound:
         stats = solve_lost_sales(inst, context=ctx).stats
         assert stats.candidates_pruned == 0
         assert stats.states_evaluated == 55 * ctx.grid.size
+
+
+class TestWindow:
+    """Under full backlogging the sweep decides on a certified window of
+    the grid: its tables are the full-grid sweep's on the window, bitwise,
+    with the same cycle lengths, thresholds and root cost."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_desk_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        grew_floor = grew_ceiling = False
+        for _ in range(6):
+            inst = random_desk_instance(rng, mean_range=(10.0, 30.0))
+            ctx = SolveContext(inst)
+            grid = ctx.grid
+            # the default first window, and a tiny one that must grow at both ends
+            tiny = InventoryGrid(
+                max(grid.min_inv, min(-1, inst.I0)), min(grid.max_inv, max(1, inst.I0))
+            )
+            for table_fn in (_kconvex_table, _plain_table):
+                full = full_grid_sweep(ctx, table_fn)
+                for start in (None, tiny):
+                    windowed = _sweep(ctx, table_fn, "windowed", window=start)
+                    assert_window_matches_full_grid(ctx, windowed, full)
+                grew_floor |= windowed.grid.min_inv < tiny.min_inv
+                grew_ceiling |= windowed.grid.max_inv > tiny.max_inv
+            later = rng.random(inst.T - 1) < 0.5
+            schedule = ReviewSchedule((1,) + tuple(int(u) for u in np.flatnonzero(later) + 2))
+            scarf = scarf_fixed_R(inst, schedule, context=ctx)
+            assert_window_matches_full_grid(ctx, scarf.tables, full_grid_scarf(ctx, schedule))
+        assert grew_floor and grew_ceiling
+
+    def test_tables_live_on_the_window(self):
+        inst = gen_scalability(35, 1, seed=35)[0]
+        ctx = SolveContext(inst)
+        tables = solve_kconvex(inst, context=ctx)
+        assert tables.stats.window_widenings > 0
+        assert tables.grid.size < ctx.grid.size // 4
+        assert all(table.shape == (tables.grid.size,) for table in tables.cost_to_go.values())
+        # partial backlogging decides on the whole grid
+        half = dataclasses.replace(inst, T=5, demand=inst.demand[:5], beta=0.5)
+        ls = solve_lost_sales(half)
+        assert ls.grid == SolveContext(half).grid and ls.stats.window_widenings == 0
 
 
 def _one_curve_instances(rng):
@@ -395,7 +439,7 @@ class TestOneCurve:
         for base in _one_curve_instances(rng):
             inst = dataclasses.replace(base, beta=beta)
             ctx = SolveContext(inst)
-            tables = solve_lost_sales(inst, context=ctx)
+            tables = full_grid_sweep(ctx, _plain_table)  # solve_lost_sales's for any beta
             for t in range(1, inst.T + 1):
                 for r in range(1, inst.T - t + 2):
                     future = tables.cost_to_go[t + r]
