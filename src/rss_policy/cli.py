@@ -2,7 +2,7 @@
 benchmark campaigns, and generate testbed instance files.
 
 Exit codes: 0 success, 2 input error, 3 capability error (exact solver
-over its node budget), 4 output I/O error.
+over its node budget, or out of memory), 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -17,11 +17,19 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Optional
 
+from .demand import DEFAULT_TAIL_EPS
 from .evaluate import expected_cost, optimality_gap, simulate
 from .exact import DEFAULT_NODE_BUDGET, HorizonCapError, enumerate_optimal
 from .model import Instance
 from .serialize import SchemaError, load_instance, load_policy, policy_to_dict, save_instance
-from .solver import SolveContext, extract_policy, solve_kconvex, solve_lost_sales, solve_plain
+from .solver import (
+    DEFAULT_QUANTILE_EPS,
+    SolveContext,
+    extract_policy,
+    solve_kconvex,
+    solve_lost_sales,
+    solve_plain,
+)
 from .testbed import gen_analysis, gen_scalability
 
 EXIT_OK = 0
@@ -306,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--grid-eps", type=float, default=1e-5,
+        p.add_argument("--grid-eps", type=float, default=DEFAULT_QUANTILE_EPS,
                        help="tail mass excluded when sizing the inventory grid")
-        p.add_argument("--tail-eps", type=float, default=1e-6,
+        p.add_argument("--tail-eps", type=float, default=DEFAULT_TAIL_EPS,
                        help="tail mass cut when discretizing demand")
 
     p_solve = sub.add_parser("solve", help="compute a policy for an instance file")
@@ -362,6 +370,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except HorizonCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPABILITY
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

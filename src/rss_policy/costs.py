@@ -11,16 +11,18 @@ closing inventory x. With p_t the period-t pmf, the curves satisfy
 because the closing inventory of period t is the post-order position
 of the rest of the cycle. Each step (``step``) is one valid convolution
 with p_t, of L plus the next curve, so every (t, r) curve is built once,
-from the curve (t+1, r-1), and memoised; partial backlogging takes the
-same step on the next values at truncated inventories (``cycle_curve``).
-The curve does not depend on the order quantity, only on the post-order
-position, which lets the solvers share it across every decision at a cycle.
+from the curve (t+1, r-1), and memoised. The curve does not depend on
+the order quantity, only on the post-order position, which lets the
+solvers share it across every decision at a cycle.
 
-Curve (t, r) is one dense array over [lo[t-1], high]: the post-order
-positions on the solvers' grid, extended down by the largest demands
-of periods 1..t-1. As the rest of a cycle that started earlier, its
-post-order position is that cycle's closing inventory of period t-1,
-which those demands can drive that far below the grid.
+The curves assume full backlogging. With a backlogged fraction beta < 1
+a cycle is priced by one ``backlog_step`` per period: ``step`` on the
+next review's values read at the truncated closing inventories trunc(x)
+(``_truncate``). Period u's step spans [floor_u, high], with floor_1 the
+grid floor and floor_{u+1} = min(floor_1, trunc(floor_u - dmax_u)), dmax_u
+the largest demand of period u: as the rest of a cycle that started
+earlier, the post-order position of period u + 1 is the next state of
+period u, which that demand can drive below the grid.
 """
 
 from __future__ import annotations
@@ -51,8 +53,14 @@ class CostParams:
             raise ValueError("holding and penalty cost cannot both be zero")
 
 
+def _truncate(x: np.ndarray, beta: float) -> np.ndarray:
+    """Partial-backlog state transition: negative closing inventories keep
+    only the backlogged fraction, rounded to the nearest integer."""
+    return np.where(x < 0, np.round(beta * x).astype(np.int64), x)
+
+
 class CycleCostEngine:
-    """Memoised cycle holding/penalty curves for one instance.
+    """Memoised cycle holding/penalty curves and backlog steps for one instance.
 
     One engine serves one solver run (or a family of runs over the same
     instance); it is not safe for concurrent mutation.
@@ -64,24 +72,28 @@ class CycleCostEngine:
         period_pmfs: Sequence[DemandPmf],
         low: int,
         high: int,
+        beta: float,
     ):
-        """``low``/``high`` bound the post-order positions the solvers query."""
+        """``low``/``high`` bound the post-order positions the solvers query;
+        ``beta`` is the instance's backlogged fraction."""
         if high < low:
             raise ValueError("need low <= high")
         self.T = len(period_pmfs)
         self._pmfs = list(period_pmfs)
         self._hi = high
-        # _lo[t] = low - the largest demands of periods 1..t; curve (t, r)
-        # spans [_lo[t-1], high] and its convolution input [_lo[t], high]
-        self._lo = [low]
-        for pmf in self._pmfs:
-            self._lo.append(self._lo[-1] - pmf.max_value)
-        xs = np.arange(self._lo[-1], high + 1, dtype=np.float64)
+        self._beta = beta
+        # _floors[u - 1] = floor_u of the module docstring; _one_period spans [_base, high]
+        self._floors = [low]
+        for pmf in self._pmfs[:-1]:
+            below = int(_truncate(np.int64(self._floors[-1] - pmf.max_value), beta))
+            self._floors.append(min(low, below))
+        self._base = min(f - pmf.max_value for f, pmf in zip(self._floors, self._pmfs))
+        xs = np.arange(self._base, high + 1, dtype=np.float64)
         self._one_period = params.h * np.maximum(xs, 0.0) + params.b * np.maximum(-xs, 0.0)
         self._curves: dict[tuple[int, int], np.ndarray] = {}
 
     def _curve(self, t: int, r: int) -> np.ndarray:
-        """hp(t, r) over [self._lo[t-1], self._hi].
+        """hp(t, r) over [floor_t, high].
 
         Curve (t, r) needs (t+1, r-1), which needs (t+2, r-2), and so on
         down to r = 1. The missing ones are built in a loop from the
@@ -93,18 +105,26 @@ class CycleCostEngine:
         for u, k in reversed(chain):
             if (u, k) not in self._curves:
                 nxt = self._curves[(u + 1, k - 1)] if k > 1 else 0.0
-                self._curves[(u, k)] = curve = self.step(u, self._lo[u - 1], nxt)
+                self._curves[(u, k)] = curve = self.step(u, nxt)
                 curve.setflags(write=False)
         return self._curves[(t, r)]
 
-    def step(self, u: int, lo: int, nxt: np.ndarray | float) -> np.ndarray:
-        """E[L(y - d_u) + nxt(y - d_u)] for y in [lo, high], one period of
-        any cycle recursion; ``nxt`` is 0 or spans [lo - dmax_u, high]."""
-        pmf = self._pmfs[u - 1]
-        cost = self._one_period[lo - pmf.max_value - self._lo[-1] :] + nxt
+    def step(self, u: int, nxt: np.ndarray | float) -> np.ndarray:
+        """E[L(y - d_u) + nxt(y - d_u)] for y in [floor_u, high], one period
+        of any cycle recursion; ``nxt`` is 0 or spans [floor_u - dmax_u, high]."""
+        pmf, lo = self._pmfs[u - 1], self._floors[u - 1]
+        cost = self._one_period[lo - pmf.max_value - self._base :] + nxt
         # a pmf with a positive offset makes the valid output run past
         # high by that offset; the slice drops it
         return np.convolve(cost, pmf.probs, "valid")[: self._hi - lo + 1]
+
+    def backlog_step(self, u: int, w: np.ndarray) -> np.ndarray:
+        """Partial-backlog period u over [floor_u, high]: ``step`` on the next
+        values ``w`` (ending at high) read at the truncated closing inventories,
+        so penalty is charged on the full shortfall; the clip binds at w[0]."""
+        xs = np.arange(self._floors[u - 1] - self._pmfs[u - 1].max_value, self._hi + 1)
+        idx = _truncate(xs, self._beta) - (self._hi + 1 - w.shape[0])
+        return self.step(u, w[np.clip(idx, 0, w.shape[0] - 1)])
 
     def cycle_hp_fn(self, t: int, r: int) -> Callable[[np.ndarray], np.ndarray]:
         """Expected holding/penalty over a cycle of r periods starting at
@@ -112,15 +132,17 @@ class CycleCostEngine:
 
         The returned function only indexes the memoised curve, mapping an
         array of post-order positions within [low, high] to their
-        expected cycle holding/penalty.
+        expected cycle holding/penalty. Refused for beta < 1.
         """
+        if self._beta < 1.0:
+            raise ValueError("holding/penalty curves assume full backlogging (beta = 1)")
         if r < 1:
             raise ValueError("a review cycle spans at least one period")
         if t < 1:
             raise ValueError(f"period {t} outside 1..{self.T}")
         if t + r > self.T + 1:
             raise ValueError(f"cycle (t={t}, r={r}) extends past the horizon")
-        curve, shift = self._curve(t, r), self._lo[t - 1]
+        curve, shift = self._curve(t, r), self._floors[t - 1]
         return lambda ys: curve[ys - shift]
 
     @property

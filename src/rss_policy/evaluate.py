@@ -1,13 +1,13 @@
 """Analytic and Monte-Carlo evaluation of fixed (R,s,S) policies.
 
 The analytic route recurses backward over the policy's review cycles on
-the same inventory grid (and with the same boundary clamping) the
-solvers use, so a solver's reported cost and the evaluator's answer for
-its extracted policy agree to floating-point noise; any larger mismatch
-signals a bug rather than tolerance slack. The Monte-Carlo route samples
-demand trajectories from the same discretized pmfs, by the exact
-inverse-CDF lookup of ``DemandPmf.sample``, and provides an independent
-stochastic check.
+the context's whole grid with the solvers' ``cycle_curve``; the heuristic
+sweep's tables equal the grid's on its certified window (see ``solver``).
+So a solver's reported cost and the evaluator's answer for its extracted
+policy agree to floating-point noise; any larger mismatch signals a bug
+rather than tolerance slack. The Monte-Carlo route samples demand from
+the same discretized pmfs, by the exact inverse-CDF lookup of
+``DemandPmf.sample``, as an independent stochastic check.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .model import Instance, Policy
-from .solver import SolveContext, _context, _truncate, cycle_curve
+from .costs import _truncate
+from .solver import SolveContext, _context, cycle_curve
 
 
 @dataclass(frozen=True)
@@ -31,13 +32,6 @@ class EvalReport:
     mc_halfwidth_95: float
     n_paths: int
     seed: int
-
-
-def _check_policy(instance: Instance, policy: Policy) -> None:
-    if policy.horizon != instance.T:
-        raise ValueError(
-            f"policy horizon {policy.horizon} does not match instance horizon {instance.T}"
-        )
 
 
 def expected_cost(
@@ -56,7 +50,10 @@ def expected_cost(
     the grid and is refused; this covers every reorder level above the
     ceiling.
     """
-    _check_policy(instance, policy)
+    if policy.horizon != instance.T:
+        raise ValueError(
+            f"policy horizon {policy.horizon} does not match instance horizon {instance.T}"
+        )
     ctx = _context(instance, context)
     grid = ctx.grid
     top = max(rv.order_up_to for rv in policy.reviews)
@@ -94,12 +91,12 @@ def simulate(
     draw by draw) from one (n_paths, T) matrix of uniforms, so path i
     keeps its draws whatever the number of paths. Partial backlogging
     (instance beta < 1) truncates negative closing inventories after
-    the penalty is charged.
+    the penalty is charged. The policy is priced before the rollout.
     """
-    _check_policy(instance, policy)
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     ctx = _context(instance, context)
+    analytic = expected_cost(instance, policy, context=ctx)
     p = ctx.params
     u = np.random.default_rng(seed).random((n_paths, instance.T))
     reviews = {rv.period: rv for rv in policy.reviews}
@@ -120,7 +117,6 @@ def simulate(
         halfwidth = float(1.96 * cost.std(ddof=1) / math.sqrt(n_paths))
     else:
         halfwidth = 0.0
-    analytic = expected_cost(instance, policy, context=ctx)
     return EvalReport(
         expected_cost=analytic,
         mc_mean=mc_mean,

@@ -77,6 +77,7 @@ from .solver import (
     ValueTables,
     _context,
     _kconvex_table,
+    _suffix_min,
     _sweep,
     cycle_curve,
     extract_policy,
@@ -164,8 +165,7 @@ def _prefix_bound(ctx: SolveContext, t: int, table: np.ndarray, i0_idx: int) -> 
     value = table
     for u in range(t - 1, 1, -1):
         curve = cycle_curve(ctx, u, 1, value)
-        above = np.minimum.accumulate(curve[:0:-1])[::-1]
-        np.minimum(curve[:-1], (p.W + p.K) + above, out=curve[:-1])
+        np.minimum(curve[:-1], (p.W + p.K) + _suffix_min(curve)[1:], out=curve[:-1])
         value = curve
     curve = cycle_curve(ctx, 1, 1, value)
     return p.W + min(float(curve[i0_idx]), p.K + float(curve[i0_idx:].min()))

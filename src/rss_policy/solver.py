@@ -28,9 +28,9 @@ on a curve are array operations:
   identical results.
 
 ``solve_lost_sales`` is the plain sweep for any backlogged fraction
-beta. Below it a cycle's curve is one cost-engine step per period, fed
-the next values at the truncated closing inventories. Cycles (t, r) and
-(t - 1, r + 1) make the same steps over t..t+r-1, so the sweep keeps
+beta. Below 1 a cycle's curve is one engine ``backlog_step`` per period,
+which owns the truncation and the floors (see ``costs``). Cycles (t, r)
+and (t - 1, r + 1) make the same steps over t..t+r-1, so the sweep keeps
 one level per next review and advances each by one step per period:
 T(T+1)/2 steps, not T(T+1)(T+2)/6, and each value one dot product, as
 in ``cycle_curve``. Without a holding/penalty part the bound below fails.
@@ -245,6 +245,7 @@ class SolveContext:
             [self.demand.period(t) for t in range(1, instance.T + 1)],
             low=self.grid.min_inv,
             high=self.grid.max_inv,
+            beta=instance.beta,
         )
 
     @property
@@ -309,14 +310,15 @@ def cycle_curve(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.nda
     Under full backlogging the holding/penalty is the cost engine's
     memoised curve (``cycle_hp``) and the expected cost-to-go is one
     convolution, of the floor-padded ``future`` with the pmf of the
-    cycle's cumulative demand. With beta < 1 it is one ``_backlog_step``
-    per period back from the last, which reads ``future``, cut to the grid.
+    cycle's cumulative demand. With beta < 1 it is one engine
+    ``backlog_step`` per period back from the last, which reads ``future``,
+    cut to the grid.
     """
     if ctx.instance.beta == 1.0:
         return cycle_hp(ctx, t, r) + _cycle_tail(ctx, t, r, future)
-    floors, w = _backlog_floors(ctx), future
+    w = future
     for u in range(t + r - 1, t - 1, -1):
-        w = _backlog_step(ctx, u, floors[u - 1], w)
+        w = ctx.engine.backlog_step(u, w)
     return w[-ctx.grid.size :]
 
 
@@ -461,7 +463,7 @@ def _sweep(
     chosen lengths, and period t starts over. With beta < 1 the window is
     the grid and every candidate is decided, cut from the level of its
     next review e: period t adds e = t + 1's table as a level and advances
-    each by one ``_backlog_step``. The levels need the default lengths and
+    each by one engine ``backlog_step``. The levels need the default lengths and
     depend on the tables, so the engine never keeps them.
     """
     T = ctx.instance.T
@@ -475,12 +477,11 @@ def _sweep(
     cycle_length: dict[int, int] = {}
     reorder: dict[int, int] = {}
     order_up_to: dict[int, int] = {}
-    floors = [] if prune else _backlog_floors(ctx)
     levels: dict[int, np.ndarray] = {}  # beta < 1: next review -> level at t
     for t in range(T, 0, -1):
         if not prune:
             levels[t + 1] = cost_to_go[t + 1]
-            levels = {e: _backlog_step(ctx, t, floors[t - 1], w) for e, w in levels.items()}
+            levels = {e: ctx.engine.backlog_step(t, w) for e, w in levels.items()}
         candidates = list(range(1, T - t + 2) if lengths is None else lengths(t))
         while True:
             period = SolveStats()
@@ -582,38 +583,6 @@ def solve_kconvex(instance: Instance, *, context: Optional[SolveContext] = None)
     the same tables and policy as ``solve_plain``."""
     ctx = _context(instance, context, full_backlog=True)
     return _sweep(ctx, _kconvex_table, "kconvex")
-
-
-# ----------------------------------------------------------------------
-# Partial lost sales
-# ----------------------------------------------------------------------
-
-def _truncate(x: np.ndarray, beta: float) -> np.ndarray:
-    """Partial-backlog state transition: negative closing inventories keep
-    only the backlogged fraction, rounded to the nearest integer."""
-    return np.where(x < 0, np.round(beta * x).astype(np.int64), x)
-
-
-def _backlog_floors(ctx: SolveContext) -> list[int]:
-    """floor_u = ``floors[u - 1]``, the lowest post-order position of period
-    u over all cycle starts at beta < 1: floor_1 is the grid floor and
-    floor_{u+1} = min(grid floor, trunc(floor_u - dmax_u))."""
-    beta, floor = ctx.instance.beta, ctx.grid.min_inv
-    floors = [floor]
-    for u in range(1, ctx.instance.T):  # floor <= 0, so trunc is a rounding
-        floors.append(min(floor, round(beta * (floors[-1] - ctx.demand.period(u).max_value))))
-    return floors
-
-
-def _backlog_step(ctx: SolveContext, u: int, lo: int, w: np.ndarray) -> np.ndarray:
-    """Partial-backlog period u over the post-order positions [lo, high]:
-    the engine's step on the next values ``w``, which end at high, read
-    at the truncated closing inventories, so penalty is charged on the
-    full shortfall. The clip binds only at the grid floor of a table."""
-    hi = ctx.grid.max_inv
-    xs = np.arange(lo - ctx.demand.period(u).max_value, hi + 1)
-    idx = _truncate(xs, ctx.instance.beta) - (hi + 1 - w.shape[0])
-    return ctx.engine.step(u, lo, w[np.clip(idx, 0, w.shape[0] - 1)])
 
 
 def solve_lost_sales(instance: Instance, *, context: Optional[SolveContext] = None) -> ValueTables:

@@ -9,6 +9,8 @@ import pytest
 
 from rss_policy import cli, evaluate, instance_to_dict, save_instance
 from rss_policy.cli import main as cli_main
+from rss_policy.demand import DEFAULT_TAIL_EPS
+from rss_policy.solver import DEFAULT_QUANTILE_EPS
 from conftest import deterministic_instance, random_desk_instance
 
 
@@ -44,6 +46,26 @@ def test_bad_instance_file_exits_2(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys):
+    # the grid spans +-1e15 and the cost engine asks for about 14 PiB,
+    # more than any address space holds: a MemoryError traceback exited 1
+    doc = _instance_doc()
+    doc["I0"] = 10**15
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["solve", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_eps_defaults_are_the_library_constants():
+    parser = cli.build_parser()
+    for argv in (["solve", "i.json"], ["evaluate", "i.json", "--policy", "p.json"]):
+        args = parser.parse_args(argv)
+        assert (args.grid_eps, args.tail_eps) == (DEFAULT_QUANTILE_EPS, DEFAULT_TAIL_EPS)
 
 
 @pytest.mark.parametrize("case", ["directory", "missing", "reviews-int", "review-null"])

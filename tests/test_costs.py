@@ -46,6 +46,27 @@ class TestBoundaries:
             with pytest.raises(ValueError):
                 eng.cycle_hp_fn(t, r)
 
+    def test_curves_refuse_partial_backlog(self):
+        # the curves are full-backlog quantities; below beta = 1 the engine
+        # prices cycles by backlog_step on its shallower floors
+        inst = dataclasses.replace(self._ctx().instance, beta=0.5)
+        with pytest.raises(ValueError, match="full backlogging"):
+            SolveContext(inst).engine.cycle_hp_fn(1, 2)
+
+    @pytest.mark.parametrize(
+        "beta, floors",
+        [(1.0, [-14, -17, -21]), (0.9, [-14, -15, -17]), (0.5, [-14] * 3), (0.0, [-14] * 3)],
+    )
+    def test_floors_follow_the_backlogged_fraction(self, beta, floors):
+        # grid [-14, 14], demands 3, 4, 5: floor_{u+1} = min(-14,
+        # round(beta (floor_u - d_u))); the one-period costs reach
+        # min_u(floor_u - d_u)
+        inst = dataclasses.replace(self._ctx().instance, beta=beta)
+        eng = SolveContext(inst).engine
+        assert eng._floors == floors
+        lowest = min(f - d for f, d in zip(floors, (3, 4, 5)))
+        assert eng._one_period.shape == (14 - lowest + 1,)
+
     def test_zero_demand_holding_accumulates(self):
         inst = deterministic_instance([0, 0, 0], K=50, W=0, h=1, b=10, I0=10)
         hp = SolveContext(inst).engine.cycle_hp_fn(1, 3)

@@ -5,6 +5,7 @@ import pytest
 
 from rss_policy import (
     CostParams,
+    DemandPmf,
     DemandSpec,
     Instance,
     Policy,
@@ -152,6 +153,18 @@ class TestSimulate:
         report = simulate(inst, policy, n_paths=1, seed=5)
         assert report.mc_halfwidth_95 == 0.0
         assert report.n_paths == 1
+
+    def test_refuses_levels_above_grid_before_the_rollout(self, monkeypatch):
+        # the grid check ran only after every path had been rolled out
+        inst = deterministic_instance([3, 4], K=50, W=7, h=1, b=10)
+        top = SolveContext(inst).grid.max_inv
+
+        def no_rollout(pmf, u):
+            raise AssertionError("rolled out a policy the grid refuses")
+
+        monkeypatch.setattr(DemandPmf, "sample", no_rollout)
+        with pytest.raises(ValueError, match="above the inventory grid"):
+            simulate(inst, _policy(2, (1, 2, top + 1, top + 1)), n_paths=10, seed=5)
 
     def test_rejects_zero_paths(self, rng):
         inst = random_desk_instance(rng, horizon=2)

@@ -32,7 +32,6 @@ from rss_policy.cli import main as cli_main
 from rss_policy.solver import (
     InventoryGrid,
     SolveStats,
-    _backlog_floors,
     _kconvex_table,
     _plain_table,
     _sweep,
@@ -421,8 +420,11 @@ def _one_curve_instances(rng):
     mixed = tuple(
         DemandSpec("normal", m, cv) for m, cv in ((6.0, 0.0), (5.0, 0.3), (0.0, 0.0), (9.0, 0.0))
     )
-    return [
-        random_desk_instance(rng, horizon=4, mean_range=(3.0, 8.0)),
+    desk = [random_desk_instance(rng, horizon=4, mean_range=(3.0, 8.0)) for _ in range(6)]
+    # the draws cover both demand kinds and a nonzero opening inventory
+    assert {spec.kind for inst in desk for spec in inst.demand} == {"poisson", "normal"}
+    assert any(inst.I0 != 0 for inst in desk)
+    return desk + [
         deterministic_instance([6, 0, 9, 3, 4], K=20.0, W=5.0, b=8.0),  # point masses
         Instance(T=4, params=CostParams(K=30.0, W=5.0, h=1.0, b=8.0), I0=2, demand=mixed),
         gen_scalability(5, 1, seed=5)[0],
@@ -434,7 +436,7 @@ class TestOneCurve:
     bitwise the two-branch partial-backlog recursion, and at 1 that
     recursion agrees with the backlogging curve to rounding."""
 
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.99, 1.0])
     def test_matches_two_branch_recursion(self, rng, beta):
         for base in _one_curve_instances(rng):
             inst = dataclasses.replace(base, beta=beta)
@@ -478,7 +480,7 @@ class TestOneCurve:
             order = [(t, r) for t in range(inst.T, 0, -1) for r in range(1, inst.T - t + 2)]
             for (t, r), curve in zip(order, curves, strict=True):
                 assert np.array_equal(curve, cycle_curve(ctx, t, r, cost_to_go[t + r])), (t, r)
-            below_grid |= min(_backlog_floors(ctx)) < ctx.grid.min_inv
+            below_grid |= min(ctx.engine._floors) < ctx.grid.min_inv
         if beta >= 0.9:  # near-full backlogging carries the levels below the grid floor
             assert below_grid
 
