@@ -118,12 +118,15 @@ def _benchmark_instance(
 
     The gap oracle is the exact solver's result when it is among the
     solvers; otherwise, if ``oracle`` is set, an exact search run before
-    the solvers. An oracle over its node budget leaves the gaps empty."""
-    ctx = SolveContext(instance)
+    the solvers. An oracle over its node budget leaves the gaps empty.
+    The oracle and every repetition get a fresh context, built outside
+    the timing, so no solve reuses the cost curves another one built."""
     oracle_cost: Optional[float] = None
     if oracle and "exact" not in solvers:
         try:
-            oracle_cost = enumerate_optimal(instance, budget=exact_budget, context=ctx).cost
+            oracle_cost = enumerate_optimal(
+                instance, budget=exact_budget, context=SolveContext(instance)
+            ).cost
         except HorizonCapError:
             pass
     rows = []
@@ -131,6 +134,7 @@ def _benchmark_instance(
         times = []
         policy = cost = stats = exact = None
         for _ in range(reps):
+            ctx = SolveContext(instance)
             t0 = time.perf_counter()
             policy, cost, stats, exact = _solve_with(name, instance, ctx, exact_budget)
             times.append(time.perf_counter() - t0)
@@ -344,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n", type=int, default=100,
                          help="instances per horizon (scalability suite)")
     p_bench.add_argument("--reps", type=int, default=1,
-                         help="timing repetitions; the median is reported")
+                         help="timing repetitions, each on a fresh solve context "
+                         "built outside the timing; the median is reported")
     p_bench.add_argument("--exact-budget", type=int, default=DEFAULT_NODE_BUDGET,
                          help="node budget of the exact solver and the gap oracle")
     p_bench.add_argument("--skip-oracle", action="store_true",

@@ -67,12 +67,11 @@ window [f, c] of the grid: its tail convolutions, tables and threshold
 scans span only the window, while the hp curves stay the engine's, on
 the grid. The window starts at plus and minus the largest period-demand
 support, widened to hold I0, and every candidate the sweep builds checks
-a certificate that its window decision is the grid's. When one fails at
-period t, the failing end of the window about doubles, the winners of
-periods t+1..T are decided again on it with their chosen lengths (a
-fixed-lengths sweep, which checks them again), and period t starts over.
-A window end at the grid's needs no check, so the window equal to the
-grid is the full-grid sweep.
+a certificate that its window decision is the grid's. When one fails,
+the failing end of the window about doubles and the sweep starts over on
+it, so the tables come from one pass on one window that certified every
+candidate. A window end at the grid's needs no check, so the window
+equal to the grid is the full-grid sweep.
 
 Certificate. For a candidate with holding/penalty hp, next table F,
 curve v = hp + E[F(max(y - D, f))] on [f, c], order-up-to level b and
@@ -199,11 +198,11 @@ def build_grid(
 class SolveStats:
     """Work counters, summed over the cycles a solve decides.
 
-    Only the candidate cycles the sweep scans are counted in
-    ``states_evaluated`` and ``q_iterations``, on the window each period
-    was decided on (the grid for beta < 1); a period that widens the
-    window counts only its decision on the wider one, and the periods
-    decided again after a widening are not counted again.
+    The counters are those of the pass that made the tables, on their
+    window (the grid for beta < 1), plus ``window_widenings``: the
+    passes a failed certificate started over on a wider window are not
+    counted. Only the candidate cycles the sweep scans are counted in
+    ``states_evaluated`` and ``q_iterations``.
     ``states_evaluated`` is the depth of the threshold scan for kconvex:
     the levels from the window ceiling down to and including the stop
     level, or the whole window when there is no stop. The exhaustive
@@ -213,7 +212,7 @@ class SolveStats:
     and 0 for kconvex. ``candidates_pruned`` is the number of candidate
     cycles the sweep skipped by its bound, without a tail convolution or
     a scan; it is the full-grid sweep's. ``window_widenings`` counts the
-    times a failed certificate grew the window.
+    times a failed certificate started the sweep over on a wider window.
     """
 
     states_evaluated: int = 0
@@ -392,15 +391,6 @@ def _exceeds(a: float, b: float) -> bool:
     return a > b + _BOUND_MARGIN * abs(b)
 
 
-class _Widen(Exception):
-    """A candidate's decision on the window is not certified; the sweep
-    continues on ``window``."""
-
-    def __init__(self, window: InventoryGrid):
-        super().__init__(window)
-        self.window = window
-
-
 def _initial_window(ctx: SolveContext) -> InventoryGrid:
     """The sweep's first window: plus and minus the largest period-demand
     support (at least 1), widened to hold the initial inventory and cut to
@@ -417,11 +407,11 @@ def _certify(
     future_min: float,
     curve: np.ndarray,
     res: _CycleResult,
-) -> None:
-    """Raise ``_Widen`` unless the candidate's decision on the window is the
-    grid's: the ceiling and floor conditions of the module docstring. ``hp``
-    spans [window floor, grid ceiling]; an end at the grid's needs no check.
-    The window grows by about doubling its failing ends, cut to the grid."""
+) -> Optional[InventoryGrid]:
+    """None if the candidate's decision on the window is the grid's (the
+    ceiling and floor conditions of the module docstring), else the wider
+    window: each failing end about doubles, cut to the grid. ``hp`` spans
+    [window floor, grid ceiling]; an end at the grid's needs no check."""
     grid, n = ctx.grid, window.size
     lo, hi = window.min_inv, window.max_inv
     if hi < grid.max_inv:
@@ -431,8 +421,7 @@ def _certify(
             hi = min(grid.max_inv, 2 * hi + 1)
     if lo > grid.min_inv and not _exceeds(hp[0] + future_min, res.best_n + ctx.params.K):
         lo = max(grid.min_inv, 2 * lo - 1)
-    if (lo, hi) != (window.min_inv, window.max_inv):
-        raise _Widen(InventoryGrid(lo, hi))
+    return None if (lo, hi) == (window.min_inv, window.max_inv) else InventoryGrid(lo, hi)
 
 
 def _sweep(
@@ -452,19 +441,18 @@ def _sweep(
 
     Under full backlogging the sweep decides on a window of the grid,
     ``_initial_window`` unless given (the whole grid makes it the
-    full-grid sweep; a given window's floor is the grid's or at most -1),
-    and returns its tables on the final window. The
-    holding/penalty curve of each candidate comes first: by the bound of
-    the module docstring, a candidate that cannot beat the best so far is
-    skipped, and once its holding/penalty alone cannot, the remaining
+    full-grid sweep; a given window's floor is the grid's or at most -1).
+    The holding/penalty curve of each candidate comes first: by the bound
+    of the module docstring, a candidate that cannot beat the best so far
+    is skipped, and once its holding/penalty alone cannot, the remaining
     candidates are dropped; neither gets a tail convolution. Every other
-    candidate is certified; when a certificate fails at period t, the
-    window grows, periods t+1..T are decided again on it with their
-    chosen lengths, and period t starts over. With beta < 1 the window is
-    the grid and every candidate is decided, cut from the level of its
-    next review e: period t adds e = t + 1's table as a level and advances
-    each by one engine ``backlog_step``. The levels need the default lengths and
-    depend on the tables, so the engine never keeps them.
+    candidate is certified, and when a certificate fails the sweep starts
+    over on the wider window and returns that pass, with one more
+    widening. With beta < 1 the window is the grid and every candidate is
+    decided, cut from the level of its next review e: period t adds
+    e = t + 1's table as a level and advances each by one engine
+    ``backlog_step``. The levels need the default lengths and depend on
+    the tables, so the engine never keeps them.
     """
     T = ctx.instance.T
     prune = ctx.instance.beta == 1.0
@@ -483,25 +471,35 @@ def _sweep(
             levels[t + 1] = cost_to_go[t + 1]
             levels = {e: ctx.engine.backlog_step(t, w) for e, w in levels.items()}
         candidates = list(range(1, T - t + 2) if lengths is None else lengths(t))
-        while True:
-            period = SolveStats()
-            try:
-                best, best_r = _decide(
-                    ctx, t, candidates, cost_to_go, window, table_fn, period, levels
-                )
-                break
-            except _Widen as grow:
-                decided = {u: (r,) for u, r in cycle_length.items()}
-                redo = _sweep(ctx, table_fn, algorithm, lambda u: decided.get(u, ()), grow.window)
-                window, cost_to_go = redo.grid, redo.cost_to_go
-                stats.window_widenings += 1 + redo.stats.window_widenings
-        stats.states_evaluated += period.states_evaluated
-        stats.q_iterations += period.q_iterations
-        stats.candidates_pruned += period.candidates_pruned
+        best: Optional[_CycleResult] = None
+        limit = math.inf
+        for k, r in enumerate(candidates):
+            future = cost_to_go[t + r]
+            if not prune:
+                curve = levels[t + r][-window.size :]
+            else:
+                hp = cycle_hp(ctx, t, r, window.min_inv)
+                hp_min = float(hp.min())
+                if hp_min > limit:  # hp alone loses; so does every longer cycle's
+                    stats.candidates_pruned += len(candidates) - k
+                    break
+                future_min = float(future.min())
+                if hp_min + future_min > limit:
+                    stats.candidates_pruned += 1
+                    continue
+                curve = hp[: window.size] + _cycle_tail(ctx, t, r, future)
+            res = table_fn(ctx, curve, stats)
+            wider = _certify(ctx, window, hp, future_min, curve, res) if prune else None
+            if wider is not None:
+                tables = _sweep(ctx, table_fn, algorithm, lengths, wider)
+                tables.stats.window_widenings += 1
+                return tables
+            if best is None or res.best_n < best.best_n:
+                best, cycle_length[t] = res, r
+                limit = best.best_n + _BOUND_MARGIN * abs(best.best_n)
         if best is None:
             continue
         cost_to_go[t] = best.table
-        cycle_length[t] = best_r
         reorder[t] = window.min_inv + best.stop + 1
         order_up_to[t] = window.min_inv + best.best
     return ValueTables(
@@ -514,47 +512,6 @@ def _sweep(
         stats=stats,
         algorithm=algorithm,
     )
-
-
-def _decide(
-    ctx: SolveContext,
-    t: int,
-    candidates: list[int],
-    cost_to_go: dict[int, np.ndarray],
-    window: InventoryGrid,
-    table_fn: Callable[[SolveContext, np.ndarray, SolveStats], _CycleResult],
-    stats: SolveStats,
-    levels: dict[int, np.ndarray],
-) -> tuple[Optional[_CycleResult], int]:
-    """The best candidate cycle at period t on the window and its length
-    (None, 0 without candidates); raises ``_Widen`` as ``_certify`` does."""
-    prune = ctx.instance.beta == 1.0
-    best: Optional[_CycleResult] = None
-    best_r = 0
-    limit = math.inf
-    for k, r in enumerate(candidates):
-        future = cost_to_go[t + r]
-        if not prune:
-            curve = levels[t + r][-window.size :]
-        else:
-            hp = cycle_hp(ctx, t, r, window.min_inv)
-            hp_min = float(hp.min())
-            if hp_min > limit:  # hp alone loses; so does every longer cycle's
-                stats.candidates_pruned += len(candidates) - k
-                break
-            future_min = float(future.min())
-            if hp_min + future_min > limit:
-                stats.candidates_pruned += 1
-                continue
-            curve = hp[: window.size] + _cycle_tail(ctx, t, r, future)
-        res = table_fn(ctx, curve, stats)
-        if prune:
-            _certify(ctx, window, hp, future_min, curve, res)
-        if best is None or res.best_n < best.best_n:
-            best = res
-            best_r = r
-            limit = best.best_n + _BOUND_MARGIN * abs(best.best_n)
-    return best, best_r
 
 
 def _context(

@@ -303,10 +303,19 @@ def enumeration_oracle(ctx: SolveContext) -> tuple[float, ReviewSchedule, int]:
     return best_cost, best, len(schedules)
 
 
-def random_desk_instance(rng: np.random.Generator, horizon=None, mean_range=(5.0, 20.0)) -> Instance:
+def random_desk_instance(
+    rng: np.random.Generator,
+    horizon=None,
+    mean_range=(5.0, 20.0),
+    *,
+    point_masses=False,
+    partial_backlog=False,
+) -> Instance:
     """Small instance in the randomized-suite parameter box: Poisson
     demand, or normal demand with cv at most 0.4, and an initial inventory
-    in [-M, M], M the top of the mean range."""
+    in [-M, M], M the top of the mean range. ``point_masses`` makes the
+    demand normal with cv 0; ``partial_backlog`` draws beta from {0, 0.5}
+    instead of 1. Off, neither changes the draws."""
     T = int(rng.integers(2, 7)) if horizon is None else horizon
     params = CostParams(
         K=float(rng.uniform(20.0, 320.0)),
@@ -315,14 +324,17 @@ def random_desk_instance(rng: np.random.Generator, horizon=None, mean_range=(5.0
         b=float(rng.uniform(4.0, 16.0)),
     )
     means = rng.uniform(*mean_range, size=T)
-    if rng.random() < 0.5:
+    if point_masses:
+        demand = tuple(DemandSpec("normal", float(m), 0.0) for m in means)
+    elif rng.random() < 0.5:
         demand = tuple(DemandSpec("poisson", float(m)) for m in means)
     else:
         cv = float(rng.uniform(0.0, 0.4))
         demand = tuple(DemandSpec("normal", float(m), cv) for m in means)
     bound = int(mean_range[1])
     I0 = int(rng.integers(-bound, bound + 1))
-    return Instance(T=T, params=params, I0=I0, demand=demand)
+    beta = float(rng.choice([0.0, 0.5])) if partial_backlog else 1.0
+    return Instance(T=T, params=params, I0=I0, demand=demand, beta=beta)
 
 
 def deterministic_instance(means, K=100.0, W=10.0, h=1.0, b=1000.0, I0=0) -> Instance:

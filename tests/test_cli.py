@@ -143,3 +143,20 @@ def test_campaign_writes_report(tmp_path):
     assert (out / "report.csv").read_text().count("\n") == 3
     assert cli_main(["gen", "scalability", "--t", "2", "--n", "2", "--out", str(out)]) == 0
     assert len(list(out.glob("scal-T2-*.json"))) == 2
+
+
+def test_benchmark_times_each_solve_on_a_fresh_context(tmp_path, monkeypatch):
+    # a shared context let every solve after the first reuse the cost
+    # curves it built, so the times depended on --reps and on the oracle
+    built = []
+
+    class CountingContext(cli.SolveContext):
+        def __init__(self, instance, *args, **kwargs):
+            built.append(instance.label)
+            super().__init__(instance, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "SolveContext", CountingContext)
+    argv = ["benchmark", "scalability", "--t-min", "2", "--t-max", "2", "--n", "1",
+            "--solvers", "plain,kconvex", "--reps", "2", "--out", str(tmp_path / "b")]
+    assert cli_main(argv) == 0
+    assert len(built) == 1 + 4  # the oracle, then two repetitions of each solver

@@ -202,6 +202,27 @@ class TestSimulate:
                     ctx, policy, n_paths, seed
                 )
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_partial_backlog_draws(self, seed):
+        # the analytic price of the heuristic's policy is never below its
+        # root cost, and the simulation agrees with it; point masses give
+        # a half-width of 0, so the check allows rounding on top
+        rng = np.random.default_rng(300 + seed)
+        betas = set()
+        for k in range(10):
+            inst = random_desk_instance(
+                rng, mean_range=(3.0, 12.0), point_masses=k % 2 == 0, partial_backlog=True
+            )
+            betas.add(inst.beta)
+            ctx = SolveContext(inst)
+            tables = solve_lost_sales(inst, context=ctx)
+            root = tables.root_cost(inst.I0)
+            report = simulate(inst, extract_policy(tables, inst), 2_000, seed, context=ctx)
+            assert report.expected_cost >= root - 1e-8 * abs(root)
+            slack = 3 * report.mc_halfwidth_95 + 1e-9 * abs(report.expected_cost)
+            assert abs(report.mc_mean - report.expected_cost) <= slack
+        assert betas == {0.0, 0.5}
+
     def test_partial_backlog_paths_truncate(self):
         # no orders, full shortage: beta=0.5 halves the carried backlog,
         # so the second-period penalty halves relative to full backlog

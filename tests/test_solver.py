@@ -373,6 +373,13 @@ class TestSweepBound:
         assert stats.states_evaluated == 55 * ctx.grid.size
 
 
+def _tiny_window(ctx):
+    """A first window of the sweep that must grow at both ends: [-1, 1],
+    widened to hold I0 and cut to the grid."""
+    grid, i0 = ctx.grid, ctx.instance.I0
+    return InventoryGrid(max(grid.min_inv, min(-1, i0)), min(grid.max_inv, max(1, i0)))
+
+
 class TestWindow:
     """Under full backlogging the sweep decides on a certified window of
     the grid: its tables are the full-grid sweep's on the window, bitwise,
@@ -385,11 +392,8 @@ class TestWindow:
         for _ in range(6):
             inst = random_desk_instance(rng, mean_range=(10.0, 30.0))
             ctx = SolveContext(inst)
-            grid = ctx.grid
             # the default first window, and a tiny one that must grow at both ends
-            tiny = InventoryGrid(
-                max(grid.min_inv, min(-1, inst.I0)), min(grid.max_inv, max(1, inst.I0))
-            )
+            tiny = _tiny_window(ctx)
             for table_fn in (_kconvex_table, _plain_table):
                 full = full_grid_sweep(ctx, table_fn)
                 for start in (None, tiny):
@@ -402,6 +406,30 @@ class TestWindow:
             scarf = scarf_fixed_R(inst, schedule, context=ctx)
             assert_window_matches_full_grid(ctx, scarf.tables, full_grid_scarf(ctx, schedule))
         assert grew_floor and grew_ceiling
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_counters_are_one_pass_on_the_returned_window(self, seed):
+        # a failed certificate starts the sweep over on the wider window, so
+        # the tables and every counter but the widenings are those of the
+        # sweep on the returned window, which widens no more
+        rng = np.random.default_rng(100 + seed)
+        widened = 0
+        for _ in range(5):
+            ctx = SolveContext(random_desk_instance(rng, mean_range=(10.0, 30.0)))
+            for table_fn in (_kconvex_table, _plain_table):
+                for start in (None, _tiny_window(ctx)):
+                    tables = _sweep(ctx, table_fn, "windowed", window=start)
+                    again = _sweep(ctx, table_fn, "windowed", window=tables.grid)
+                    assert again.stats.window_widenings == 0
+                    assert tables.cost_to_go.keys() == again.cost_to_go.keys()
+                    for t, table in tables.cost_to_go.items():
+                        assert np.array_equal(table, again.cost_to_go[t]), t
+                    assert (tables.cycle_length, tables.reorder, tables.order_up_to) == (
+                        again.cycle_length, again.reorder, again.order_up_to
+                    )
+                    assert dataclasses.replace(tables.stats, window_widenings=0) == again.stats
+                    widened += tables.stats.window_widenings
+        assert widened > 0
 
     def test_tables_live_on_the_window(self):
         inst = gen_scalability(35, 1, seed=35)[0]
@@ -483,6 +511,27 @@ class TestOneCurve:
             below_grid |= min(ctx.engine._floors) < ctx.grid.min_inv
         if beta >= 0.9:  # near-full backlogging carries the levels below the grid floor
             assert below_grid
+
+
+class TestPointMassDraws:
+    """Random desk draws with point-mass demand, where every cycle curve
+    is piecewise linear and ties between levels and cycles are common."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kconvex_plain_and_fixed_schedule_agree(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        for _ in range(8):
+            inst = random_desk_instance(rng, mean_range=(3.0, 12.0), point_masses=True)
+            ctx = SolveContext(inst)
+            kconvex = solve_kconvex(inst, context=ctx)
+            plain = solve_plain(inst, context=ctx)
+            policy = extract_policy(kconvex, inst)
+            assert extract_policy(plain, inst) == policy
+            assert kconvex.grid == plain.grid
+            for t, table in kconvex.cost_to_go.items():
+                np.testing.assert_allclose(plain.cost_to_go[t], table, rtol=0.0, atol=1e-8)
+            schedule = ReviewSchedule(policy.review_periods)
+            assert scarf_fixed_R(inst, schedule, context=ctx).cost == kconvex.root_cost(inst.I0)
 
 
 class TestLostSales:
