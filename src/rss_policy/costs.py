@@ -10,19 +10,32 @@ closing inventory x. With p_t the period-t pmf, the curves satisfy
 
 because the closing inventory of period t is the post-order position
 of the rest of the cycle. Each step (``step``) is one valid convolution
-with p_t, of L plus the next curve, so every (t, r) curve is built once,
-from the curve (t+1, r-1), and memoised. The curve does not depend on
-the order quantity, only on the post-order position, which lets the
-solvers share it across every decision at a cycle.
+with p_t, of L plus the next curve, so every (t, r) curve is built from
+the curve (t+1, r-1) and memoised. The curve does not depend on the
+order quantity, only on the post-order position, which lets the solvers
+share it across every decision at a cycle.
+
+Spans. A curve is memoised over one span of positions, grown by the
+reads. With floor_1 the grid floor and floor_{u+1} = floor_u - dmax_u,
+dmax_u the largest demand of period u, a read of hp(t, r) on [lo, hi]
+makes it span [lo + floor_t - floor_1, hi]. Over that span it reads
+hp(t+1, r-1) on [lo + floor_{t+1} - floor_1, hi], the span a read of
+that curve at lo gives, so reads at one lo ask each curve for one span
+whether they reach it directly or through a longer cycle. A read of the
+whole grid spans [floor_t, high]. The positions a curve lacks, below
+and above its span, are convolved as two pieces, each value by the
+same dot product as in one convolution over the whole span, and
+joined: every value is computed once and has the same bits whatever
+the order of the reads.
 
 The curves assume full backlogging. With a backlogged fraction beta < 1
 a cycle is priced by one ``backlog_step`` per period: ``step`` on the
 next review's values read at the truncated closing inventories trunc(x)
-(``_truncate``). Period u's step spans [floor_u, high], with floor_1 the
-grid floor and floor_{u+1} = min(floor_1, trunc(floor_u - dmax_u)), dmax_u
-the largest demand of period u: as the rest of a cycle that started
-earlier, the post-order position of period u + 1 is the next state of
-period u, which that demand can drive below the grid.
+(``_truncate``). Period u's step spans [floor_u, high], with the floors
+floor_{u+1} = min(floor_1, trunc(floor_u - dmax_u)), those above at
+beta = 1: as the rest of a cycle that started earlier, the post-order
+position of period u + 1 is the next state of period u, which that
+demand can drive below the grid.
 """
 
 from __future__ import annotations
@@ -53,6 +66,9 @@ class CostParams:
             raise ValueError("holding and penalty cost cannot both be zero")
 
 
+_EMPTY = np.empty(0)  # a curve not built yet, or a piece with no positions
+
+
 def _truncate(x: np.ndarray, beta: float) -> np.ndarray:
     """Partial-backlog state transition: negative closing inventories keep
     only the backlogged fraction, rounded to the nearest integer."""
@@ -62,8 +78,10 @@ def _truncate(x: np.ndarray, beta: float) -> np.ndarray:
 class CycleCostEngine:
     """Memoised cycle holding/penalty curves and backlog steps for one instance.
 
-    One engine serves one solver run (or a family of runs over the same
-    instance); it is not safe for concurrent mutation.
+    Each curve is memoised over one span of post-order positions, grown
+    by the reads (``cycle_hp_fn``). One engine serves one solver run (or a
+    family of runs over the same instance); it is not safe for concurrent
+    mutation.
     """
 
     def __init__(
@@ -80,7 +98,7 @@ class CycleCostEngine:
             raise ValueError("need low <= high")
         self.T = len(period_pmfs)
         self._pmfs = list(period_pmfs)
-        self._hi = high
+        self._lo, self._hi = low, high
         self._beta = beta
         # _floors[u - 1] = floor_u of the module docstring; _one_period spans [_base, high]
         self._floors = [low]
@@ -90,49 +108,79 @@ class CycleCostEngine:
         self._base = min(f - pmf.max_value for f, pmf in zip(self._floors, self._pmfs))
         xs = np.arange(self._base, high + 1, dtype=np.float64)
         self._one_period = params.h * np.maximum(xs, 0.0) + params.b * np.maximum(-xs, 0.0)
-        self._curves: dict[tuple[int, int], np.ndarray] = {}
+        # (t, r) -> (first position, hp(t, r) from there on)
+        self._curves: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
 
-    def _curve(self, t: int, r: int) -> np.ndarray:
-        """hp(t, r) over [floor_t, high].
+    def _cover(self, t: int, r: int, lo: int, hi: int) -> tuple[int, np.ndarray]:
+        """hp(t, r) grown to span at least [lo + floor_t - low, hi], with its
+        first position.
 
-        Curve (t, r) needs (t+1, r-1), which needs (t+2, r-2), and so on
-        down to r = 1. The missing ones are built in a loop from the
-        deepest up, so long cycles do not recurse.
+        The spans of the chain (t+1, r-1), (t+2, r-2), ... are set from the
+        top, each joining what its parent reads to what it holds; the
+        curves lacking theirs then grow from the deepest up, so long
+        cycles do not recurse.
         """
-        chain = [(t, r)]
-        while chain[-1] not in self._curves and chain[-1][1] > 1:
-            chain.append((chain[-1][0] + 1, chain[-1][1] - 1))
-        for u, k in reversed(chain):
-            if (u, k) not in self._curves:
-                nxt = self._curves[(u + 1, k - 1)] if k > 1 else 0.0
-                self._curves[(u, k)] = curve = self.step(u, nxt)
-                curve.setflags(write=False)
+        spans = []
+        a, b = lo + self._floors[t - 1] - self._lo, hi
+        for u in range(t, t + r):
+            first, curve = self._curves.get((u, t + r - u), (a, _EMPTY))
+            if first <= a and b < first + curve.shape[0]:
+                break  # it spans enough, and so does the rest of its chain
+            a, b = min(a, first), max(b, first + curve.shape[0] - 1)
+            spans.append((u, t + r - u, a, b))
+            a -= self._pmfs[u - 1].max_value
+        for u, k, a, b in reversed(spans):
+            self._grow(u, k, a, b)
         return self._curves[(t, r)]
 
-    def step(self, u: int, nxt: np.ndarray | float) -> np.ndarray:
-        """E[L(y - d_u) + nxt(y - d_u)] for y in [floor_u, high], one period
-        of any cycle recursion; ``nxt`` is 0 or spans [floor_u - dmax_u, high]."""
-        pmf, lo = self._pmfs[u - 1], self._floors[u - 1]
-        cost = self._one_period[lo - pmf.max_value - self._base :] + nxt
-        # a pmf with a positive offset makes the valid output run past
-        # high by that offset; the slice drops it
-        return np.convolve(cost, pmf.probs, "valid")[: self._hi - lo + 1]
+    def _grow(self, u: int, k: int, a: int, b: int) -> None:
+        """Extend hp(u, k) to [a, b]: the positions below and above its span
+        are convolved as pieces from hp(u+1, k-1), which spans what they read."""
+        pmf = self._pmfs[u - 1]
+
+        def piece(lo: int, hi: int) -> np.ndarray:
+            if hi < lo:
+                return _EMPTY
+            if k == 1:
+                return self.step(u, lo, hi, 0.0)
+            start, nxt = self._curves[(u + 1, k - 1)]
+            closing = nxt[lo - pmf.max_value - start : hi - pmf.offset - start + 1]
+            return self.step(u, lo, hi, closing)
+
+        first, old = self._curves.get((u, k), (a, _EMPTY))
+        pieces = (piece(a, first - 1), old, piece(first + old.shape[0], b))
+        parts = [p for p in pieces if p.shape[0]]
+        curve = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        curve.setflags(write=False)
+        self._curves[(u, k)] = (a, curve)
+
+    def step(self, u: int, lo: int, hi: int, nxt: np.ndarray | float) -> np.ndarray:
+        """E[L(y - d_u) + nxt(y - d_u)] for y in [lo, hi], one period of any
+        cycle recursion: one valid convolution with p_u. ``nxt`` is 0 or
+        spans the closing inventories [lo - dmax_u, hi - dmin_u]."""
+        pmf = self._pmfs[u - 1]
+        cost = self._one_period[lo - pmf.max_value - self._base : hi - pmf.offset - self._base + 1]
+        return np.convolve(cost + nxt, pmf.probs, "valid")
 
     def backlog_step(self, u: int, w: np.ndarray) -> np.ndarray:
         """Partial-backlog period u over [floor_u, high]: ``step`` on the next
         values ``w`` (ending at high) read at the truncated closing inventories,
         so penalty is charged on the full shortfall; the clip binds at w[0]."""
-        xs = np.arange(self._floors[u - 1] - self._pmfs[u - 1].max_value, self._hi + 1)
+        pmf, lo = self._pmfs[u - 1], self._floors[u - 1]
+        xs = np.arange(lo - pmf.max_value, self._hi - pmf.offset + 1)
         idx = _truncate(xs, self._beta) - (self._hi + 1 - w.shape[0])
-        return self.step(u, w[np.clip(idx, 0, w.shape[0] - 1)])
+        return self.step(u, lo, self._hi, w[np.clip(idx, 0, w.shape[0] - 1)])
 
-    def cycle_hp_fn(self, t: int, r: int) -> Callable[[np.ndarray], np.ndarray]:
+    def cycle_hp_fn(self, t: int, r: int) -> Callable[[Sequence[int]], np.ndarray]:
         """Expected holding/penalty over a cycle of r periods starting at
         period t, as a function of the post-order position.
 
-        The returned function only indexes the memoised curve, mapping an
-        array of post-order positions within [low, high] to their
-        expected cycle holding/penalty. Refused for beta < 1.
+        The returned function maps consecutive ascending positions ``ys``
+        within [low, high] (a range, or an array such as ``np.arange``) to
+        a read-only view of the memoised curve over them. A read first
+        grows the curve and its chain to the spans of the module
+        docstring, convolving only the positions they lack. Refused for
+        beta < 1.
         """
         if self._beta < 1.0:
             raise ValueError("holding/penalty curves assume full backlogging (beta = 1)")
@@ -142,10 +190,17 @@ class CycleCostEngine:
             raise ValueError(f"period {t} outside 1..{self.T}")
         if t + r > self.T + 1:
             raise ValueError(f"cycle (t={t}, r={r}) extends past the horizon")
-        curve, shift = self._curve(t, r), self._floors[t - 1]
-        return lambda ys: curve[ys - shift]
+
+        def read(ys: Sequence[int]) -> np.ndarray:
+            lo, hi = int(ys[0]), int(ys[-1])
+            if not self._lo <= lo <= hi <= self._hi or len(ys) != hi - lo + 1:
+                raise ValueError(f"need consecutive positions within [{self._lo}, {self._hi}]")
+            first, curve = self._cover(t, r, lo, hi)
+            return curve[lo - first : hi - first + 1]
+
+        return read
 
     @property
     def stored_states(self) -> int:
         """Number of memoised (period, length, post-order position) values."""
-        return sum(curve.shape[0] for curve in self._curves.values())
+        return sum(curve.shape[0] for _, curve in self._curves.values())

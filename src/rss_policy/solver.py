@@ -64,14 +64,15 @@ demand, but the decisions live at cycle scale: on the T = 35 scalability
 instance of seed 35 the grid spans +-2088 and no table orders above 303
 or reorders below 38. So under full backlogging the sweep decides on a
 window [f, c] of the grid: its tail convolutions, tables and threshold
-scans span only the window, while the hp curves stay the engine's, on
-the grid. The window starts at plus and minus the largest period-demand
-support, widened to hold I0, and every candidate the sweep builds checks
-a certificate that its window decision is the grid's. When one fails,
-the failing end of the window about doubles and the sweep starts over on
-it, so the tables come from one pass on one window that certified every
-candidate. A window end at the grid's needs no check, so the window
-equal to the grid is the full-grid sweep.
+scans span only the window, and it reads the hp curves there too, which
+the engine grows as the reads need (see ``costs``). The window starts
+at plus and minus the largest period-demand support, widened to hold
+I0, and every candidate the sweep builds checks a certificate that its
+window decision is the grid's. When one fails, the failing end of the
+window about doubles and the sweep starts over on it, so the tables come
+from one pass on one window that certified every candidate. A window end
+at the grid's needs no check, so the window equal to the grid is the
+full-grid sweep.
 
 Certificate. For a candidate with holding/penalty hp, next table F,
 curve v = hp + E[F(max(y - D, f))] on [f, c], order-up-to level b and
@@ -116,11 +117,19 @@ curve > v(b) + K: f is a stop of the window (b > f), so the window's
 stop is the grid's highest. Below it the grid's kconvex table is the
 flat ordering value; the plain table is W + K plus the minimum of v over
 (f, G], attained in the window. Either way the grid's table is constant
-on [g, f] and equals the window's at f, which carries the induction. The
-prune reads min hp over [f, G], which is the grid's minimum since hp
-does not increase below f, and min F, which the window attains (levels
-above c cost more, levels below f the same), so the sweep skips, builds
-and compares the grid's candidates.
+on [g, f] and equals the window's at f, which carries the induction.
+
+Prune. The bound needs min hp over the grid, which is its minimum over
+[f, G] since hp does not increase below f. The sweep reads hp on [f, c].
+If hp rises at c, then by 1 it is nondecreasing on [c - 1, G] and the
+window attains that minimum. Otherwise, as for a long cycle whose hp
+is least above the window, the sweep reads hp further up, the top
+about doubling towards G as after a failed certificate, until hp rises
+at the top of the read or the read ends at G; that read attains the
+minimum. The bound's min F the window attains (levels above c cost
+more, levels below f the same), so the sweep skips, builds and compares
+the grid's candidates. A candidate built after an upward read fails
+its ceiling condition, and the sweep starts over on a wider window.
 
 Exactness. Each window level is computed by the grid's own arithmetic
 on the same values: one dot product of the same pmf with the same
@@ -177,12 +186,12 @@ def build_grid(
 ) -> InventoryGrid:
     """Size the grid from the total-demand quantile, with 10% headroom.
 
-    The grid is the state space: the cost engine's curves, the exact
-    search and the evaluator span it, and the heuristic sweep decides on
-    a certified window of it (see the module docstring). The ceiling is
-    the (1 - quantile_eps) quantile of total horizon demand rounded up by
-    10%; the floor is its negative. Both are widened if needed so the
-    initial inventory lies on the grid.
+    The grid is the state space: the exact search and the evaluator span
+    it, and the heuristic sweep decides on a certified window of it (see
+    the module docstring); the cost engine's curves grow to the spans
+    these read. The ceiling is the (1 - quantile_eps) quantile of total
+    horizon demand rounded up by 10%; the floor is its negative. Both are
+    widened if needed so the initial inventory lies on the grid.
     """
     if not 0 < quantile_eps <= 1e-4:
         raise ValueError("quantile_eps must lie in (0, 1e-4]")
@@ -226,7 +235,8 @@ class SolveContext:
     the exact baseline and the policy evaluator on one instance.
 
     The grid is the state space; the heuristic sweep decides on a
-    certified window of it (see the module docstring)."""
+    certified window of it (see the module docstring), and the engine's
+    curves span what the reads so far have needed (see ``costs``)."""
 
     def __init__(
         self,
@@ -280,13 +290,16 @@ class ValueTables:
         return self.value(1, i0)
 
 
-def cycle_hp(ctx: SolveContext, t: int, r: int, low: Optional[int] = None) -> np.ndarray:
+def cycle_hp(
+    ctx: SolveContext, t: int, r: int, low: Optional[int] = None, high: Optional[int] = None
+) -> np.ndarray:
     """Expected in-cycle holding/penalty of a cycle of length r at period
-    t over the post-order positions from ``low`` (by default the grid
-    floor) to the grid ceiling, read from the cost engine's memoised
-    curve; only the first query of each (t, r) convolves."""
+    t over the post-order positions [low, high], by default the grid: a
+    read-only view of the cost engine's memoised curve, which grows to
+    span them, convolving only the positions no earlier read covered."""
     low = ctx.grid.min_inv if low is None else low
-    return ctx.engine.cycle_hp_fn(t, r)(np.arange(low, ctx.grid.max_inv + 1))
+    high = ctx.grid.max_inv if high is None else high
+    return ctx.engine.cycle_hp_fn(t, r)(range(low, high + 1))
 
 
 def _cycle_tail(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.ndarray:
@@ -410,8 +423,9 @@ def _certify(
 ) -> Optional[InventoryGrid]:
     """None if the candidate's decision on the window is the grid's (the
     ceiling and floor conditions of the module docstring), else the wider
-    window: each failing end about doubles, cut to the grid. ``hp`` spans
-    [window floor, grid ceiling]; an end at the grid's needs no check."""
+    window: each failing end about doubles, cut to the grid. ``hp`` starts
+    at the window floor and spans at least the window; an end at the
+    grid's needs no check."""
     grid, n = ctx.grid, window.size
     lo, hi = window.min_inv, window.max_inv
     if hi < grid.max_inv:
@@ -442,15 +456,16 @@ def _sweep(
     Under full backlogging the sweep decides on a window of the grid,
     ``_initial_window`` unless given (the whole grid makes it the
     full-grid sweep; a given window's floor is the grid's or at most -1).
-    The holding/penalty curve of each candidate comes first: by the bound
-    of the module docstring, a candidate that cannot beat the best so far
-    is skipped, and once its holding/penalty alone cannot, the remaining
-    candidates are dropped; neither gets a tail convolution. Every other
-    candidate is certified, and when a certificate fails the sweep starts
-    over on the wider window and returns that pass, with one more
-    widening. With beta < 1 the window is the grid and every candidate is
-    decided, cut from the level of its next review e: period t adds
-    e = t + 1's table as a level and advances each by one engine
+    The holding/penalty curve of each candidate comes first, read on the
+    window and further up while it falls at the top of the read: by the
+    bound of the module docstring, a candidate that cannot beat the best
+    so far is skipped, and once its holding/penalty alone cannot, the
+    remaining candidates are dropped; neither gets a tail convolution.
+    Every other candidate is certified, and when a certificate fails the
+    sweep starts over on the wider window and returns that pass, with one
+    more widening. With beta < 1 the window is the grid and every
+    candidate is decided, cut from the level of its next review e: period
+    t adds e = t + 1's table as a level and advances each by one engine
     ``backlog_step``. The levels need the default lengths and depend on
     the tables, so the engine never keeps them.
     """
@@ -478,7 +493,11 @@ def _sweep(
             if not prune:
                 curve = levels[t + r][-window.size :]
             else:
-                hp = cycle_hp(ctx, t, r, window.min_inv)
+                hp = cycle_hp(ctx, t, r, window.min_inv, window.max_inv)
+                top = window.max_inv
+                while top < ctx.grid.max_inv and hp[-1] < hp[-2]:  # min hp may lie above
+                    top = min(ctx.grid.max_inv, 2 * top + 1)
+                    hp = cycle_hp(ctx, t, r, window.min_inv, top)
                 hp_min = float(hp.min())
                 if hp_min > limit:  # hp alone loses; so does every longer cycle's
                     stats.candidates_pruned += len(candidates) - k

@@ -7,12 +7,14 @@ import pytest
 
 from rss_policy import (
     CostParams,
+    CycleCostEngine,
     DemandSpec,
     Instance,
     SolveContext,
     expected_cost,
     extract_policy,
     gen_scalability,
+    solve_kconvex,
     solve_lost_sales,
 )
 from rss_policy.solver import cycle_hp
@@ -130,30 +132,51 @@ def _count_convolutions(monkeypatch):
 class TestCurveRecursion:
     """The memoised curve recursion against the level recursion it replaced."""
 
-    def _assert_bitwise(self, inst):
+    def _assert_bitwise(self, inst, rng):
+        # every read, whatever the reads before it grew, is the recursion on
+        # its span: on one context the whole grid, deepest first (the
+        # engine's own build order) and then the reverse; on fresh ones a
+        # random window and then the grid, in both orders
+        ref = SolveContext(inst)
+        grid = ref.grid
+        want = {(t, r): level_recursion_hp(ref, t, r) for t, r in _all_cycles(inst.T)}
         ctx = SolveContext(inst)
-        # deepest first, the engine's own build order, then the reverse
         for t, r in _all_cycles(inst.T) + _all_cycles(inst.T)[::-1]:
-            assert np.array_equal(cycle_hp(ctx, t, r), level_recursion_hp(ctx, t, r)), (t, r)
+            assert np.array_equal(cycle_hp(ctx, t, r), want[(t, r)]), (t, r)
+        for cycles in (_all_cycles(inst.T), _all_cycles(inst.T)[::-1]):
+            ctx = SolveContext(inst)
+            for t, r in cycles:
+                lo, hi = sorted(int(y) for y in rng.integers(grid.min_inv, grid.max_inv + 1, 2))
+                span = want[(t, r)][lo - grid.min_inv : hi - grid.min_inv + 1]
+                assert np.array_equal(cycle_hp(ctx, t, r, lo, hi), span), (t, r, lo, hi)
+                assert np.array_equal(cycle_hp(ctx, t, r), want[(t, r)]), (t, r)
 
     def test_random_instances(self, rng):
         for _ in range(8):
-            self._assert_bitwise(random_desk_instance(rng))
+            self._assert_bitwise(random_desk_instance(rng), rng)
 
-    def test_point_mass_demand(self):
+    def test_point_mass_demand(self, rng):
         # positive offsets: the valid convolution runs past the grid ceiling
-        self._assert_bitwise(deterministic_instance([3, 0, 7, 5], K=50, W=10, h=1, b=10))
+        self._assert_bitwise(deterministic_instance([3, 0, 7, 5], K=50, W=10, h=1, b=10), rng)
 
-    def test_zero_demand(self):
-        self._assert_bitwise(deterministic_instance([0, 0, 0], K=50, W=0, h=1, b=10, I0=10))
+    def test_zero_demand(self, rng):
+        self._assert_bitwise(deterministic_instance([0, 0, 0], K=50, W=0, h=1, b=10, I0=10), rng)
 
     def test_single_period(self, rng):
-        self._assert_bitwise(random_desk_instance(rng, horizon=1))
+        self._assert_bitwise(random_desk_instance(rng, horizon=1), rng)
 
-    def test_free_orders_and_reviews(self):
+    def test_nonzero_opening_inventory(self, rng):
+        # I0 below the demand's grid floor widens the grid's floor alone
+        demand = tuple(DemandSpec("poisson", m) for m in (4.0, 9.0, 2.0, 6.0))
+        inst = Instance(T=4, params=CostParams(K=20.0, W=5.0, h=1.0, b=5.0), I0=-60, demand=demand)
+        grid = SolveContext(inst).grid
+        assert grid.min_inv == -60 < -grid.max_inv
+        self._assert_bitwise(inst, rng)
+
+    def test_free_orders_and_reviews(self, rng):
         demand = tuple(DemandSpec("poisson", m) for m in (4.0, 9.0, 2.0, 6.0))
         params = CostParams(K=0.0, W=0.0, h=1.0, b=5.0)
-        self._assert_bitwise(Instance(T=4, params=params, I0=0, demand=demand))
+        self._assert_bitwise(Instance(T=4, params=params, I0=0, demand=demand), rng)
 
 
 class TestConvolvesOnce:
@@ -174,6 +197,28 @@ class TestConvolvesOnce:
         calls.clear()
         cycle_hp(ctx, 1, inst.T)
         assert len(calls) == inst.T
+
+    def test_solve_then_price_convolves_each_value_once(self, monkeypatch):
+        # the sweep reads its window and reads up where hp falls; pricing the
+        # policy reads the grid, growing the curves it touches at both ends
+        inst = gen_scalability(20, 1, seed=20)[0]
+        ctx = SolveContext(inst)
+        lengths = []
+        step = CycleCostEngine.step
+
+        def recording(engine, *args):
+            out = step(engine, *args)
+            lengths.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(CycleCostEngine, "step", recording)
+        tables = solve_kconvex(inst, context=ctx)
+        assert tables.grid != ctx.grid
+        in_sweep = len(lengths)
+        expected_cost(inst, extract_policy(tables, inst), context=ctx)
+        assert len(lengths) > in_sweep  # the pricing grew curves
+        assert len(lengths) > len(ctx.engine._curves)  # some curve grew by pieces
+        assert sum(lengths) == ctx.engine.stored_states
 
     def test_partial_backlog_steps_once_per_period_and_review(self, monkeypatch):
         inst = dataclasses.replace(gen_scalability(10, 1, seed=10)[0], beta=0.5)

@@ -431,6 +431,19 @@ class TestWindow:
                     widened += tables.stats.window_widenings
         assert widened > 0
 
+    @pytest.mark.parametrize("means, tiny", [((20, 20), True), ((8, 8, 8), False)])
+    def test_prune_reads_hp_up_past_a_falling_ceiling(self, means, tiny):
+        # the whole-horizon cycle wins at period 1, but its hp still falls at
+        # the window ceiling, where it exceeds the best shorter cycle's value:
+        # the prune must read hp up to its minimum and not skip the winner
+        inst = deterministic_instance(list(means), K=0.0, W=50.0, b=10.0)
+        ctx = SolveContext(inst)
+        full = full_grid_sweep(ctx, _kconvex_table)
+        assert full.cycle_length[1] == inst.T
+        start = _tiny_window(ctx) if tiny else None
+        windowed = _sweep(ctx, _kconvex_table, "windowed", window=start)
+        assert_window_matches_full_grid(ctx, windowed, full)
+
     def test_tables_live_on_the_window(self):
         inst = gen_scalability(35, 1, seed=35)[0]
         ctx = SolveContext(inst)
