@@ -174,6 +174,14 @@ def _analysis_factors(instance: Instance) -> dict[str, str]:
     }
 
 
+def _level_order(level: str) -> tuple[int, float, str]:
+    """Numeric factor levels by value, then named levels by name."""
+    try:
+        return (0, float(level), "")
+    except ValueError:
+        return (1, 0.0, level)
+
+
 def _write_summary(path: Path, rows: list[dict[str, Any]]) -> None:
     """Per-factor aggregation in the benchmark-table layout."""
     with path.open("w", newline="") as fh:
@@ -182,7 +190,7 @@ def _write_summary(path: Path, rows: list[dict[str, Any]]) -> None:
         factors = ("K", "W", "sigma", "pattern")
         solvers = sorted({r["solver"] for r in rows})
         for factor in factors:
-            levels = sorted({r["factors"][factor] for r in rows if r["factors"]})
+            levels = sorted({r["factors"][factor] for r in rows if r["factors"]}, key=_level_order)
             for level in levels:
                 for solver in solvers:
                     sel = [
@@ -240,7 +248,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO
 
     all_rows: list[dict[str, Any]] = []
@@ -277,7 +285,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         if args.suite == "analysis" and all_rows:
             _write_summary(out_dir / "summary.csv", all_rows)
     except OSError as exc:
-        print(f"write failure: {exc}", file=sys.stderr)
+        print(f"error: write failure: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
@@ -302,7 +310,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         for instance in batch:
             save_instance(instance, out_dir / f"{instance.label}.json")
     except OSError as exc:
-        print(f"write failure: {exc}", file=sys.stderr)
+        print(f"error: write failure: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"wrote {len(batch)} instances to {out_dir}")
     return EXIT_OK

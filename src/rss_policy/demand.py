@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm, poisson
+from scipy.special import gammaln, ndtr, ndtri, pdtr, pdtrik, xlogy
 
 DEFAULT_TAIL_EPS = 1e-6
 
@@ -40,6 +40,8 @@ class DemandSpec:
             raise ValueError("demand mean must be finite and nonnegative")
         if not 0 <= self.cv < math.inf:
             raise ValueError("coefficient of variation must be finite and nonnegative")
+        if not self.sigma < math.inf:
+            raise ValueError("standard deviation cv * mean must be finite")
 
     @property
     def sigma(self) -> float:
@@ -139,24 +141,33 @@ def discretize(spec: DemandSpec, tail_eps: float = DEFAULT_TAIL_EPS) -> DemandPm
     within about 2 * ``tail_eps`` for Poisson means of at least 1 and for
     normal demand with cv up to 0.4 (1.7e-6 for Poisson(7.25) at the
     default), and grows to about 10 * ``tail_eps`` for means near 0.1.
+
+    The pmfs are bitwise those of ``scipy.stats``'s ``poisson.ppf``/``pmf``
+    and ``norm.ppf``/``cdf``: these are the special functions they
+    evaluate, in the same order, with ``rv_discrete.pmf``'s clip at 1.
     """
     if not 0 < tail_eps < 0.01:
         raise ValueError("tail_eps must lie in (0, 0.01)")
+    q = 1.0 - tail_eps
     if spec.kind == "poisson":
-        if spec.mean == 0:
+        mu = spec.mean
+        if mu == 0:
             return point_mass(0)
-        kmax = int(poisson.ppf(1.0 - tail_eps, spec.mean))
-        probs = poisson.pmf(np.arange(kmax + 1), spec.mean)
+        cut = np.ceil(pdtrik(q, mu))
+        below = np.maximum(cut - 1, 0)
+        kmax = int(below if pdtr(below, mu) >= q else cut)
+        k = np.arange(kmax + 1)
+        probs = np.minimum(np.exp(xlogy(k, mu) - gammaln(k + 1) - mu), 1.0)
         return DemandPmf(offset=0, probs=probs)
     # Normal with sigma = cv * mean; cv = 0 degenerates to a point mass
     # at the nearest integer.
     sigma = spec.sigma
     if sigma == 0:
         return point_mass(int(round(spec.mean)))
-    kmax = int(np.ceil(spec.mean - 0.5 + sigma * norm.ppf(1.0 - tail_eps)))
+    kmax = int(np.ceil(spec.mean - 0.5 + sigma * ndtri(q)))
     kmax = max(kmax, 0)
     edges = (np.arange(kmax + 2) - 0.5 - spec.mean) / sigma
-    cdfs = norm.cdf(edges)
+    cdfs = ndtr(edges)
     probs = np.diff(cdfs)
     probs[0] += cdfs[0]  # fold mass below -0.5 into demand 0
     return DemandPmf(offset=0, probs=probs)

@@ -153,6 +153,7 @@ from .demand import DEFAULT_TAIL_EPS, CumulativeDemandCache, discretize
 from .model import Instance, Policy, PolicyReview
 
 DEFAULT_QUANTILE_EPS = 1e-5
+_MAX_GRID_SIZE = 2**45  # float64 levels that fill a 48-bit (256 TiB) address space
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,9 @@ def build_grid(
     the module docstring); the cost engine's curves grow to the spans
     these read. The ceiling is the (1 - quantile_eps) quantile of total
     horizon demand rounded up by 10%; the floor is its negative. Both are
-    widened if needed so the initial inventory lies on the grid.
+    widened if needed so the initial inventory lies on the grid. A grid
+    of more than 2**45 levels, which as float64 would exceed a 48-bit
+    address space, raises ``MemoryError``.
     """
     if not 0 < quantile_eps <= 1e-4:
         raise ValueError("quantile_eps must lie in (0, 1e-4]")
@@ -200,7 +203,10 @@ def build_grid(
     max_inv = int(math.ceil(1.1 * m))
     max_inv = max(max_inv, instance.I0, 0)
     min_inv = min(-max_inv, instance.I0)
-    return InventoryGrid(min_inv=min_inv, max_inv=max_inv)
+    grid = InventoryGrid(min_inv=min_inv, max_inv=max_inv)
+    if grid.size > _MAX_GRID_SIZE:
+        raise MemoryError("the inventory grid has more than 2**45 levels")
+    return grid
 
 
 @dataclass

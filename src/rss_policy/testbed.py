@@ -104,9 +104,10 @@ def _demand_models() -> list[tuple[str, str, float]]:
     return models
 
 
-def gen_analysis(T: int, base_mean: float = ANALYSIS_BASE_MEAN, seed: int = 0) -> list[Instance]:
+def gen_analysis(T: int, seed: int = 0) -> list[Instance]:
     """Full factorial design for one horizon: 5 K levels x 5 W levels x
-    5 demand models x 6 patterns = 750 instances, h = 1 and b = 10.
+    5 demand models x 6 patterns = 750 instances, h = 1, b = 10 and a
+    base mean demand of ``ANALYSIS_BASE_MEAN`` per period.
 
     The RAND pattern's mean vector is drawn once per horizon (from
     ``seed``) and shared across all cost cells, so the pattern itself is
@@ -115,7 +116,7 @@ def gen_analysis(T: int, base_mean: float = ANALYSIS_BASE_MEAN, seed: int = 0) -
     if T not in (10, 20):
         raise ValueError("the factorial design is defined for T in {10, 20}")
     means_by_pattern = {
-        pat: pattern_means(PatternSpec(kind=pat, base_mean=base_mean, T=T, seed=seed + T))
+        pat: pattern_means(PatternSpec(kind=pat, base_mean=ANALYSIS_BASE_MEAN, T=T, seed=seed + T))
         for pat in PATTERNS
     }
     out = []

@@ -1,10 +1,13 @@
 """Command-line behaviour: malformed input files and campaign arguments
-exit 2 with a one-line error, before anything is written, and
-``evaluate`` prices a policy analytically once."""
+exit 2 with a one-line error, before anything is written, a grid too
+large for memory exits 3 and a write failure 4; ``evaluate`` prices a
+policy analytically once, and the campaigns write their reports."""
 
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from rss_policy import cli, evaluate, instance_to_dict, save_instance
@@ -32,6 +35,9 @@ _BAD_INSTANCES = {
     "b-nan": {"b": math.nan},
     "h-inf": {"h": math.inf},
     "cv-inf": {"demand": _normal_demand(math.inf)},
+    # cv * mean overflowed to inf and the demand cut to int raised
+    # OverflowError (a traceback, exit 1)
+    "sigma-inf": {"demand": [{"kind": "normal", "mean": 1e300, "cv": 1e10}] * 3},
 }
 
 
@@ -49,16 +55,19 @@ def test_bad_instance_file_exits_2(tmp_path, capsys, case):
 
 
 def test_out_of_memory_exits_3(tmp_path, capsys):
-    # the grid spans +-1e15 and the cost engine asks for about 14 PiB,
-    # more than any address space holds: a MemoryError traceback exited 1
-    doc = _instance_doc()
-    doc["I0"] = 10**15
+    # a grid reaching I0 would not fit in any address space, so it is
+    # refused where it is built, before anything is allocated; 1e20 and
+    # -1e308 overflowed int64 in the cost engine (a traceback, exit 1)
+    # and 2**62 failed in numpy as an input error (exit 2)
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(doc))
-    assert cli_main(["solve", str(path)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    for I0 in (10**15, 2**62, 1e20, -1e308):
+        doc = _instance_doc()
+        doc["I0"] = I0
+        path.write_text(json.dumps(doc))
+        assert cli_main(["solve", str(path)]) == 3, I0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_eps_defaults_are_the_library_constants():
@@ -160,3 +169,157 @@ def test_benchmark_times_each_solve_on_a_fresh_context(tmp_path, monkeypatch):
             "--solvers", "plain,kconvex", "--reps", "2", "--out", str(tmp_path / "b")]
     assert cli_main(argv) == 0
     assert len(built) == 1 + 4  # the oracle, then two repetitions of each solver
+
+
+_FACTORIAL_CELLS = {
+    "analysis-T10-K20-W160-poisson-STA",
+    "analysis-T10-K160-W20-normal0.2-INC",
+    "analysis-T10-K20-W20-normal0.4-RAND",
+    "analysis-T10-K320-W40-poisson-DEC",
+}
+
+
+def test_factorial_campaign_writes_summary(tmp_path, monkeypatch):
+    # four cells of the T = 10 design; the K and W levels sorted as
+    # strings (160 before 20) in summary.csv
+    cells = [inst for inst in cli.gen_analysis(10) if inst.label in _FACTORIAL_CELLS]
+    monkeypatch.setattr(cli, "gen_analysis", lambda T, seed=0: list(cells))
+    out = tmp_path / "out"
+    argv = ["benchmark", "analysis", "--t-min", "10", "--t-max", "10",
+            "--solvers", "plain,kconvex,exact", "--out", str(out)]
+    assert cli_main(argv) == 0
+    with (out / "report.csv").open() as fh:
+        report = list(csv.DictReader(fh))
+    assert list(report[0]) == cli.REPORT_COLUMNS
+    assert len(report) == 4 * 3
+    for row in report:
+        assert row["optimality_gap_pct"] != ""
+        if row["solver"] == "exact":
+            assert float(row["optimality_gap_pct"]) == 0.0
+    with (out / "summary.csv").open() as fh:
+        summary = list(csv.DictReader(fh))
+    assert list(summary[0]) == cli.SUMMARY_COLUMNS
+    levels = {
+        "K": ["20", "160", "320"],
+        "W": ["20", "40", "160"],
+        "sigma": ["0.2", "0.4", "poisson"],
+        "pattern": ["DEC", "INC", "RAND", "STA"],
+    }
+    expected = [(f, lv, s) for f in levels for lv in levels[f] for s in ("exact", "kconvex", "plain")]
+    assert [(r["factor"], r["level"], r["solver"]) for r in summary] == expected
+    for row in summary:
+        assert row["mean_gap_pct"] != "" and row["pct_non_optimal"] != ""
+        if row["solver"] == "exact":
+            assert float(row["mean_gap_pct"]) == 0.0 and float(row["pct_non_optimal"]) == 0.0
+
+
+_WRITE_FAILURES = {
+    "benchmark-out-is-file": (_BENCH, "file"),
+    "gen-out-is-file": (["gen", "scalability", "--t", "2", "--n", "1"], "file"),
+    "report-is-directory": (_BENCH, "report-dir"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITE_FAILURES))
+def test_write_failure_exits_4(tmp_path, capsys, case):
+    argv, kind = _WRITE_FAILURES[case]
+    out = tmp_path / "out"
+    if kind == "file":
+        out.write_text("")
+    else:
+        (out / "report.csv").mkdir(parents=True)
+    assert cli_main(argv + ["--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_SOLVE_KEYS = ("T", "K", "W", "h", "b", "I0", "beta")
+_WRONG_TYPES = (None, [1.0], {"v": 1.0}, "abc", "")
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+_DEFECTS = (
+    "missing-key", "unknown-key", "wrong-type", "non-finite", "huge", "huge-I0", "huge-mean",
+    "short-horizon", "beta-range", "demand-length", "demand-kind", "demand-value",
+    "demand-entry",
+)
+
+
+def _malformed_instance(rng):
+    """A valid three-period instance document with one defect drawn by ``rng``."""
+    doc = instance_to_dict(deterministic_instance([4, 0, 7], K=30.0, W=5.0))
+    doc["demand"] = [
+        {"kind": "poisson", "mean": 4.0, "cv": 0.0},
+        {"kind": "normal", "mean": 6.0, "cv": 0.3},
+        {"kind": "poisson", "mean": 2.5},
+    ]
+    entry = doc["demand"][int(rng.integers(3))]
+
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    defect = pick(_DEFECTS)
+    if defect == "missing-key":
+        del doc[pick(_SOLVE_KEYS + ("demand",))]
+    elif defect == "unknown-key":
+        doc[pick(["k", "i0", "Beta", "demands", "horizon"])] = 1.0
+    elif defect == "wrong-type":
+        doc[pick(_SOLVE_KEYS + ("demand",))] = pick(_WRONG_TYPES)
+    elif defect == "non-finite":
+        doc[pick(_SOLVE_KEYS)] = pick(_NON_FINITE)
+    elif defect == "huge":
+        # float() overflows on 10**400; no demand list matches a horizon of 10**20
+        key = pick(("K", "W", "h", "b", "beta", "T"))
+        doc[key] = 10**20 if key == "T" else pick([10**400, -(10**400)])
+    elif defect == "huge-I0":
+        # a grid reaching I0 has at least 2 * 10**14 levels
+        doc["I0"] = pick([1, -1]) * pick([10 ** int(rng.integers(14, 400)),
+                                          10.0 ** int(rng.integers(14, 309))])
+    elif defect == "huge-mean":
+        # refused before any pmf is built: pdtrik gives NaN for the Poisson
+        # cut, the normal cut is too long for an array, and a normal point
+        # mass puts the grid ceiling past 10**20
+        entry.update(kind=pick(["poisson", "normal"]), mean=pick([1e20, 1e300]),
+                     cv=pick([0.0, 0.3]))
+    elif defect == "short-horizon":
+        doc["T"] = int(rng.integers(-3, 1))
+        doc["demand"] = doc["demand"][: max(doc["T"], 0)]
+    elif defect == "beta-range":
+        doc["beta"] = pick([-1e-12, -0.5, 1.0 + 1e-12, 2.0])
+    elif defect == "demand-length":
+        doc["demand"] = pick([doc["demand"][:2], doc["demand"] + [entry], []])
+    elif defect == "demand-kind":
+        entry["kind"] = pick(["gamma", "Poisson", "", None, 3])
+    elif defect == "demand-value":
+        entry[pick(["mean", "cv"])] = pick(
+            _WRONG_TYPES + _NON_FINITE + (-1.0, 10**400, -(10**400))
+        )
+    else:  # demand-entry
+        change = pick(["drop-kind", "drop-mean", "unknown-key", "not-a-dict"])
+        if change == "drop-kind":
+            del entry["kind"]
+        elif change == "drop-mean":
+            del entry["mean"]
+        elif change == "unknown-key":
+            entry["sigma"] = 1.0
+        else:
+            doc["demand"][0] = pick([[4.0], 4.0, None, "poisson"])
+    return defect, doc
+
+
+def test_malformed_instances_exit_cleanly(tmp_path, capsys):
+    # seeded documents with one defect each, through every solver; an I0
+    # of 1e20 ended in an OverflowError traceback (exit 1)
+    rng = np.random.default_rng(20261019)
+    path = tmp_path / "inst.json"
+    seen = set()
+    for i in range(240):
+        defect, doc = _malformed_instance(rng)
+        seen.add(defect)
+        path.write_text(json.dumps(doc))
+        solver = cli.SOLVERS[i % len(cli.SOLVERS)]
+        code = cli_main(["solve", str(path), "--solver", solver])
+        captured = capsys.readouterr()
+        assert code in (2, 3), (defect, doc, code)
+        assert captured.out == "", (defect, doc)
+        assert captured.err.splitlines()[-1].startswith("error:"), (defect, doc)
+        assert "Traceback" not in captured.err
+    assert seen == set(_DEFECTS)

@@ -1,5 +1,11 @@
 """Demand discretization, convolution and the cumulative cache."""
 
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,9 +17,12 @@ from rss_policy import (
     Instance,
     convolve,
     discretize,
+    gen_analysis,
+    gen_scalability,
     point_mass,
     save_instance,
 )
+import rss_policy
 from rss_policy.cli import main as cli_main
 
 
@@ -56,6 +65,8 @@ class TestDiscretize:
             DemandSpec("poisson", -1.0)
         with pytest.raises(ValueError):
             DemandSpec("binomial", 5.0)
+        with pytest.raises(ValueError):  # sigma overflows to inf
+            DemandSpec("normal", 1e300, 1e10)
         with pytest.raises(ValueError):
             discretize(DemandSpec("poisson", 5.0), tail_eps=0.5)
         with pytest.raises(ValueError):
@@ -77,6 +88,63 @@ class TestDiscretize:
         pmf = discretize(spec, tail_eps=tail_eps)
         assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert pmf.mean() == pytest.approx(spec.mean, rel=3 * tail_eps)
+
+
+def _scipy_stats_discretize(spec, tail_eps):
+    """``discretize`` through the scipy.stats distribution objects: the
+    reference the special-function construction must match bitwise."""
+    from scipy.stats import norm, poisson
+
+    if spec.kind == "poisson":
+        if spec.mean == 0:
+            return point_mass(0)
+        kmax = int(poisson.ppf(1.0 - tail_eps, spec.mean))
+        return DemandPmf(offset=0, probs=poisson.pmf(np.arange(kmax + 1), spec.mean))
+    sigma = spec.sigma
+    if sigma == 0:
+        return point_mass(int(round(spec.mean)))
+    kmax = max(int(np.ceil(spec.mean - 0.5 + sigma * norm.ppf(1.0 - tail_eps))), 0)
+    cdfs = norm.cdf((np.arange(kmax + 2) - 0.5 - spec.mean) / sigma)
+    probs = np.diff(cdfs)
+    probs[0] += cdfs[0]
+    return DemandPmf(offset=0, probs=probs)
+
+
+@functools.cache
+def _reference_specs():
+    """The testbeds' specs (every factorial cell at T = 10 and 20, the
+    scalability instances of T = 1..59 with the CLI's seeds) and seeded
+    random Poisson and normal specs, small means included."""
+    specs = {s for T in (10, 20) for inst in gen_analysis(T) for s in inst.demand}
+    specs |= {s for T in range(1, 60) for s in gen_scalability(T, 1, seed=T)[0].demand}
+    rng = np.random.default_rng(16)
+    means = np.concatenate([rng.uniform(0.0, 1.0, 200), np.exp(rng.uniform(0.0, 7.0, 200))])
+    for m in means:
+        specs.add(DemandSpec("poisson", float(m)))
+        specs.add(DemandSpec("normal", float(m), float(rng.uniform(0.0, 0.5))))
+    return tuple(sorted(specs, key=lambda s: (s.kind, s.mean, s.cv)))
+
+
+@pytest.mark.parametrize("tail_eps", [1e-9, 1e-6, 1e-5, 1e-3, 9e-3])
+def test_discretize_matches_scipy_stats_bitwise(tail_eps):
+    mismatched = []
+    for spec in _reference_specs():
+        got, ref = discretize(spec, tail_eps), _scipy_stats_discretize(spec, tail_eps)
+        if got.offset != ref.offset or got.probs.tobytes() != ref.probs.tobytes():
+            mismatched.append(spec)
+    assert not mismatched, mismatched[:5]
+
+
+def test_package_imports_no_scipy_stats():
+    # scipy.stats and what it loads took about 1.2 s of a 1.4 s import
+    code = (
+        "import sys, rss_policy, rss_policy.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rss_policy.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestConvolve:
