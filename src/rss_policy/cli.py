@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import statistics
 import sys
@@ -183,44 +184,32 @@ def _level_order(level: str) -> tuple[int, float, str]:
 
 
 def _write_summary(path: Path, rows: list[dict[str, Any]]) -> None:
-    """Per-factor aggregation in the benchmark-table layout."""
+    """Per-factor aggregation of the factorial rows in the benchmark-table layout."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
-        factors = ("K", "W", "sigma", "pattern")
         solvers = sorted({r["solver"] for r in rows})
-        for factor in factors:
-            levels = sorted({r["factors"][factor] for r in rows if r["factors"]}, key=_level_order)
-            for level in levels:
-                for solver in solvers:
-                    sel = [
-                        r
-                        for r in rows
-                        if r["solver"] == solver
-                        and r["factors"]
-                        and r["factors"][factor] == level
+        for factor in ("K", "W", "sigma", "pattern"):
+            levels = sorted({r["factors"][factor] for r in rows}, key=_level_order)
+            for level, solver in itertools.product(levels, solvers):
+                sel = [r for r in rows if (r["factors"][factor], r["solver"]) == (level, solver)]
+                if not sel:
+                    continue
+                gaps = [r["optimality_gap_pct"] for r in sel]
+                have_gaps = None not in gaps
+                non_opt = [g for g in gaps if g > 100.0 * _NON_OPTIMAL_GAP] if have_gaps else []
+                writer.writerow(
+                    [
+                        factor,
+                        level,
+                        solver,
+                        f"{statistics.mean(gaps):.4f}" if have_gaps else "",
+                        f"{100.0 * len(non_opt) / len(sel):.2f}" if have_gaps else "",
+                        f"{statistics.mean(non_opt):.4f}" if non_opt else "",
+                        f"{statistics.mean(r['wall_time_ms'] for r in sel):.2f}",
+                        f"{statistics.mean(r['n_reviews'] for r in sel):.2f}",
                     ]
-                    if not sel:
-                        continue
-                    gaps = [r["optimality_gap_pct"] for r in sel]
-                    have_gaps = all(g is not None for g in gaps)
-                    non_opt = (
-                        [g for g in gaps if g > 100.0 * _NON_OPTIMAL_GAP]
-                        if have_gaps
-                        else []
-                    )
-                    writer.writerow(
-                        [
-                            factor,
-                            level,
-                            solver,
-                            f"{statistics.mean(gaps):.4f}" if have_gaps else "",
-                            f"{100.0 * len(non_opt) / len(sel):.2f}" if have_gaps else "",
-                            f"{statistics.mean(non_opt):.4f}" if non_opt else "",
-                            f"{statistics.mean(r['wall_time_ms'] for r in sel):.2f}",
-                            f"{statistics.mean(r['n_reviews'] for r in sel):.2f}",
-                        ]
-                    )
+                )
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
@@ -228,6 +217,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         raise SchemaError("--reps needs at least one repetition")
     if args.exact_budget < 1:
         raise SchemaError("--exact-budget needs at least one node")
+    if args.seed < 0:
+        raise SchemaError("--seed must be nonnegative")
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     if not solvers:
         raise SchemaError("--solvers names no solver")
@@ -300,6 +291,8 @@ def _format_row(row: dict[str, Any]) -> dict[str, Any]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise SchemaError("--seed must be nonnegative")
     if args.suite == "scalability":
         batch = gen_scalability(args.t, args.n, args.seed)
     else:

@@ -154,6 +154,8 @@ def discretize(spec: DemandSpec, tail_eps: float = DEFAULT_TAIL_EPS) -> DemandPm
         if mu == 0:
             return point_mass(0)
         cut = np.ceil(pdtrik(q, mu))
+        if not np.isfinite(cut):  # pdtrik gives NaN for very large means
+            raise ValueError(f"cannot cut the Poisson demand of mean {mu:g}")
         below = np.maximum(cut - 1, 0)
         kmax = int(below if pdtr(below, mu) >= q else cut)
         k = np.arange(kmax + 1)

@@ -37,6 +37,25 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
     return doc
 
 
+def _number(doc: dict[str, Any], key: str, integral: bool = False, where: str = "") -> Any:
+    """``doc[key]`` as a float, or as an int if ``integral`` (3.0 is 3).
+    A non-number (booleans and strings included), a number beyond the
+    float range and a non-integer where an integer is needed raise
+    ``SchemaError`` naming ``where`` + key."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{where}{key} must be a number, not {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}{key} is too large for a float") from None
+    if not integral:
+        return number
+    if not number.is_integer():
+        raise SchemaError(f"{where}{key} must be an integer, not {value!r}")
+    return int(value)
+
+
 def instance_from_dict(doc: Any) -> Instance:
     if not isinstance(doc, dict):
         raise SchemaError("instance document must be a JSON object")
@@ -46,26 +65,30 @@ def instance_from_dict(doc: Any) -> Instance:
     missing = _REQUIRED_KEYS - set(doc)
     if missing:
         raise SchemaError(f"missing instance keys: {sorted(missing)}")
+    T = _number(doc, "T", integral=True)
     demand_doc = doc["demand"]
-    if not isinstance(demand_doc, list) or len(demand_doc) != doc["T"]:
+    if not isinstance(demand_doc, list) or len(demand_doc) != T:
         raise SchemaError("demand must be a list with one entry per period")
-    for entry in demand_doc:
+    demand = []
+    for i, entry in enumerate(demand_doc):
         if not isinstance(entry, dict) or set(entry) - _DEMAND_KEYS:
             raise SchemaError(f"bad demand entry: {entry!r}")
         if "kind" not in entry or "mean" not in entry:
             raise SchemaError(f"demand entry needs kind and mean: {entry!r}")
+        spec = {"cv": 0.0, **entry}
+        mean, cv = (_number(spec, key, where=f"demand[{i}].") for key in ("mean", "cv"))
+        demand.append((entry["kind"], mean, cv))
+    if not isinstance(doc.get("label", ""), str):
+        raise SchemaError(f"label must be a string, not {doc['label']!r}")
+    cost = {key: _number(doc, key) for key in ("K", "W", "h", "b")}
+    I0, beta = _number(doc, "I0", integral=True), _number(doc, "beta")
     try:
         return Instance(
-            T=int(doc["T"]),
-            params=CostParams(
-                K=float(doc["K"]), W=float(doc["W"]), h=float(doc["h"]), b=float(doc["b"])
-            ),
-            I0=int(doc["I0"]),
-            demand=tuple(
-                DemandSpec(kind=e["kind"], mean=float(e["mean"]), cv=float(e.get("cv", 0.0)))
-                for e in demand_doc
-            ),
-            beta=float(doc["beta"]),
+            T=T,
+            params=CostParams(**cost),
+            I0=I0,
+            demand=tuple(DemandSpec(*spec) for spec in demand),
+            beta=beta,
             label=doc.get("label"),
         )
     except (TypeError, ValueError, OverflowError) as exc:
@@ -107,18 +130,11 @@ def policy_from_dict(doc: Any, horizon: int) -> Policy:
     if not isinstance(doc, dict) or not isinstance(doc.get("reviews"), list):
         raise SchemaError("policy document must be an object with a 'reviews' list")
     reviews = []
-    for entry in doc["reviews"]:
-        try:
-            reviews.append(
-                PolicyReview(
-                    period=int(entry["t"]),
-                    cycle=int(entry["R"]),
-                    reorder=int(entry["s"]),
-                    order_up_to=int(entry["S"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"bad review entry: {entry!r}") from exc
+    for i, entry in enumerate(doc["reviews"]):
+        if not isinstance(entry, dict) or not set("tRsS") <= set(entry):
+            raise SchemaError(f"bad review entry: {entry!r}")
+        t, R, s, S = (_number(entry, key, True, f"reviews[{i}].") for key in "tRsS")
+        reviews.append(PolicyReview(period=t, cycle=R, reorder=s, order_up_to=S))
     try:
         return Policy(horizon=horizon, reviews=tuple(reviews))
     except ValueError as exc:

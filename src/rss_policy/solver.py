@@ -270,21 +270,20 @@ class SolveContext:
 
 @dataclass
 class ValueTables:
-    """Cost-to-go tables and per-period cycle choices from one solve.
+    """Cost-to-go tables and the review decided at each period of one solve.
 
     ``grid`` is the window the sweep decided on, the context's grid
     for beta < 1, and ``cost_to_go[t]`` is indexed by it (period T+1 is
-    identically zero); ``cycle_length``/``reorder``/``order_up_to`` hold the chosen
-    cycle and thresholds for every period 1..T the sweep decided: all of
-    them for the heuristic, the scheduled reviews for ``scarf_fixed_R``.
+    identically zero); ``reviews[t]`` is the review decided at period t,
+    its cycle length and its (s, S) levels, for every period 1..T the
+    sweep decided: all of them for the heuristic, the scheduled reviews
+    for ``scarf_fixed_R``.
     """
 
     grid: InventoryGrid
     horizon: int
     cost_to_go: dict[int, np.ndarray]
-    cycle_length: dict[int, int]
-    reorder: dict[int, int]
-    order_up_to: dict[int, int]
+    reviews: dict[int, PolicyReview]
     stats: SolveStats
     algorithm: str
 
@@ -455,9 +454,12 @@ def _sweep(
 
     ``lengths(t)`` gives the candidate cycle lengths at period t in
     increasing order, by default every length that fits the horizon; a
-    period without candidates gets no table. Ties between cycle lengths
-    go to the shorter cycle; the order-up-to tie-break (largest level) is
-    fixed inside the threshold scan.
+    period without candidates gets no table and no review. Ties between
+    cycle lengths go to the shorter cycle; the order-up-to tie-break
+    (largest level) is fixed inside the threshold scan. Each decided
+    period records one ``PolicyReview`` from its winning cycle, whose
+    curve indices of the stop and the order-up-to level become inventory
+    levels here and nowhere else.
 
     Under full backlogging the sweep decides on a window of the grid,
     ``_initial_window`` unless given (the whole grid makes it the
@@ -483,9 +485,7 @@ def _sweep(
         window = _initial_window(ctx)
     stats = SolveStats()
     cost_to_go: dict[int, np.ndarray] = {T + 1: np.zeros(window.size)}
-    cycle_length: dict[int, int] = {}
-    reorder: dict[int, int] = {}
-    order_up_to: dict[int, int] = {}
+    reviews: dict[int, PolicyReview] = {}
     levels: dict[int, np.ndarray] = {}  # beta < 1: next review -> level at t
     for t in range(T, 0, -1):
         if not prune:
@@ -520,23 +520,14 @@ def _sweep(
                 tables.stats.window_widenings += 1
                 return tables
             if best is None or res.best_n < best.best_n:
-                best, cycle_length[t] = res, r
+                best, best_r = res, r
                 limit = best.best_n + _BOUND_MARGIN * abs(best.best_n)
         if best is None:
             continue
         cost_to_go[t] = best.table
-        reorder[t] = window.min_inv + best.stop + 1
-        order_up_to[t] = window.min_inv + best.best
-    return ValueTables(
-        grid=window,
-        horizon=T,
-        cost_to_go=cost_to_go,
-        cycle_length=cycle_length,
-        reorder=reorder,
-        order_up_to=order_up_to,
-        stats=stats,
-        algorithm=algorithm,
-    )
+        lo = window.min_inv  # the curve indices as inventory levels
+        reviews[t] = PolicyReview(t, best_r, lo + best.stop + 1, lo + best.best)
+    return ValueTables(window, T, cost_to_go, reviews, stats, algorithm)
 
 
 def _context(
@@ -584,23 +575,15 @@ def solve_lost_sales(instance: Instance, *, context: Optional[SolveContext] = No
 # ----------------------------------------------------------------------
 
 def extract_policy(tables: ValueTables, instance: Instance) -> Policy:
-    """Walk the chosen cycle lengths forward from the mandatory period-1
-    review and collect the visited thresholds."""
+    """The decided reviews visited by following each one's cycle forward
+    from the mandatory period-1 review."""
     if tables.horizon != instance.T:
         raise ValueError("tables belong to a different horizon")
     reviews = []
     t = 1
     while t <= instance.T:
-        if t not in tables.cycle_length:
+        if t not in tables.reviews:
             raise ValueError(f"value tables are incomplete at period {t}")
-        r = tables.cycle_length[t]
-        reviews.append(
-            PolicyReview(
-                period=t,
-                cycle=r,
-                reorder=tables.reorder[t],
-                order_up_to=tables.order_up_to[t],
-            )
-        )
-        t += r
+        reviews.append(tables.reviews[t])
+        t += reviews[-1].cycle
     return Policy(horizon=instance.T, reviews=tuple(reviews))

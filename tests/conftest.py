@@ -12,6 +12,7 @@ from rss_policy import (
     CostParams,
     DemandSpec,
     Instance,
+    PolicyReview,
     ReviewSchedule,
     SolveContext,
     SolveStats,
@@ -224,21 +225,22 @@ def q_loop_oracle(curve: np.ndarray, W: float, K: float) -> tuple[np.ndarray, in
 def unpruned_sweep(ctx: SolveContext, table_fn):
     """Backward sweep that builds and decides every candidate cycle, with
     no bound: the locally best length per period, ties to the shorter.
-    Returns (cost_to_go, cycle_length, reorder, order_up_to, stats)."""
+    Returns (cost_to_go, reviews, stats), the reviews keyed by period."""
     T = ctx.instance.T
     stats = SolveStats()
     cost_to_go = {T + 1: np.zeros(ctx.grid.size)}
-    cycle_length, reorder, order_up_to = {}, {}, {}
+    reviews = {}
     for t in range(T, 0, -1):
         best = None
         for r in range(1, T - t + 2):
             res = table_fn(ctx, cycle_curve(ctx, t, r, cost_to_go[t + r]), stats)
             if best is None or res.best_n < best.best_n:
-                best, cycle_length[t] = res, r
+                best, cycle = res, r
         cost_to_go[t] = best.table
-        reorder[t] = ctx.grid.min_inv + best.stop + 1
-        order_up_to[t] = ctx.grid.min_inv + best.best
-    return cost_to_go, cycle_length, reorder, order_up_to, stats
+        reviews[t] = PolicyReview(
+            t, cycle, ctx.grid.min_inv + best.stop + 1, ctx.grid.min_inv + best.best
+        )
+    return cost_to_go, reviews, stats
 
 
 def full_grid_sweep(ctx: SolveContext, table_fn, algorithm="full-grid", lengths=None):
@@ -261,17 +263,15 @@ def window_slice(ctx: SolveContext, window, table: np.ndarray) -> np.ndarray:
 
 def assert_window_matches_full_grid(ctx: SolveContext, windowed, full) -> None:
     """The windowed sweep decided what the full-grid sweep decides: its
-    tables are the full tables on the window, bitwise, with the same cycle
-    lengths, thresholds, root cost and candidates pruned."""
+    tables are the full tables on the window, bitwise, with the same
+    reviews, root cost and candidates pruned."""
     inst = ctx.instance
     assert full.grid == ctx.grid
     assert windowed.cost_to_go.keys() == full.cost_to_go.keys()
     for t, table in windowed.cost_to_go.items():
         assert np.array_equal(table, window_slice(ctx, windowed.grid, full.cost_to_go[t])), t
-    assert (windowed.cycle_length, windowed.reorder, windowed.order_up_to) == (
-        full.cycle_length, full.reorder, full.order_up_to
-    )
-    if 1 in full.cycle_length:
+    assert windowed.reviews == full.reviews
+    if 1 in full.reviews:
         assert windowed.root_cost(inst.I0) == full.root_cost(inst.I0)
         assert extract_policy(windowed, inst) == extract_policy(full, inst)
     assert windowed.stats.candidates_pruned == full.stats.candidates_pruned

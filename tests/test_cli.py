@@ -3,6 +3,7 @@ exit 2 with a one-line error, before anything is written, a grid too
 large for memory exits 3 and a write failure 4; ``evaluate`` prices a
 policy analytically once, and the campaigns write their reports."""
 
+import copy
 import csv
 import json
 import math
@@ -38,6 +39,12 @@ _BAD_INSTANCES = {
     # cv * mean overflowed to inf and the demand cut to int raised
     # OverflowError (a traceback, exit 1)
     "sigma-inf": {"demand": [{"kind": "normal", "mean": 1e300, "cv": 1e10}] * 3},
+    # each of these solved, to the cost of another instance
+    "I0-fraction": {"I0": 2.7},
+    "K-true": {"K": True},
+    "K-string": {"K": "5"},
+    "beta-true": {"beta": True},
+    "label-int": {"label": 5},
 }
 
 
@@ -51,7 +58,7 @@ def test_bad_instance_file_exits_2(tmp_path, capsys, case):
     assert cli_main(["solve", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_out_of_memory_exits_3(tmp_path, capsys):
@@ -234,12 +241,12 @@ def test_write_failure_exits_4(tmp_path, capsys, case):
 
 
 _SOLVE_KEYS = ("T", "K", "W", "h", "b", "I0", "beta")
-_WRONG_TYPES = (None, [1.0], {"v": 1.0}, "abc", "")
+_WRONG_TYPES = (None, [1.0], {"v": 1.0}, "abc", "", "5", "2.0", True, False)
 _NON_FINITE = (math.nan, math.inf, -math.inf)
 _DEFECTS = (
     "missing-key", "unknown-key", "wrong-type", "non-finite", "huge", "huge-I0", "huge-mean",
     "short-horizon", "beta-range", "demand-length", "demand-kind", "demand-value",
-    "demand-entry",
+    "demand-entry", "non-integral", "label",
 )
 
 
@@ -270,7 +277,8 @@ def _malformed_instance(rng):
         key = pick(("K", "W", "h", "b", "beta", "T"))
         doc[key] = 10**20 if key == "T" else pick([10**400, -(10**400)])
     elif defect == "huge-I0":
-        # a grid reaching I0 has at least 2 * 10**14 levels
+        # a grid reaching I0 has at least 2 * 10**14 levels (exit 3), and
+        # an I0 beyond the float range is refused as input (exit 2)
         doc["I0"] = pick([1, -1]) * pick([10 ** int(rng.integers(14, 400)),
                                           10.0 ** int(rng.integers(14, 309))])
     elif defect == "huge-mean":
@@ -288,6 +296,10 @@ def _malformed_instance(rng):
         doc["demand"] = pick([doc["demand"][:2], doc["demand"] + [entry], []])
     elif defect == "demand-kind":
         entry["kind"] = pick(["gamma", "Poisson", "", None, 3])
+    elif defect == "non-integral":
+        doc[pick(("T", "I0"))] = pick([2.7, 3.5, -0.5, 1e-9, 3.000001])
+    elif defect == "label":
+        doc["label"] = pick([5, 2.5, True, None, ["scal"], {"name": "scal"}])
     elif defect == "demand-value":
         entry[pick(["mean", "cv"])] = pick(
             _WRONG_TYPES + _NON_FINITE + (-1.0, 10**400, -(10**400))
@@ -323,3 +335,149 @@ def test_malformed_instances_exit_cleanly(tmp_path, capsys):
         assert captured.err.splitlines()[-1].startswith("error:"), (defect, doc)
         assert "Traceback" not in captured.err
     assert seen == set(_DEFECTS)
+
+
+_POLICY_DEFECTS = (
+    "document", "missing-key", "wrong-type", "non-integral", "non-finite", "huge",
+    "no-chain", "late-first", "s-above-S", "above-ceiling",
+)
+
+
+_VALID_POLICY = {"reviews": [{"t": 1, "R": 2, "s": 3, "S": 10}, {"t": 3, "R": 1, "s": 2, "S": 9}]}
+
+
+def _malformed_policy(rng, ceiling):
+    """``_VALID_POLICY``, a policy for ``_instance_doc`` (grid ceiling
+    ``ceiling``), with one defect drawn by ``rng``."""
+    doc = copy.deepcopy(_VALID_POLICY)
+    entry = doc["reviews"][int(rng.integers(2))]
+
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    defect = pick(_POLICY_DEFECTS)
+    if defect == "document":
+        doc = pick([[], {}, None, {"reviews": 5}, {"reviews": {}}, {"reviews": [5]},
+                    {"reviews": [None]}, {"reviews": []}])
+    elif defect == "missing-key":
+        del entry[pick("tRsS")]
+    elif defect == "wrong-type":
+        entry[pick("tRsS")] = pick(_WRONG_TYPES)
+    elif defect == "non-integral":
+        entry[pick("tRsS")] = pick([2.5, 0.1, -1.5, 9.000001])
+    elif defect == "non-finite":
+        entry[pick("tRsS")] = pick(_NON_FINITE)
+    elif defect == "huge":
+        # a review or cycle past the horizon, a level above the grid, or a
+        # number beyond the float range: a reorder level of -10**400 ended
+        # the simulation in an OverflowError traceback
+        entry[pick("tRsS")] = pick([10**20, 2**63, 1e300, 10**400, -(10**400)])
+    elif defect == "no-chain":
+        doc["reviews"][0]["R"] = pick([1, 3, 4])
+    elif defect == "late-first":
+        del doc["reviews"][0]
+    elif defect == "s-above-S":
+        entry["s"] = entry["S"] + int(rng.integers(1, 50))
+    else:  # above-ceiling
+        entry["S"] = ceiling + int(rng.integers(1, 1000))
+    return defect, doc
+
+
+def test_malformed_policies_exit_cleanly(tmp_path, capsys):
+    # seeded policy documents with one defect each, evaluated analytically
+    # and by simulation; S = 144.5, t = true and R = "3" were evaluated as
+    # 144, 1 and 3
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(_instance_doc()))
+    ceiling = cli.SolveContext(cli.load_instance(inst_path)).grid.max_inv
+    policy_path = tmp_path / "policy.json"
+    policy_path.write_text(json.dumps(_VALID_POLICY))
+    assert cli_main(["evaluate", str(inst_path), "--policy", str(policy_path)]) == 0
+    capsys.readouterr()
+    rng = np.random.default_rng(20261020)
+    seen = set()
+    for i in range(160):
+        defect, doc = _malformed_policy(rng, ceiling)
+        seen.add(defect)
+        policy_path.write_text(json.dumps(doc))
+        argv = ["evaluate", str(inst_path), "--policy", str(policy_path)]
+        code = cli_main(argv + (["--simulate", "20"] if i % 2 else []))
+        captured = capsys.readouterr()
+        assert code in (2, 3), (defect, doc, code)
+        assert captured.out == "", (defect, doc)
+        assert captured.err.splitlines()[-1].startswith("error:"), (defect, doc)
+        assert "Traceback" not in captured.err
+    assert seen == set(_POLICY_DEFECTS)
+
+
+_CAMPAIGN_DEFECTS = (
+    "horizon", "n", "reps", "budget", "seed", "solvers", "analysis-horizon",
+)
+
+
+_CHEAP_CAMPAIGNS = {
+    "benchmark": ["benchmark", "scalability", "--t-min", "2", "--t-max", "2", "--n", "1",
+                  "--skip-oracle", "--solvers", "kconvex"],
+    "gen": ["gen", "scalability", "--t", "2", "--n", "1"],
+}
+
+
+def _malformed_campaign(rng):
+    """The arguments of a ``_CHEAP_CAMPAIGNS`` run with one defect drawn by
+    ``rng``."""
+
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    def nonpositive():
+        return str(-int(rng.integers(0, 4)))
+
+    defect = pick(_CAMPAIGN_DEFECTS)
+    bench = defect in ("reps", "budget", "solvers") or bool(rng.integers(2))
+    argv = list(_CHEAP_CAMPAIGNS["benchmark" if bench else "gen"])
+    if defect == "horizon":
+        high = nonpositive()
+        low = str(int(high) - int(rng.integers(0, 3)))
+        argv += ["--t-min", low, "--t-max", high] if bench else ["--t", high]
+    elif defect == "n":
+        argv += ["--n", nonpositive()]
+    elif defect == "reps":
+        argv += ["--reps", nonpositive()]
+    elif defect == "budget":
+        argv += ["--exact-budget", nonpositive()]
+    elif defect == "seed":
+        argv[1] = pick(["scalability", "analysis"])
+        argv += ["--seed", str(-int(rng.integers(1, 30)))]
+        if argv[1] == "analysis":
+            argv += ["--t-min", "10", "--t-max", "10"] if bench else ["--t", "10"]
+    elif defect == "solvers":
+        argv += ["--solvers", pick(["", " , ", "foo", "kconvex,bar", "KCONVEX", "exact;plain"])]
+    else:  # analysis-horizon
+        argv[1] = "analysis"
+        if bench:  # a range that holds neither 10 nor 20
+            high = pick([-5, 0, 1, 9, 19, 40])
+            argv += ["--t-min", str(high - int(rng.integers(0, 3))), "--t-max", str(high)]
+        else:
+            argv += ["--t", str(pick([-5, 0, 1, 9, 11, 19, 21, 40]))]
+    return defect, argv
+
+
+def test_malformed_campaigns_exit_cleanly(tmp_path, capsys):
+    # seeded benchmark and gen arguments with one defect each; a negative
+    # --seed ran whenever seed + T was nonnegative
+    for name, argv in _CHEAP_CAMPAIGNS.items():
+        assert cli_main(argv + ["--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    rng = np.random.default_rng(20261021)
+    out = tmp_path / "out"
+    seen = set()
+    for _ in range(120):
+        defect, argv = _malformed_campaign(rng)
+        seen.add(defect)
+        code = cli_main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2, (defect, argv, code)
+        assert captured.err.splitlines()[-1].startswith("error:"), (defect, argv)
+        assert "Traceback" not in captured.err
+        assert not out.exists(), (defect, argv)
+    assert seen == set(_CAMPAIGN_DEFECTS)

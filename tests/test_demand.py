@@ -72,6 +72,23 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(DemandSpec("poisson", 5.0), tail_eps=0.0)
 
+    def test_refuses_a_poisson_mean_without_a_finite_cut(self, tmp_path, capsys):
+        # scipy's pdtrik returns NaN for very large means, and the cut
+        # stopped with "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=r"Poisson demand of mean 1e\+15"):
+            discretize(DemandSpec("poisson", 1e15))
+        instance = Instance(
+            T=2,
+            params=CostParams(K=50.0, W=5.0, h=1.0, b=10.0),
+            I0=0,
+            demand=(DemandSpec("poisson", 5.0), DemandSpec("poisson", 1e15)),
+        )
+        path = tmp_path / "inst.json"
+        save_instance(instance, path)
+        assert cli_main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1e+15" in err and err.count("\n") == 1
+
     def test_mass_normalized(self):
         for spec in [DemandSpec("poisson", 7.3), DemandSpec("normal", 40.0, 0.35)]:
             pmf = discretize(spec)

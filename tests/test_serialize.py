@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -97,6 +98,34 @@ class TestInstanceDocuments:
             instance_from_dict(_doc(demand=[spec] * 3))
 
 
+    @pytest.mark.parametrize(
+        "changes, key",
+        [
+            ({"I0": 2.7}, "I0"),  # loaded as I0 = 2
+            ({"T": 3.5}, "T"),
+            ({"K": True}, "K"),  # solved as K = 1
+            ({"K": "5"}, "K"),  # solved as K = 5
+            ({"beta": True}, "beta"),  # solved as beta = 1
+            ({"h": 10**400}, "h"),
+            ({"I0": 10**400}, "I0"),
+            ({"T": False}, "T"),
+            ({"label": 5}, "label"),  # loaded
+            ({"label": None}, "label"),
+            ({"demand": [{"kind": "poisson", "mean": "30"}] * 3}, "demand[0].mean"),
+            ({"demand": [{"kind": "normal", "mean": 30.0, "cv": True}] * 3}, "demand[0].cv"),
+        ],
+    )
+    def test_refused_values_name_the_key(self, changes, key):
+        with pytest.raises(SchemaError, match=f"^{re.escape(key)} "):
+            instance_from_dict(_doc(**changes))
+
+    def test_integral_floats_are_integers(self):
+        inst = instance_from_dict(_doc(T=3.0, I0=-2.0, K=5, beta=1))
+        assert (inst.T, inst.I0) == (3, -2) and type(inst.T) is type(inst.I0) is int
+        assert (inst.params.K, inst.beta) == (5.0, 1.0)
+        assert inst == instance_from_dict(_doc(I0=-2, K=5.0))
+
+
 class TestPolicyDocuments:
     def test_round_trip(self, tmp_path):
         doc = policy_to_dict(_POLICY, expected_cost=12.5)
@@ -121,6 +150,24 @@ class TestPolicyDocuments:
     def test_malformed_raises_schema_error(self, doc):
         with pytest.raises(SchemaError):
             policy_from_dict(doc, horizon=4)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("S", 20.5), ("t", True), ("R", "3"), ("s", math.nan), ("S", math.inf), ("R", 10**400)],
+        ids=["S-fraction", "t-true", "R-string", "s-nan", "S-inf", "R-huge"],
+    )
+    def test_refused_values_name_the_key(self, key, value):
+        # the first three were evaluated as S = 20, t = 1 and R = 3
+        doc = policy_to_dict(_POLICY)
+        doc["reviews"][0][key] = value
+        with pytest.raises(SchemaError, match=rf"^reviews\[0\]\.{key} "):
+            policy_from_dict(doc, horizon=4)
+
+    def test_integral_floats_are_integers(self):
+        doc = policy_to_dict(_POLICY)
+        doc["reviews"][1].update(t=4.0, R=1.0, s=-2.0, S=7.0)
+        policy = policy_from_dict(doc, horizon=4)
+        assert policy == _POLICY and type(policy.reviews[1].order_up_to) is int
 
 
 class TestFiles:

@@ -154,7 +154,7 @@ class TestTableStructure:
             inst = random_desk_instance(rng)
             tables = solve_kconvex(inst)
             for t in range(1, inst.T + 1):
-                s = tables.reorder[t]
+                s = tables.reviews[t].reorder
                 if s > tables.grid.min_inv:
                     region = tables.cost_to_go[t][: tables.grid.index(s)]
                     assert np.ptp(region) == 0.0
@@ -165,14 +165,14 @@ class TestTableStructure:
             tables = solve_kconvex(inst)
             for t in range(1, inst.T + 1):
                 table = tables.cost_to_go[t]
-                S_val = table[tables.grid.index(tables.order_up_to[t])]
+                S_val = table[tables.grid.index(tables.reviews[t].order_up_to)]
                 assert S_val == pytest.approx(table.min(), abs=1e-12)
 
     def test_reorder_below_order_up_to(self, rng):
         inst = random_desk_instance(rng)
         tables = solve_kconvex(inst)
         for t in range(1, inst.T + 1):
-            assert tables.reorder[t] <= tables.order_up_to[t]
+            assert tables.reviews[t].reorder <= tables.reviews[t].order_up_to
 
     def test_cost_monotone_in_penalty(self, rng):
         inst = random_desk_instance(rng)
@@ -309,12 +309,11 @@ class TestSweepBound:
         stats_of = {}
         for solve, table_fn in ((solve_kconvex, _kconvex_table), (solve_plain, _plain_table)):
             full = full_grid_sweep(ctx, table_fn, solve.__name__)
-            cost_to_go, cycle_length, reorder, order_up_to, stats = unpruned_sweep(ctx, table_fn)
+            cost_to_go, reviews, stats = unpruned_sweep(ctx, table_fn)
             assert full.cost_to_go.keys() == cost_to_go.keys()
             for t in cost_to_go:
                 assert np.array_equal(full.cost_to_go[t], cost_to_go[t])
-            assert full.cycle_length == cycle_length
-            assert (full.reorder, full.order_up_to) == (reorder, order_up_to)
+            assert full.reviews == reviews
             assert full.stats.states_evaluated <= stats.states_evaluated
             tables = solve(inst, context=ctx)
             assert_window_matches_full_grid(ctx, tables, full)
@@ -424,9 +423,7 @@ class TestWindow:
                     assert tables.cost_to_go.keys() == again.cost_to_go.keys()
                     for t, table in tables.cost_to_go.items():
                         assert np.array_equal(table, again.cost_to_go[t]), t
-                    assert (tables.cycle_length, tables.reorder, tables.order_up_to) == (
-                        again.cycle_length, again.reorder, again.order_up_to
-                    )
+                    assert tables.reviews == again.reviews
                     assert dataclasses.replace(tables.stats, window_widenings=0) == again.stats
                     widened += tables.stats.window_widenings
         assert widened > 0
@@ -439,7 +436,7 @@ class TestWindow:
         inst = deterministic_instance(list(means), K=0.0, W=50.0, b=10.0)
         ctx = SolveContext(inst)
         full = full_grid_sweep(ctx, _kconvex_table)
-        assert full.cycle_length[1] == inst.T
+        assert full.reviews[1].cycle == inst.T
         start = _tiny_window(ctx) if tiny else None
         windowed = _sweep(ctx, _kconvex_table, "windowed", window=start)
         assert_window_matches_full_grid(ctx, windowed, full)
@@ -503,13 +500,11 @@ class TestOneCurve:
             ctx = SolveContext(inst)
             tables = solve_lost_sales(inst, context=ctx)
             reference = unpruned_sweep(ctx, _plain_table)
-            cost_to_go, cycle_length, reorder, order_up_to, stats = reference
+            cost_to_go, reviews, stats = reference
             assert tables.cost_to_go.keys() == cost_to_go.keys()
             for t in cost_to_go:
                 assert np.array_equal(tables.cost_to_go[t], cost_to_go[t]), t
-            assert (tables.cycle_length, tables.reorder, tables.order_up_to, tables.stats) == (
-                cycle_length, reorder, order_up_to, stats
-            )
+            assert (tables.reviews, tables.stats) == (reviews, stats)
             # every candidate curve too, also where ordering overrides it
             curves = []
 
@@ -560,9 +555,7 @@ class TestLostSales:
             assert ls.cost_to_go.keys() == plain.cost_to_go.keys()
             for t in ls.cost_to_go:
                 assert np.array_equal(ls.cost_to_go[t], plain.cost_to_go[t])
-            assert (ls.cycle_length, ls.reorder, ls.order_up_to, ls.stats) == (
-                plain.cycle_length, plain.reorder, plain.order_up_to, plain.stats
-            )
+            assert (ls.reviews, ls.stats) == (plain.reviews, plain.stats)
             assert (ls.algorithm, plain.algorithm) == ("lost_sales", "plain")
 
     def test_pure_lost_sales_resets_shortage(self):
@@ -675,14 +668,14 @@ class TestExtractPolicy:
     def test_single_cycle(self):
         inst = deterministic_instance([5, 5, 5], K=500, W=200, h=1, b=50)
         tables = solve_kconvex(inst)
-        if tables.cycle_length[1] == 3:
+        if tables.reviews[1].cycle == 3:
             policy = extract_policy(tables, inst)
             assert policy.review_periods == (1,)
 
     def test_rejects_incomplete_tables(self, rng):
         inst = random_desk_instance(rng, horizon=3)
         tables = solve_kconvex(inst)
-        del tables.cycle_length[1]
+        del tables.reviews[1]
         with pytest.raises(ValueError):
             extract_policy(tables, inst)
 
