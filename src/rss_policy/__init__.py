@@ -13,12 +13,13 @@ Main entry points:
 * :mod:`rss_policy.testbed` -- benchmark instance generators.
 
 Each entry point takes an optional ``context``: a :class:`SolveContext`
-built for the same instance, which holds the discretized demand, the
-inventory grid and the cost engine. Its ``tail_eps`` and
-``quantile_eps`` are the only discretization settings; without a
-context the defaults are used. The grid is the state space; the
-heuristic sweeps decide on a certified window of it, on which their
-value tables are returned.
+built for the same instance. It holds the discretized demand, the
+inventory grid and the cost engine (:class:`CycleCostEngine`), which
+prices every review cycle; the solvers and the evaluator decide on its
+prices. Its ``tail_eps`` and ``quantile_eps`` are the only
+discretization settings; without a context the defaults are used. The
+grid is the state space; the heuristic sweeps decide on a certified
+window of it, on which their value tables are returned.
 """
 
 from .costs import CostParams, CycleCostEngine

@@ -1,4 +1,12 @@
-"""Expected holding/penalty cost of review cycles, with memoisation.
+"""Pricing of review cycles, with memoisation.
+
+The *cycle curve* of a cycle of r periods at period t is its no-order
+cost over the post-order positions at period t: the expected
+holding/penalty of periods t..t+r-1 plus the expected cost-to-go
+``future`` at period t + r, whose states below ``future``'s span take
+its floor value ``future[0]``. The solvers, the exact search and the
+evaluator decide on ``CycleCostEngine.cycle_curve``; the heuristic sweep
+reads its two parts, ``cycle_hp_fn`` and ``tail``, on its window.
 
 Write hp(t, r) for the expected holding/penalty of a cycle of r periods,
 periods t..t+r-1, as a function of the post-order position y at period
@@ -28,14 +36,16 @@ same dot product as in one convolution over the whole span, and
 joined: every value is computed once and has the same bits whatever
 the order of the reads.
 
-The curves assume full backlogging. With a backlogged fraction beta < 1
-a cycle is priced by one ``backlog_step`` per period: ``step`` on the
-next review's values read at the truncated closing inventories trunc(x)
-(``_truncate``). Period u's step spans [floor_u, high], with the floors
-floor_{u+1} = min(floor_1, trunc(floor_u - dmax_u)), those above at
-beta = 1: as the rest of a cycle that started earlier, the post-order
-position of period u + 1 is the next state of period u, which that
-demand can drive below the grid.
+Under full backlogging a cycle curve is hp(t, r) plus one ``tail``
+convolution of ``future`` with the pmf of the cycle's cumulative demand;
+the hp curves assume it. With a backlogged fraction beta < 1 a cycle is
+priced by one ``backlog_step`` per period: ``step`` on the next review's
+values read at the truncated closing inventories trunc(x) (``_truncate``).
+Period u's step spans [floor_u, high], with the floors floor_{u+1} =
+min(floor_1, trunc(floor_u - dmax_u)), those above at beta = 1: as the
+rest of a cycle that started earlier, the post-order position of period
+u + 1 is the next state of period u, which that demand can drive below
+the grid.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .demand import DemandPmf
+from .demand import CumulativeDemandCache
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,7 @@ def _truncate(x: np.ndarray, beta: float) -> np.ndarray:
 
 
 class CycleCostEngine:
-    """Memoised cycle holding/penalty curves and backlog steps for one instance.
+    """Cycle curves of one instance, with memoised holding/penalty curves.
 
     Each curve is memoised over one span of post-order positions, grown
     by the reads (``cycle_hp_fn``). One engine serves one solver run (or a
@@ -87,25 +97,25 @@ class CycleCostEngine:
     def __init__(
         self,
         params: CostParams,
-        period_pmfs: Sequence[DemandPmf],
+        demand: CumulativeDemandCache,
         low: int,
         high: int,
         beta: float,
     ):
-        """``low``/``high`` bound the post-order positions the solvers query;
-        ``beta`` is the instance's backlogged fraction."""
+        """``demand`` holds the instance's pmfs; ``low``/``high`` bound the
+        post-order positions the solvers query; ``beta`` is the instance's
+        backlogged fraction."""
         if high < low:
             raise ValueError("need low <= high")
-        self.T = len(period_pmfs)
-        self._pmfs = list(period_pmfs)
+        self._demand = demand
         self._lo, self._hi = low, high
         self._beta = beta
         # _floors[u - 1] = floor_u of the module docstring; _one_period spans [_base, high]
         self._floors = [low]
-        for pmf in self._pmfs[:-1]:
-            below = int(_truncate(np.int64(self._floors[-1] - pmf.max_value), beta))
+        for u in range(1, demand.horizon):
+            below = int(_truncate(np.int64(self._floors[-1] - demand.period(u).max_value), beta))
             self._floors.append(min(low, below))
-        self._base = min(f - pmf.max_value for f, pmf in zip(self._floors, self._pmfs))
+        self._base = min(f - demand.period(u).max_value for u, f in enumerate(self._floors, 1))
         xs = np.arange(self._base, high + 1, dtype=np.float64)
         self._one_period = params.h * np.maximum(xs, 0.0) + params.b * np.maximum(-xs, 0.0)
         # (t, r) -> (first position, hp(t, r) from there on)
@@ -128,7 +138,7 @@ class CycleCostEngine:
                 break  # it spans enough, and so does the rest of its chain
             a, b = min(a, first), max(b, first + curve.shape[0] - 1)
             spans.append((u, t + r - u, a, b))
-            a -= self._pmfs[u - 1].max_value
+            a -= self._demand.period(u).max_value
         for u, k, a, b in reversed(spans):
             self._grow(u, k, a, b)
         return self._curves[(t, r)]
@@ -136,7 +146,7 @@ class CycleCostEngine:
     def _grow(self, u: int, k: int, a: int, b: int) -> None:
         """Extend hp(u, k) to [a, b]: the positions below and above its span
         are convolved as pieces from hp(u+1, k-1), which spans what they read."""
-        pmf = self._pmfs[u - 1]
+        pmf = self._demand.period(u)
 
         def piece(lo: int, hi: int) -> np.ndarray:
             if hi < lo:
@@ -158,7 +168,7 @@ class CycleCostEngine:
         """E[L(y - d_u) + nxt(y - d_u)] for y in [lo, hi], one period of any
         cycle recursion: one valid convolution with p_u. ``nxt`` is 0 or
         spans the closing inventories [lo - dmax_u, hi - dmin_u]."""
-        pmf = self._pmfs[u - 1]
+        pmf = self._demand.period(u)
         cost = self._one_period[lo - pmf.max_value - self._base : hi - pmf.offset - self._base + 1]
         return np.convolve(cost + nxt, pmf.probs, "valid")
 
@@ -166,7 +176,7 @@ class CycleCostEngine:
         """Partial-backlog period u over [floor_u, high]: ``step`` on the next
         values ``w`` (ending at high) read at the truncated closing inventories,
         so penalty is charged on the full shortfall; the clip binds at w[0]."""
-        pmf, lo = self._pmfs[u - 1], self._floors[u - 1]
+        pmf, lo = self._demand.period(u), self._floors[u - 1]
         xs = np.arange(lo - pmf.max_value, self._hi - pmf.offset + 1)
         idx = _truncate(xs, self._beta) - (self._hi + 1 - w.shape[0])
         return self.step(u, lo, self._hi, w[np.clip(idx, 0, w.shape[0] - 1)])
@@ -184,12 +194,8 @@ class CycleCostEngine:
         """
         if self._beta < 1.0:
             raise ValueError("holding/penalty curves assume full backlogging (beta = 1)")
-        if r < 1:
-            raise ValueError("a review cycle spans at least one period")
-        if t < 1:
-            raise ValueError(f"period {t} outside 1..{self.T}")
-        if t + r > self.T + 1:
-            raise ValueError(f"cycle (t={t}, r={r}) extends past the horizon")
+        if not 1 <= t <= t + r - 1 <= self._demand.horizon:
+            raise ValueError(f"cycle (t={t}, r={r}) outside the horizon 1..{self._demand.horizon}")
 
         def read(ys: Sequence[int]) -> np.ndarray:
             lo, hi = int(ys[0]), int(ys[-1])
@@ -199,6 +205,27 @@ class CycleCostEngine:
             return curve[lo - first : hi - first + 1]
 
         return read
+
+    def tail(self, t: int, r: int, future: np.ndarray) -> np.ndarray:
+        """Expected cost-to-go ``future`` at the next review of a cycle of r
+        periods at period t, over the post-order positions ``future`` spans
+        (the grid or a window of it): ``future`` padded with its floor
+        value and convolved with the cycle's cumulative-demand pmf."""
+        cum = self._demand.cumulative(t, t + r)
+        padded = np.concatenate((np.full(cum.max_value, future[0]), future))
+        return np.convolve(padded, cum.probs, "valid")[: future.shape[0]]
+
+    def cycle_curve(self, t: int, r: int, future: np.ndarray) -> np.ndarray:
+        """The cycle curve of a cycle of r periods at period t over the grid,
+        excluding the review/order fixed costs, with ``future`` over the
+        grid: ``cycle_hp_fn`` plus ``tail`` under full backlogging, and
+        one ``backlog_step`` per period back from the last with beta < 1."""
+        if self._beta == 1.0:
+            return self.cycle_hp_fn(t, r)(range(self._lo, self._hi + 1)) + self.tail(t, r, future)
+        w = future
+        for u in range(t + r - 1, t - 1, -1):
+            w = self.backlog_step(u, w)
+        return w[-future.shape[0] :]
 
     @property
     def stored_states(self) -> int:

@@ -11,6 +11,7 @@ same period ranges many times.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +19,20 @@ import numpy as np
 from scipy.special import gammaln, ndtr, ndtri, pdtr, pdtrik, xlogy
 
 DEFAULT_TAIL_EPS = 1e-6
+
+
+def physical_memory() -> int:
+    """Physical memory in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(values: int, what: str) -> None:
+    """Raise ``MemoryError``, before anything is allocated, when building
+    ``values`` float64 values would exceed physical memory: a pmf or the
+    cost engine's one-period cost peaks at four arrays of their length."""
+    memory = physical_memory()
+    if 32 * values > memory:
+        raise MemoryError(f"{what} needs more than the {memory / 2**30:.3g} GiB of memory")
 
 
 @dataclass(frozen=True)
@@ -141,6 +156,7 @@ def discretize(spec: DemandSpec, tail_eps: float = DEFAULT_TAIL_EPS) -> DemandPm
     within about 2 * ``tail_eps`` for Poisson means of at least 1 and for
     normal demand with cv up to 0.4 (1.7e-6 for Poisson(7.25) at the
     default), and grows to about 10 * ``tail_eps`` for means near 0.1.
+    A cut too long for memory raises ``MemoryError`` (``check_memory``).
 
     The pmfs are bitwise those of ``scipy.stats``'s ``poisson.ppf``/``pmf``
     and ``norm.ppf``/``cdf``: these are the special functions they
@@ -158,6 +174,7 @@ def discretize(spec: DemandSpec, tail_eps: float = DEFAULT_TAIL_EPS) -> DemandPm
             raise ValueError(f"cannot cut the Poisson demand of mean {mu:g}")
         below = np.maximum(cut - 1, 0)
         kmax = int(below if pdtr(below, mu) >= q else cut)
+        check_memory(kmax + 1, f"the Poisson demand of mean {mu:g}")
         k = np.arange(kmax + 1)
         probs = np.minimum(np.exp(xlogy(k, mu) - gammaln(k + 1) - mu), 1.0)
         return DemandPmf(offset=0, probs=probs)
@@ -166,8 +183,11 @@ def discretize(spec: DemandSpec, tail_eps: float = DEFAULT_TAIL_EPS) -> DemandPm
     sigma = spec.sigma
     if sigma == 0:
         return point_mass(int(round(spec.mean)))
-    kmax = int(np.ceil(spec.mean - 0.5 + sigma * ndtri(q)))
-    kmax = max(kmax, 0)
+    cut = spec.mean - 0.5 + sigma * float(ndtri(q))
+    if cut == math.inf:
+        raise ValueError(f"cannot cut the normal demand of mean {spec.mean:g}")
+    kmax = max(int(np.ceil(cut)), 0)
+    check_memory(kmax + 2, f"the normal demand of mean {spec.mean:g}")
     edges = (np.arange(kmax + 2) - 0.5 - spec.mean) / sigma
     cdfs = ndtr(edges)
     probs = np.diff(cdfs)

@@ -1,8 +1,9 @@
 """Analytic and Monte-Carlo evaluation of fixed (R,s,S) policies.
 
 The analytic route recurses backward over the policy's review cycles on
-the context's whole grid with the solvers' ``cycle_curve``; the heuristic
-sweep's tables equal the grid's on its certified window (see ``solver``).
+the context's whole grid with the cost engine's ``cycle_curve``; the
+heuristic sweep's tables equal the grid's on its certified window (see
+``solver``).
 So a solver's reported cost and the evaluator's answer for its extracted
 policy agree to floating-point noise; any larger mismatch signals a bug
 rather than tolerance slack. The Monte-Carlo route samples demand from
@@ -20,7 +21,7 @@ import numpy as np
 
 from .model import Instance, Policy
 from .costs import _truncate
-from .solver import SolveContext, _context, cycle_curve
+from .solver import SolveContext, _context
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,9 @@ def expected_cost(
 
     At each review the fixed decision rule applies: order up to the
     order-up-to level iff the opening inventory is below the reorder
-    level. Each review's no-order curve is the solvers' own
-    ``cycle_curve``, partial backlogging included. A policy whose
+    level. Each review's no-order curve is the cost engine's
+    ``cycle_curve``, which the solvers decide on, partial backlogging
+    included. A policy whose
     order-up-to level lies above the grid ceiling cannot be priced on
     the grid and is refused; this covers every reorder level above the
     ceiling.
@@ -66,7 +68,7 @@ def expected_cost(
     future = np.zeros(grid.size)
     for review in reversed(policy.reviews):
         t, r = review.period, review.cycle
-        curve = cycle_curve(ctx, t, r, future)
+        curve = ctx.engine.cycle_curve(t, r, future)
         table = p.W + curve
         if review.reorder > grid.min_inv:
             order_value = (p.W + p.K) + curve[grid.index(review.order_up_to)]

@@ -11,11 +11,12 @@ the heuristic is measured against.
 Search. Schedules are searched depth-first over their suffixes. A
 suffix is a set of reviews in t..T with a review at t; its table F_t,
 the cost-to-go at period t, follows from the table of the suffix after
-it by one ``cycle_curve`` and one threshold decision. The children of a
-suffix prepend one review u < t, and a suffix with a review at period 1
-is a full schedule, whose cost is F_1 at the opening inventory. Only the
-tables of the current suffix's ancestors are alive, O(T) tables, and
-the search is one loop over an explicit stack, with no recursion.
+it by one engine ``cycle_curve`` and one threshold decision. The
+children of a suffix prepend one review u < t, and a suffix with a
+review at period 1 is a full schedule, whose cost is F_1 at the opening
+inventory. Only the tables of the current suffix's ancestors are alive,
+O(T) tables, and the search is one loop over an explicit stack, with no
+recursion.
 
 Bound. The schedules below a suffix at t > 1 share F_t and differ
 only in their reviews in 1..t-1. Each costs at least W plus the value at
@@ -44,12 +45,12 @@ Incumbent and margin. The search starts from the heuristic's root
 cost (``solve_kconvex`` on the same context), which is the cost of a
 real schedule and so bounds the optimum from above. A suffix is pruned,
 and its subtree never built, when its bound exceeds best + 1e-9 |best|
-(``_BOUND_MARGIN``, shared with the heuristic's sweep), where best is
-the cheapest cost known; the limit tightens at each new best full
-schedule. The margin is orders of magnitude above the rounding by which
-a bound and a schedule's cost can disagree (about 1e-13 relative), so
-every schedule in a pruned subtree costs strictly more than a known
-schedule: no tie with the optimum is ever pruned. Full schedules are
+(``_exceeds``, shared with the heuristic's sweep), where best is the
+cheapest cost known, the incumbent or a cheaper full schedule. The
+margin is orders of magnitude above the rounding by which a bound and a
+schedule's cost can disagree (about 1e-13 relative), so every schedule
+in a pruned subtree costs strictly more than a known schedule: no tie
+with the optimum is ever pruned. Full schedules are
 compared by an explicit rule, since the search meets them out of order:
 a cheaper one replaces the best, and an equally cheap one replaces it
 if it is lexicographically earlier. The result is therefore the
@@ -71,15 +72,14 @@ import numpy as np
 
 from .model import Instance, Policy
 from .solver import (
-    _BOUND_MARGIN,
     SolveContext,
     SolveStats,
     ValueTables,
     _context,
+    _exceeds,
     _kconvex_table,
     _suffix_min,
     _sweep,
-    cycle_curve,
     extract_policy,
     solve_kconvex,
 )
@@ -164,10 +164,10 @@ def _prefix_bound(ctx: SolveContext, t: int, table: np.ndarray, i0_idx: int) -> 
     p = ctx.params
     value = table
     for u in range(t - 1, 1, -1):
-        curve = cycle_curve(ctx, u, 1, value)
+        curve = ctx.engine.cycle_curve(u, 1, value)
         np.minimum(curve[:-1], (p.W + p.K) + _suffix_min(curve)[1:], out=curve[:-1])
         value = curve
-    curve = cycle_curve(ctx, 1, 1, value)
+    curve = ctx.engine.cycle_curve(1, 1, value)
     return p.W + min(float(curve[i0_idx]), p.K + float(curve[i0_idx:].min()))
 
 
@@ -191,7 +191,6 @@ def enumerate_optimal(
     stats = SolveStats()
     i0_idx = ctx.grid.index(instance.I0)
     incumbent = solve_kconvex(instance, context=ctx).root_cost(instance.I0)
-    limit = incumbent + _BOUND_MARGIN * abs(incumbent)
     zeros = np.zeros(ctx.grid.size)
     # (review t, next review, table at the next review, later reviews); the
     # children of a popped entry prepend a review u < t and share its table
@@ -207,15 +206,14 @@ def enumerate_optimal(
             )
         t, end, future, later = stack.pop()
         explored += 1
-        table = _kconvex_table(ctx, cycle_curve(ctx, t, end - t, future), stats).table
+        table = _kconvex_table(ctx, ctx.engine.cycle_curve(t, end - t, future), stats).table
         periods = (t,) + later
         if t == 1:
             count += 1
             cost = float(table[i0_idx])
             if cost < best_cost or (cost == best_cost and periods < best_periods):
                 best_cost, best_periods = cost, periods
-                limit = min(limit, best_cost + _BOUND_MARGIN * abs(best_cost))
-        elif _prefix_bound(ctx, t, table, i0_idx) > limit:
+        elif _exceeds(_prefix_bound(ctx, t, table, i0_idx), min(incumbent, best_cost)):
             pruned += 2 ** (t - 1) - 1  # the suffixes below this one
         else:
             stack.extend((u, t, table, periods) for u in range(1, t))

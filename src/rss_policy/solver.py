@@ -10,12 +10,11 @@ levels are then exact, so the output is a well-formed (R,s,S) policy
 whose cost the value tables report consistently.
 
 Every step rests on one array, the *cycle curve* of a candidate cycle
-(t, r): the no-order cost over the whole inventory grid, i.e. expected
+(t, r): the no-order cost over the inventory grid, i.e. expected
 in-cycle holding/penalty plus the expected cost-to-go at the next
-review. ``cycle_curve`` adds the memoised holding/penalty curve of the
-cycle to one convolution of the next review's table, and the solvers,
-the exact baseline and the evaluator all share it. Decisions
-on a curve are array operations:
+review. The cost engine prices it (see ``costs``); the solvers, the
+exact baseline and the evaluator only decide on it. Decisions on a
+curve are array operations:
 
 * ``solve_kconvex`` exploits K-convexity: a running minimum from the
   top gives the order-up-to level, the highest level whose cost exceeds
@@ -33,13 +32,14 @@ which owns the truncation and the floors (see ``costs``). Cycles (t, r)
 and (t - 1, r + 1) make the same steps over t..t+r-1, so the sweep keeps
 one level per next review and advances each by one step per period:
 T(T+1)/2 steps, not T(T+1)(T+2)/6, and each value one dot product, as
-in ``cycle_curve``. Without a holding/penalty part the bound below fails.
+in the engine's ``cycle_curve``. Without a holding/penalty part the
+bound below fails.
 
 Most candidate cycles cannot win, and under full backlogging the sweep
-skips them before building their tail convolution.
-Write hp(t, r) for the holding/penalty curve ``cycle_hp`` of a candidate
-and F for the cost-to-go table of period t + r. The candidate's curve is
-hp plus an expectation of values of F, so each of its levels, among
+skips them before building their tail convolution. Write hp(t, r) for
+the holding/penalty curve ``cycle_hp_fn`` of a candidate and F for the
+cost-to-go table of period t + r. The candidate's curve is hp plus an
+expectation of values of F, so each of its levels, among
 them the value at the order-up-to level by which the sweep compares
 candidates, is at least min hp + min F. Two facts make this a bound
 that holds for longer cycles too:
@@ -149,11 +149,10 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .costs import CycleCostEngine
-from .demand import DEFAULT_TAIL_EPS, CumulativeDemandCache, discretize
+from .demand import DEFAULT_TAIL_EPS, CumulativeDemandCache, check_memory, discretize
 from .model import Instance, Policy, PolicyReview
 
 DEFAULT_QUANTILE_EPS = 1e-5
-_MAX_GRID_SIZE = 2**45  # float64 levels that fill a 48-bit (256 TiB) address space
 
 
 @dataclass(frozen=True)
@@ -193,8 +192,8 @@ def build_grid(
     these read. The ceiling is the (1 - quantile_eps) quantile of total
     horizon demand rounded up by 10%; the floor is its negative. Both are
     widened if needed so the initial inventory lies on the grid. A grid
-    of more than 2**45 levels, which as float64 would exceed a 48-bit
-    address space, raises ``MemoryError``.
+    whose cost engine's widest span, the grid and every period's largest
+    demand below it, is too long for memory raises ``MemoryError``.
     """
     if not 0 < quantile_eps <= 1e-4:
         raise ValueError("quantile_eps must lie in (0, 1e-4]")
@@ -204,8 +203,8 @@ def build_grid(
     max_inv = max(max_inv, instance.I0, 0)
     min_inv = min(-max_inv, instance.I0)
     grid = InventoryGrid(min_inv=min_inv, max_inv=max_inv)
-    if grid.size > _MAX_GRID_SIZE:
-        raise MemoryError("the inventory grid has more than 2**45 levels")
+    below = sum(demand.period(t).max_value for t in range(1, instance.T + 1))
+    check_memory(grid.size + below, "the inventory grid")
     return grid
 
 
@@ -256,11 +255,7 @@ class SolveContext:
         )
         self.grid = build_grid(instance, self.demand, quantile_eps)
         self.engine = CycleCostEngine(
-            instance.params,
-            [self.demand.period(t) for t in range(1, instance.T + 1)],
-            low=self.grid.min_inv,
-            high=self.grid.max_inv,
-            beta=instance.beta,
+            instance.params, self.demand, self.grid.min_inv, self.grid.max_inv, instance.beta
         )
 
     @property
@@ -293,50 +288,6 @@ class ValueTables:
     def root_cost(self, i0: int) -> float:
         """Expected policy cost from period 1 with opening inventory i0."""
         return self.value(1, i0)
-
-
-def cycle_hp(
-    ctx: SolveContext, t: int, r: int, low: Optional[int] = None, high: Optional[int] = None
-) -> np.ndarray:
-    """Expected in-cycle holding/penalty of a cycle of length r at period
-    t over the post-order positions [low, high], by default the grid: a
-    read-only view of the cost engine's memoised curve, which grows to
-    span them, convolving only the positions no earlier read covered."""
-    low = ctx.grid.min_inv if low is None else low
-    high = ctx.grid.max_inv if high is None else high
-    return ctx.engine.cycle_hp_fn(t, r)(range(low, high + 1))
-
-
-def _cycle_tail(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.ndarray:
-    """Expected cost-to-go ``future`` at the next review of a cycle of
-    length r at period t, over the post-order positions ``future`` spans
-    (the grid or a window of it): the floor-padded ``future`` convolved
-    with the cycle's cumulative-demand pmf."""
-    cum = ctx.demand.cumulative(t, t + r)
-    padded = np.concatenate((np.full(cum.max_value, future[0]), future))
-    return np.convolve(padded, cum.probs, "valid")[: future.shape[0]]
-
-
-def cycle_curve(ctx: SolveContext, t: int, r: int, future: np.ndarray) -> np.ndarray:
-    """No-order cost of a cycle of length r at period t over the grid of
-    post-order positions, excluding the review/order fixed costs:
-    expected in-cycle holding/penalty plus the expected cost-to-go
-    ``future`` at the next review. Demand mass that would drive the
-    next-review state below the grid accrues at the grid floor.
-
-    Under full backlogging the holding/penalty is the cost engine's
-    memoised curve (``cycle_hp``) and the expected cost-to-go is one
-    convolution, of the floor-padded ``future`` with the pmf of the
-    cycle's cumulative demand. With beta < 1 it is one engine
-    ``backlog_step`` per period back from the last, which reads ``future``,
-    cut to the grid.
-    """
-    if ctx.instance.beta == 1.0:
-        return cycle_hp(ctx, t, r) + _cycle_tail(ctx, t, r, future)
-    w = future
-    for u in range(t + r - 1, t - 1, -1):
-        w = ctx.engine.backlog_step(u, w)
-    return w[-ctx.grid.size :]
 
 
 @dataclass
@@ -493,35 +444,34 @@ def _sweep(
             levels = {e: ctx.engine.backlog_step(t, w) for e, w in levels.items()}
         candidates = list(range(1, T - t + 2) if lengths is None else lengths(t))
         best: Optional[_CycleResult] = None
-        limit = math.inf
+        best_n = math.inf
         for k, r in enumerate(candidates):
             future = cost_to_go[t + r]
             if not prune:
                 curve = levels[t + r][-window.size :]
             else:
-                hp = cycle_hp(ctx, t, r, window.min_inv, window.max_inv)
-                top = window.max_inv
+                hp_fn, top = ctx.engine.cycle_hp_fn(t, r), window.max_inv
+                hp = hp_fn(range(window.min_inv, top + 1))
                 while top < ctx.grid.max_inv and hp[-1] < hp[-2]:  # min hp may lie above
                     top = min(ctx.grid.max_inv, 2 * top + 1)
-                    hp = cycle_hp(ctx, t, r, window.min_inv, top)
+                    hp = hp_fn(range(window.min_inv, top + 1))
                 hp_min = float(hp.min())
-                if hp_min > limit:  # hp alone loses; so does every longer cycle's
+                if _exceeds(hp_min, best_n):  # hp alone loses; so does every longer cycle's
                     stats.candidates_pruned += len(candidates) - k
                     break
                 future_min = float(future.min())
-                if hp_min + future_min > limit:
+                if _exceeds(hp_min + future_min, best_n):
                     stats.candidates_pruned += 1
                     continue
-                curve = hp[: window.size] + _cycle_tail(ctx, t, r, future)
+                curve = hp[: window.size] + ctx.engine.tail(t, r, future)
             res = table_fn(ctx, curve, stats)
             wider = _certify(ctx, window, hp, future_min, curve, res) if prune else None
             if wider is not None:
                 tables = _sweep(ctx, table_fn, algorithm, lengths, wider)
                 tables.stats.window_widenings += 1
                 return tables
-            if best is None or res.best_n < best.best_n:
-                best, best_r = res, r
-                limit = best.best_n + _BOUND_MARGIN * abs(best.best_n)
+            if res.best_n < best_n:
+                best, best_r, best_n = res, r, res.best_n
         if best is None:
             continue
         cost_to_go[t] = best.table

@@ -19,7 +19,7 @@ from rss_policy import (
     extract_policy,
     scarf_fixed_R,
 )
-from rss_policy.solver import _kconvex_table, _sweep, cycle_curve
+from rss_policy.solver import _kconvex_table, _sweep
 
 
 def direct_cycle_cost(ctx: SolveContext, t: int, i: int, q: int, r: int) -> float:
@@ -121,7 +121,7 @@ def two_branch_lost_sales_curve(
     the grid, while earlier periods read the curve of the period after
     them, clamped to its own range; each step takes a full convolution
     and slices it to the entry-state range. Bitwise the array operations
-    of the curve ``cycle_curve`` uses for beta < 1."""
+    of the engine's ``cycle_curve`` for beta < 1."""
     grid, p = ctx.grid, ctx.params
     hi = grid.max_inv
     periods = [ctx.demand.period(u) for u in range(t, t + r)]
@@ -142,6 +142,43 @@ def two_branch_lost_sales_curve(
         m = len(pmf)
         w = np.convolve(closing + nxt_vals, pmf.probs)[m - 1 : m - 1 + (hi - vlo[k] + 1)]
     return w
+
+
+def path_sum_cycle_cost(ctx: SolveContext, t: int, r: int, y: int, future: np.ndarray) -> float:
+    """No-order cost of a cycle of r periods at period t from post-order
+    position y (review cost excluded), by direct summation over the
+    cycle's demand paths, one scalar path at a time: holding/penalty on
+    each closing inventory x, a negative x then cut to round(beta * x)
+    for the next period, and ``future`` over the grid at the next-review
+    state, read at the grid floor below it. Tiny pmfs only."""
+    grid, p, beta = ctx.grid, ctx.params, ctx.instance.beta
+    pmfs = [ctx.demand.period(u) for u in range(t, t + r)]
+    total = 0.0
+    for path in itertools.product(*(range(len(pmf)) for pmf in pmfs)):
+        prob, x, cost = 1.0, int(y), 0.0
+        for pmf, m in zip(pmfs, path):
+            prob *= float(pmf.probs[m])
+            x -= pmf.offset + m
+            cost += p.h * x if x >= 0 else -p.b * x
+            if x < 0:
+                x = round(beta * x)
+        total += prob * (cost + float(future[max(x, grid.min_inv) - grid.min_inv]))
+    return total
+
+
+def path_sum_policy_cost(ctx: SolveContext, policy) -> float:
+    """Expected cost of a policy from I0 by ``path_sum_cycle_cost``,
+    backward over its reviews: each review pays W, and K plus the order
+    up to S at the levels below s."""
+    grid, p = ctx.grid, ctx.params
+    future = np.zeros(grid.size)
+    for rv in reversed(policy.reviews):
+        curve = [path_sum_cycle_cost(ctx, rv.period, rv.cycle, y, future) for y in grid.levels()]
+        order = p.K + curve[grid.index(rv.order_up_to)]
+        future = np.array([
+            p.W + (order if y < rv.reorder else curve[grid.index(y)]) for y in grid.levels()
+        ])
+    return float(future[grid.index(ctx.instance.I0)])
 
 
 def demand_matrix_rollout(ctx: SolveContext, policy, n_paths: int, seed: int) -> tuple[float, float]:
@@ -233,7 +270,7 @@ def unpruned_sweep(ctx: SolveContext, table_fn):
     for t in range(T, 0, -1):
         best = None
         for r in range(1, T - t + 2):
-            res = table_fn(ctx, cycle_curve(ctx, t, r, cost_to_go[t + r]), stats)
+            res = table_fn(ctx, ctx.engine.cycle_curve(t, r, cost_to_go[t + r]), stats)
             if best is None or res.best_n < best.best_n:
                 best, cycle = res, r
         cost_to_go[t] = best.table

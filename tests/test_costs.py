@@ -17,11 +17,12 @@ from rss_policy import (
     solve_kconvex,
     solve_lost_sales,
 )
-from rss_policy.solver import cycle_hp
 from conftest import (
     deterministic_instance,
     direct_cycle_cost,
     level_recursion_hp,
+    path_sum_cycle_cost,
+    path_sum_policy_cost,
     random_desk_instance,
 )
 
@@ -142,14 +143,16 @@ class TestCurveRecursion:
         want = {(t, r): level_recursion_hp(ref, t, r) for t, r in _all_cycles(inst.T)}
         ctx = SolveContext(inst)
         for t, r in _all_cycles(inst.T) + _all_cycles(inst.T)[::-1]:
-            assert np.array_equal(cycle_hp(ctx, t, r), want[(t, r)]), (t, r)
+            hp = ctx.engine.cycle_hp_fn(t, r)(grid.levels())
+            assert np.array_equal(hp, want[(t, r)]), (t, r)
         for cycles in (_all_cycles(inst.T), _all_cycles(inst.T)[::-1]):
             ctx = SolveContext(inst)
             for t, r in cycles:
                 lo, hi = sorted(int(y) for y in rng.integers(grid.min_inv, grid.max_inv + 1, 2))
                 span = want[(t, r)][lo - grid.min_inv : hi - grid.min_inv + 1]
-                assert np.array_equal(cycle_hp(ctx, t, r, lo, hi), span), (t, r, lo, hi)
-                assert np.array_equal(cycle_hp(ctx, t, r), want[(t, r)]), (t, r)
+                hp = ctx.engine.cycle_hp_fn(t, r)
+                assert np.array_equal(hp(range(lo, hi + 1)), span), (t, r, lo, hi)
+                assert np.array_equal(hp(grid.levels()), want[(t, r)]), (t, r)
 
     def test_random_instances(self, rng):
         for _ in range(8):
@@ -186,16 +189,16 @@ class TestConvolvesOnce:
         ctx = SolveContext(inst)
         calls = _count_convolutions(monkeypatch)
         for k in rng.permutation(len(cycles)):
-            cycle_hp(ctx, *cycles[k])
+            ctx.engine.cycle_hp_fn(*cycles[k])(ctx.grid.levels())
         assert len(calls) == len(cycles)
         # a repeated query only reads the memo
         for t, r in cycles:
-            cycle_hp(ctx, t, r)
+            ctx.engine.cycle_hp_fn(t, r)(ctx.grid.levels())
         assert len(calls) == len(cycles)
         # a long cycle builds its whole chain at once, one convolution each
         ctx = SolveContext(inst)
         calls.clear()
-        cycle_hp(ctx, 1, inst.T)
+        ctx.engine.cycle_hp_fn(1, inst.T)(ctx.grid.levels())
         assert len(calls) == inst.T
 
     def test_solve_then_price_convolves_each_value_once(self, monkeypatch):
@@ -231,3 +234,41 @@ class TestConvolvesOnce:
         calls.clear()
         expected_cost(inst, extract_policy(tables, inst), context=ctx)
         assert len(calls) == inst.T  # one step per period of the policy's cycles
+
+
+class TestPartialBacklogPaths:
+    """Partial-backlog cycle curves and policy costs against direct
+    summation over demand paths, on tiny pmfs (T = 3, so r <= 3)."""
+
+    def _contexts(self, beta):
+        params = CostParams(K=30.0, W=8.0, h=1.0, b=6.0)
+        demands = [
+            tuple(DemandSpec("poisson", m) for m in (1.5, 0.8, 1.2)),
+            tuple(DemandSpec("normal", m, 0.4) for m in (2.0, 1.0, 2.5)),
+        ]
+        for demand, I0 in zip(demands, (0, -4)):
+            inst = Instance(T=3, params=params, I0=I0, demand=demand, beta=beta)
+            yield SolveContext(inst, tail_eps=1e-3)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
+    def test_cycle_curves_match_path_sums(self, rng, beta):
+        below_grid = False
+        for ctx in self._contexts(beta):
+            assert max(len(ctx.demand.period(u)) for u in (1, 2, 3)) <= 7
+            grid = ctx.grid
+            for t, r in _all_cycles(3):
+                future = rng.uniform(0.0, 100.0, grid.size)
+                want = [path_sum_cycle_cost(ctx, t, r, y, future) for y in grid.levels()]
+                got = ctx.engine.cycle_curve(t, r, future)
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9, err_msg=str((t, r)))
+            below_grid |= min(ctx.engine._floors) < grid.min_inv
+        # near-full backlogging drives next-review states below the grid floor
+        assert below_grid == (beta == 0.9)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
+    def test_lost_sales_policy_cost_matches_path_sums(self, beta):
+        for ctx in self._contexts(beta):
+            inst = ctx.instance
+            policy = extract_policy(solve_lost_sales(inst, context=ctx), inst)
+            want = path_sum_policy_cost(ctx, policy)
+            assert expected_cost(inst, policy, context=ctx) == pytest.approx(want, rel=1e-9)

@@ -1,9 +1,11 @@
 """Demand discretization, convolution and the cumulative cache."""
 
+import contextlib
 import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from rss_policy import (
     DemandPmf,
     DemandSpec,
     Instance,
+    SolveContext,
     convolve,
     discretize,
     gen_analysis,
@@ -23,7 +26,20 @@ from rss_policy import (
     save_instance,
 )
 import rss_policy
+from rss_policy import demand
 from rss_policy.cli import main as cli_main
+
+
+@contextlib.contextmanager
+def _allocates_at_most(limit):
+    """Fail unless the block's peak of traced allocations stays below ``limit`` bytes."""
+    tracemalloc.start()
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, peak
 
 
 class TestDiscretize:
@@ -67,6 +83,9 @@ class TestDiscretize:
             DemandSpec("binomial", 5.0)
         with pytest.raises(ValueError):  # sigma overflows to inf
             DemandSpec("normal", 1e300, 1e10)
+        # the cut overflows to inf: an OverflowError after a RuntimeWarning
+        with pytest.raises(ValueError, match=r"normal demand of mean 1e\+308"):
+            discretize(DemandSpec("normal", 1e308, 1.5))
         with pytest.raises(ValueError):
             discretize(DemandSpec("poisson", 5.0), tail_eps=0.5)
         with pytest.raises(ValueError):
@@ -88,6 +107,37 @@ class TestDiscretize:
         assert cli_main(["solve", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "1e+15" in err and err.count("\n") == 1
+
+    def test_refuses_a_cut_too_long_for_memory(self, monkeypatch):
+        # a Poisson mean of 1e9 filled memory and the process was killed;
+        # with 100 MiB of memory a cut of 1e7 values is refused before its
+        # arrays are built, which would take about 320 MB at their peak
+        assert demand.physical_memory() > 2**20
+        monkeypatch.setattr(demand, "physical_memory", lambda: 100 * 2**20)
+        with _allocates_at_most(100 * 2**20):
+            with pytest.raises(MemoryError, match=r"Poisson demand of mean 1e\+07"):
+                discretize(DemandSpec("poisson", 1e7))
+            with pytest.raises(MemoryError, match=r"normal demand of mean 1e\+07"):
+                discretize(DemandSpec("normal", 1e7, 0.01))
+        assert len(discretize(DemandSpec("poisson", 1e5))) < 2**17
+
+    def test_refuses_a_grid_too_long_for_memory(self, monkeypatch, tmp_path, capsys):
+        # the pmf of about 1e5 values fits in 5 MiB; the grid of about 2.2e5
+        # levels with the cost engine's span of 1e5 more below it does not
+        monkeypatch.setattr(demand, "physical_memory", lambda: 5 * 2**20)
+        instance = Instance(
+            T=1,
+            params=CostParams(K=50.0, W=5.0, h=1.0, b=10.0),
+            I0=0,
+            demand=(DemandSpec("poisson", 1e5),),
+        )
+        with _allocates_at_most(5 * 2**20), pytest.raises(MemoryError, match="inventory grid"):
+            SolveContext(instance)
+        path = tmp_path / "inst.json"
+        save_instance(instance, path)
+        assert cli_main(["solve", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
     def test_mass_normalized(self):
         for spec in [DemandSpec("poisson", 7.3), DemandSpec("normal", 40.0, 0.35)]:

@@ -35,7 +35,6 @@ from rss_policy.solver import (
     _kconvex_table,
     _plain_table,
     _sweep,
-    cycle_curve,
 )
 from conftest import (
     assert_window_matches_full_grid,
@@ -192,7 +191,7 @@ class TestTableStructure:
         K = inst.params.K
         for t in range(1, 5):
             for r in range(1, 4 - t + 2):
-                curve = inst.params.W + cycle_curve(ctx, t, r, tables.cost_to_go[t + r])
+                curve = inst.params.W + ctx.engine.cycle_curve(t, r, tables.cost_to_go[t + r])
                 n = curve.shape[0]
                 xs = rng.integers(0, n, size=300)
                 a = rng.integers(1, 10, size=300)
@@ -240,7 +239,7 @@ class TestArrayDecisions:
         tables = full_grid_sweep(ctx, _kconvex_table)
         for t, r, future in self._cycles(ctx, tables):
             np.testing.assert_allclose(
-                inst.params.W + cycle_curve(ctx, t, r, future),
+                inst.params.W + ctx.engine.cycle_curve(t, r, future),
                 direct_no_order_curve(ctx, t, r, future),
                 rtol=1e-12,
             )
@@ -251,7 +250,7 @@ class TestArrayDecisions:
             ctx = SolveContext(inst)
             tables = full_grid_sweep(ctx, _kconvex_table)
             for t, r, future in self._cycles(ctx, tables):
-                self._check_kconvex(ctx, cycle_curve(ctx, t, r, future))
+                self._check_kconvex(ctx, ctx.engine.cycle_curve(t, r, future))
 
     @pytest.mark.parametrize("beta", [1.0, 0.5, 0.0])
     def test_plain_and_lost_sales_match_q_loop(self, rng, beta):
@@ -260,7 +259,7 @@ class TestArrayDecisions:
         ctx = SolveContext(inst)
         tables = full_grid_sweep(ctx, _plain_table)  # solve_lost_sales's for any beta
         for t, r, future in self._cycles(ctx, tables):
-            self._check_plain(ctx, cycle_curve(ctx, t, r, future))
+            self._check_plain(ctx, ctx.engine.cycle_curve(t, r, future))
 
     @pytest.mark.parametrize(
         "curve, K, stop, best",
@@ -483,7 +482,7 @@ class TestOneCurve:
             for t in range(1, inst.T + 1):
                 for r in range(1, inst.T - t + 2):
                     future = tables.cost_to_go[t + r]
-                    curve = cycle_curve(ctx, t, r, future)
+                    curve = ctx.engine.cycle_curve(t, r, future)
                     oracle = two_branch_lost_sales_curve(ctx, t, r, future, beta)
                     if beta < 1.0:
                         assert np.array_equal(curve, oracle)
@@ -515,7 +514,8 @@ class TestOneCurve:
             _sweep(ctx, recording, "lost_sales")
             order = [(t, r) for t in range(inst.T, 0, -1) for r in range(1, inst.T - t + 2)]
             for (t, r), curve in zip(order, curves, strict=True):
-                assert np.array_equal(curve, cycle_curve(ctx, t, r, cost_to_go[t + r])), (t, r)
+                want = ctx.engine.cycle_curve(t, r, cost_to_go[t + r])
+                assert np.array_equal(curve, want), (t, r)
             below_grid |= min(ctx.engine._floors) < ctx.grid.min_inv
         if beta >= 0.9:  # near-full backlogging carries the levels below the grid floor
             assert below_grid
