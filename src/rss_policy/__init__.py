@@ -12,6 +12,10 @@ Main entry points:
 * :func:`expected_cost` / :func:`simulate` -- policy evaluation;
 * :mod:`rss_policy.testbed` -- benchmark instance generators.
 
+Every sweep, the heuristics' and ``scarf_fixed_R``'s, returns its
+:class:`ValueTables`: :func:`extract_policy` gives the policy and
+``root_cost`` its cost.
+
 Each entry point takes an optional ``context``: a :class:`SolveContext`
 built for the same instance. It holds the discretized demand, the
 inventory grid and the cost engine (:class:`CycleCostEngine`), which
@@ -36,7 +40,6 @@ from .exact import (
     EnumerationResult,
     HorizonCapError,
     ReviewSchedule,
-    ScarfResult,
     enumerate_optimal,
     scarf_fixed_R,
 )
@@ -81,7 +84,6 @@ __all__ = [
     "Policy",
     "PolicyReview",
     "ReviewSchedule",
-    "ScarfResult",
     "SchemaError",
     "SolveContext",
     "SolveStats",

@@ -77,7 +77,7 @@ def _solve_with(name: str, instance: Instance, ctx: SolveContext, exact_budget: 
         return result.policy, result.cost, result.stats, result
     tables = _HEURISTICS[name](instance, context=ctx)
     policy = extract_policy(tables, instance)
-    return policy, tables.value(1, instance.I0), tables.stats, None
+    return policy, tables.root_cost(instance.I0), tables.stats, None
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -85,7 +85,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     ctx = SolveContext(instance, tail_eps=args.tail_eps, quantile_eps=args.grid_eps)
     policy, cost, _, _ = _solve_with(args.solver, instance, ctx, DEFAULT_NODE_BUDGET)
     doc = policy_to_dict(policy, expected_cost=cost)
-    print(json.dumps(doc, sort_keys=True))
+    print(json.dumps(doc, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -99,7 +99,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if args.simulate < 1:
             raise SchemaError("--simulate needs at least one path")
         doc = asdict(simulate(instance, policy, args.simulate, args.seed, context=ctx))
-    print(json.dumps(doc, sort_keys=True))
+    print(json.dumps(doc, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

@@ -26,12 +26,13 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_memory(values: int, what: str) -> None:
-    """Raise ``MemoryError``, before anything is allocated, when building
-    ``values`` float64 values would exceed physical memory: a pmf or the
-    cost engine's one-period cost peaks at four arrays of their length."""
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise ``MemoryError``, before anything is allocated, when a peak of
+    ``nbytes`` bytes would exceed physical memory. A pmf or the cost
+    engine's one-period cost peaks at four float64 arrays of their length,
+    32 bytes per value."""
     memory = physical_memory()
-    if 32 * values > memory:
+    if nbytes > memory:
         raise MemoryError(f"{what} needs more than the {memory / 2**30:.3g} GiB of memory")
 
 
@@ -121,6 +122,11 @@ class DemandPmf:
         idx = int(np.searchsorted(self.cdf(), q, side="left"))
         return self.offset + min(idx, len(self) - 1)
 
+    @property
+    def _buckets(self) -> int:
+        """M of ``sample``; its bucket table peaks below 24 (M + 1) bytes."""
+        return 1 << max(10, (32 * len(self) - 1).bit_length())
+
     def sample(self, u: np.ndarray) -> np.ndarray:
         """``quantile`` of each u in [0, 1), elementwise and exactly.
 
@@ -132,8 +138,7 @@ class DemandPmf:
         answer; only the draws in buckets that hold a cdf step (about
         1 % of them) are searched.
         """
-        cdf, last = self.cdf(), len(self) - 1
-        m = 1 << max(10, (32 * len(self) - 1).bit_length())
+        cdf, last, m = self.cdf(), len(self) - 1, self._buckets
         table = np.minimum(np.searchsorted(cdf, np.arange(m + 1) / m, side="left"), last)
         idx = np.where(table[:-1] == table[1:], table[:-1], -1)[(u * m).astype(np.intp)]
         step = np.flatnonzero(idx < 0)
@@ -174,7 +179,7 @@ def discretize(spec: DemandSpec, tail_eps: float = DEFAULT_TAIL_EPS) -> DemandPm
             raise ValueError(f"cannot cut the Poisson demand of mean {mu:g}")
         below = np.maximum(cut - 1, 0)
         kmax = int(below if pdtr(below, mu) >= q else cut)
-        check_memory(kmax + 1, f"the Poisson demand of mean {mu:g}")
+        check_memory(32 * (kmax + 1), f"the Poisson demand of mean {mu:g}")
         k = np.arange(kmax + 1)
         probs = np.minimum(np.exp(xlogy(k, mu) - gammaln(k + 1) - mu), 1.0)
         return DemandPmf(offset=0, probs=probs)
@@ -187,7 +192,7 @@ def discretize(spec: DemandSpec, tail_eps: float = DEFAULT_TAIL_EPS) -> DemandPm
     if cut == math.inf:
         raise ValueError(f"cannot cut the normal demand of mean {spec.mean:g}")
     kmax = max(int(np.ceil(cut)), 0)
-    check_memory(kmax + 2, f"the normal demand of mean {spec.mean:g}")
+    check_memory(32 * (kmax + 2), f"the normal demand of mean {spec.mean:g}")
     edges = (np.arange(kmax + 2) - 0.5 - spec.mean) / sigma
     cdfs = ndtr(edges)
     probs = np.diff(cdfs)

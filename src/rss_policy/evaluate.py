@@ -21,6 +21,7 @@ import numpy as np
 
 from .model import Instance, Policy
 from .costs import _truncate
+from .demand import check_memory
 from .solver import SolveContext, _context
 
 
@@ -50,7 +51,8 @@ def expected_cost(
     included. A policy whose
     order-up-to level lies above the grid ceiling cannot be priced on
     the grid and is refused; this covers every reorder level above the
-    ceiling.
+    ceiling. A cost that overflows float64 (inf or NaN) raises
+    ``ValueError``.
     """
     if policy.horizon != instance.T:
         raise ValueError(
@@ -74,7 +76,10 @@ def expected_cost(
             order_value = (p.W + p.K) + curve[grid.index(review.order_up_to)]
             table[: grid.index(review.reorder)] = order_value
         future = table
-    return float(future[grid.index(instance.I0)])
+    cost = float(future[grid.index(instance.I0)])
+    if not math.isfinite(cost):
+        raise ValueError(f"the policy's expected cost is {cost}: the costs overflow")
+    return cost
 
 
 def simulate(
@@ -93,12 +98,17 @@ def simulate(
     draw by draw) from one (n_paths, T) matrix of uniforms, so path i
     keeps its draws whatever the number of paths. Partial backlogging
     (instance beta < 1) truncates negative closing inventories after
-    the penalty is charged. The policy is priced before the rollout.
+    the penalty is charged. The policy is priced before the rollout, and a
+    rollout too large for memory, 8 (T + 5) bytes per path plus the
+    largest ``DemandPmf.sample`` bucket table, raises ``MemoryError``.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     ctx = _context(instance, context)
     analytic = expected_cost(instance, policy, context=ctx)
+    buckets = max(ctx.demand.period(t)._buckets for t in range(1, instance.T + 1))
+    nbytes = 8 * n_paths * (instance.T + 5) + 24 * (buckets + 1)
+    check_memory(nbytes, f"a rollout of {n_paths} paths")
     p = ctx.params
     u = np.random.default_rng(seed).random((n_paths, instance.T))
     reviews = {rv.period: rv for rv in policy.reviews}
@@ -114,18 +124,8 @@ def simulate(
         cost += p.h * np.maximum(inv, 0.0) + p.b * np.maximum(-inv, 0.0)
         if instance.beta < 1.0:
             inv = _truncate(inv, instance.beta)
-    mc_mean = float(cost.mean())
-    if n_paths > 1:
-        halfwidth = float(1.96 * cost.std(ddof=1) / math.sqrt(n_paths))
-    else:
-        halfwidth = 0.0
-    return EvalReport(
-        expected_cost=analytic,
-        mc_mean=mc_mean,
-        mc_halfwidth_95=halfwidth,
-        n_paths=n_paths,
-        seed=seed,
-    )
+    halfwidth = float(1.96 * cost.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    return EvalReport(analytic, float(cost.mean()), halfwidth, n_paths, seed)
 
 
 def optimality_gap(policy_cost: float, optimal_cost: float) -> float:

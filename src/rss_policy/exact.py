@@ -2,11 +2,12 @@
 branch-and-bound over schedule suffixes.
 
 For a fixed review schedule the problem reduces to a restricted (s,S)
-computation: ordering is only allowed at scheduled reviews, and the
-between-review holding/penalty accrues through the shared cycle-cost
-engine. The optimum over every schedule (every composition of the
-horizon with a mandatory first review) is what the optimality gap of
-the heuristic is measured against.
+computation, ``scarf_fixed_R``, which returns its sweep's ``ValueTables``:
+ordering is only allowed at scheduled reviews, and the between-review
+holding/penalty accrues through the shared cycle-cost engine. The
+optimum over every schedule (every composition of the horizon with a
+mandatory first review) is what the optimality gap of the heuristic is
+measured against.
 
 Search. Schedules are searched depth-first over their suffixes. A
 suffix is a set of reviews in t..T with a review at t; its table F_t,
@@ -117,29 +118,19 @@ class ReviewSchedule:
         return len(self.periods)
 
 
-@dataclass
-class ScarfResult:
-    """Optimal thresholds and cost for one fixed schedule."""
-
-    policy: Policy
-    cost: float
-    tables: ValueTables
-
-
 def scarf_fixed_R(
     instance: Instance,
     schedule: ReviewSchedule,
     *,
     context: Optional[SolveContext] = None,
-) -> ScarfResult:
-    """Optimal (s,S) levels for a fixed review schedule: the heuristic's
-    backward sweep with the scheduled cycle as the only candidate at each
-    review. The review cost is charged once per scheduled review."""
+) -> ValueTables:
+    """Optimal (s,S) levels for a fixed review schedule: the value tables
+    of the heuristic's backward sweep with the scheduled cycle as the only
+    candidate at each review, which decides the scheduled reviews only.
+    The review cost is charged once per scheduled review."""
     ctx = _context(instance, context, full_backlog=True)
     lengths = {t: (r,) for t, r in zip(schedule.periods, schedule.cycles(instance.T))}
-    tables = _sweep(ctx, _kconvex_table, "scarf_fixed_R", lambda t: lengths.get(t, ()))
-    policy = extract_policy(tables, instance)
-    return ScarfResult(policy=policy, cost=tables.value(1, instance.I0), tables=tables)
+    return _sweep(ctx, _kconvex_table, lambda t: lengths.get(t, ()))
 
 
 @dataclass
@@ -182,7 +173,7 @@ def enumerate_optimal(
     needs more than ``budget`` nodes, and ``ValueError`` for a budget
     below 1. Ties between equally cheap schedules go to the
     lexicographically earliest one. Each schedule's cost is identical to
-    a standalone ``scarf_fixed_R`` call, which gives the returned policy.
+    a standalone ``scarf_fixed_R`` call, whose tables give the policy.
     """
     if budget < 1:
         raise ValueError(f"the node budget must be at least 1, not {budget}")
@@ -218,10 +209,10 @@ def enumerate_optimal(
         else:
             stack.extend((u, t, table, periods) for u in range(1, t))
     best_schedule = ReviewSchedule(best_periods)
-    result = scarf_fixed_R(instance, best_schedule, context=ctx)
+    tables = scarf_fixed_R(instance, best_schedule, context=ctx)
     return EnumerationResult(
-        policy=result.policy,
-        cost=result.cost,
+        policy=extract_policy(tables, instance),
+        cost=tables.root_cost(instance.I0),
         schedule=best_schedule,
         n_schedules=count,
         stats=stats,

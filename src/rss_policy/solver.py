@@ -204,7 +204,7 @@ def build_grid(
     min_inv = min(-max_inv, instance.I0)
     grid = InventoryGrid(min_inv=min_inv, max_inv=max_inv)
     below = sum(demand.period(t).max_value for t in range(1, instance.T + 1))
-    check_memory(grid.size + below, "the inventory grid")
+    check_memory(32 * (grid.size + below), "the inventory grid")
     return grid
 
 
@@ -280,7 +280,6 @@ class ValueTables:
     cost_to_go: dict[int, np.ndarray]
     reviews: dict[int, PolicyReview]
     stats: SolveStats
-    algorithm: str
 
     def value(self, t: int, i: int) -> float:
         return float(self.cost_to_go[t][self.grid.index(i)])
@@ -397,7 +396,6 @@ def _certify(
 def _sweep(
     ctx: SolveContext,
     table_fn: Callable[[SolveContext, np.ndarray, SolveStats], _CycleResult],
-    algorithm: str,
     lengths: Optional[Callable[[int], Iterable[int]]] = None,
     window: Optional[InventoryGrid] = None,
 ) -> ValueTables:
@@ -405,7 +403,8 @@ def _sweep(
 
     ``lengths(t)`` gives the candidate cycle lengths at period t in
     increasing order, by default every length that fits the horizon; a
-    period without candidates gets no table and no review. Ties between
+    period without candidates gets no table and no review, and one whose
+    candidates all cost inf or NaN raises ``ValueError``. Ties between
     cycle lengths go to the shorter cycle; the order-up-to tie-break
     (largest level) is fixed inside the threshold scan. Each decided
     period records one ``PolicyReview`` from its winning cycle, whose
@@ -467,17 +466,19 @@ def _sweep(
             res = table_fn(ctx, curve, stats)
             wider = _certify(ctx, window, hp, future_min, curve, res) if prune else None
             if wider is not None:
-                tables = _sweep(ctx, table_fn, algorithm, lengths, wider)
+                tables = _sweep(ctx, table_fn, lengths, wider)
                 tables.stats.window_widenings += 1
                 return tables
             if res.best_n < best_n:
                 best, best_r, best_n = res, r, res.best_n
         if best is None:
+            if candidates:  # every candidate costs inf or NaN
+                raise ValueError(f"no cycle at period {t} has a finite cost: the costs overflow")
             continue
         cost_to_go[t] = best.table
         lo = window.min_inv  # the curve indices as inventory levels
         reviews[t] = PolicyReview(t, best_r, lo + best.stop + 1, lo + best.best)
-    return ValueTables(window, T, cost_to_go, reviews, stats, algorithm)
+    return ValueTables(window, T, cost_to_go, reviews, stats)
 
 
 def _context(
@@ -498,14 +499,14 @@ def _context(
 def solve_plain(instance: Instance, *, context: Optional[SolveContext] = None) -> ValueTables:
     """Reference sweep: full order-quantity search at every state."""
     ctx = _context(instance, context, full_backlog=True)
-    return _sweep(ctx, _plain_table, "plain")
+    return _sweep(ctx, _plain_table)
 
 
 def solve_kconvex(instance: Instance, *, context: Optional[SolveContext] = None) -> ValueTables:
     """Accelerated sweep using the K-convexity threshold scan. Produces
     the same tables and policy as ``solve_plain``."""
     ctx = _context(instance, context, full_backlog=True)
-    return _sweep(ctx, _kconvex_table, "kconvex")
+    return _sweep(ctx, _kconvex_table)
 
 
 def solve_lost_sales(instance: Instance, *, context: Optional[SolveContext] = None) -> ValueTables:
@@ -517,7 +518,7 @@ def solve_lost_sales(instance: Instance, *, context: Optional[SolveContext] = No
     K-convex, so the published reorder level is the threshold of the
     descending scan and may only approximate a non-interval ordering region.
     """
-    return _sweep(_context(instance, context), _plain_table, "lost_sales")
+    return _sweep(_context(instance, context), _plain_table)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,16 +282,16 @@ def unpruned_sweep(ctx: SolveContext, table_fn):
     return cost_to_go, reviews, stats
 
 
-def full_grid_sweep(ctx: SolveContext, table_fn, algorithm="full-grid", lengths=None):
+def full_grid_sweep(ctx: SolveContext, table_fn, lengths=None):
     """The heuristic sweep forced onto the whole grid, with no window."""
-    return _sweep(ctx, table_fn, algorithm, lengths, window=ctx.grid)
+    return _sweep(ctx, table_fn, lengths, window=ctx.grid)
 
 
 def full_grid_scarf(ctx: SolveContext, schedule: ReviewSchedule):
     """The tables of ``scarf_fixed_R`` on the whole grid."""
     cycles = zip(schedule.periods, schedule.cycles(ctx.instance.T))
     lengths = {t: (r,) for t, r in cycles}
-    return full_grid_sweep(ctx, _kconvex_table, "scarf_fixed_R", lambda t: lengths.get(t, ()))
+    return full_grid_sweep(ctx, _kconvex_table, lambda t: lengths.get(t, ()))
 
 
 def window_slice(ctx: SolveContext, window, table: np.ndarray) -> np.ndarray:
@@ -334,10 +336,22 @@ def enumeration_oracle(ctx: SolveContext) -> tuple[float, ReviewSchedule, int]:
     schedules = all_schedules(inst.T)
     best_cost, best = float("inf"), None
     for sched in schedules:
-        cost = scarf_fixed_R(inst, sched, context=ctx).cost
+        cost = scarf_fixed_R(inst, sched, context=ctx).root_cost(inst.I0)
         if cost < best_cost:
             best_cost, best = cost, sched
     return best_cost, best, len(schedules)
+
+
+@contextlib.contextmanager
+def allocates_at_most(limit):
+    """Fail unless the block's peak of traced allocations stays below ``limit`` bytes."""
+    tracemalloc.start()
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, peak
 
 
 def random_desk_instance(
@@ -372,6 +386,21 @@ def random_desk_instance(
     I0 = int(rng.integers(-bound, bound + 1))
     beta = float(rng.choice([0.0, 0.5])) if partial_backlog else 1.0
     return Instance(T=T, params=params, I0=I0, demand=demand, beta=beta)
+
+
+def overflow_instance(hb: float, I0: int = 0) -> Instance:
+    """T = 2, K = 10, W = 5 and Poisson(5) demand in both periods, with
+    h = b = hb: at 1e308 every cycle's cost overflows float64, at 1e307
+    the instance solves."""
+    params = CostParams(K=10.0, W=5.0, h=hb, b=hb)
+    return Instance(T=2, params=params, I0=I0, demand=(DemandSpec("poisson", 5.0),) * 2)
+
+
+# numpy warns where the costs of ``overflow_instance`` overflow, before the
+# library refuses them
+ignore_overflow = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
 
 
 def deterministic_instance(means, K=100.0, W=10.0, h=1.0, b=1000.0, I0=0) -> Instance:

@@ -15,7 +15,12 @@ from rss_policy import cli, evaluate, instance_to_dict, save_instance
 from rss_policy.cli import main as cli_main
 from rss_policy.demand import DEFAULT_TAIL_EPS
 from rss_policy.solver import DEFAULT_QUANTILE_EPS
-from conftest import deterministic_instance, random_desk_instance
+from conftest import (
+    deterministic_instance,
+    ignore_overflow,
+    overflow_instance,
+    random_desk_instance,
+)
 
 
 def _instance_doc():
@@ -75,6 +80,36 @@ def test_out_of_memory_exits_3(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@ignore_overflow
+def test_costs_that_overflow_exit_2(tmp_path, capsys):
+    # solve stopped with KeyError: 2 (exit 1), and evaluate printed
+    # {"expected_cost": Infinity}, which is not JSON, and exited 0
+    def refused(argv, reason):
+        assert cli_main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert reason in captured.err
+
+    paths = {hb: tmp_path / f"inst{hb:g}.json" for hb in (1e308, 1e307)}
+    for hb, path in paths.items():
+        save_instance(overflow_instance(hb), path)
+    for solver in cli.SOLVERS:
+        refused(["solve", str(paths[1e308]), "--solver", solver], "the costs overflow")
+    assert cli_main(["solve", str(paths[1e307])]) == 0
+    policy = tmp_path / "policy.json"
+    policy.write_text(capsys.readouterr().out)
+    evaluate = ["evaluate", str(paths[1e308]), "--policy", str(policy)]
+    refused(evaluate, "the costs overflow")
+    refused(evaluate + ["--simulate", "1000"], "the costs overflow")
+    # costs that fit float64 whose sums do not: the root cost at I0 = 1000,
+    # and the Monte-Carlo mean of 1000 paths that cost about 3.5e307 each
+    high = tmp_path / "high.json"
+    save_instance(overflow_instance(1e307, I0=1000), high)
+    refused(["solve", str(high)], "JSON")
+    refused(["evaluate", str(paths[1e307]), "--policy", str(policy), "--simulate", "1000"], "JSON")
 
 
 def test_eps_defaults_are_the_library_constants():

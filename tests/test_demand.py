@@ -1,11 +1,9 @@
 """Demand discretization, convolution and the cumulative cache."""
 
-import contextlib
 import functools
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,18 +26,7 @@ from rss_policy import (
 import rss_policy
 from rss_policy import demand
 from rss_policy.cli import main as cli_main
-
-
-@contextlib.contextmanager
-def _allocates_at_most(limit):
-    """Fail unless the block's peak of traced allocations stays below ``limit`` bytes."""
-    tracemalloc.start()
-    try:
-        yield
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < limit, peak
+from conftest import allocates_at_most
 
 
 class TestDiscretize:
@@ -114,7 +101,7 @@ class TestDiscretize:
         # arrays are built, which would take about 320 MB at their peak
         assert demand.physical_memory() > 2**20
         monkeypatch.setattr(demand, "physical_memory", lambda: 100 * 2**20)
-        with _allocates_at_most(100 * 2**20):
+        with allocates_at_most(100 * 2**20):
             with pytest.raises(MemoryError, match=r"Poisson demand of mean 1e\+07"):
                 discretize(DemandSpec("poisson", 1e7))
             with pytest.raises(MemoryError, match=r"normal demand of mean 1e\+07"):
@@ -131,7 +118,7 @@ class TestDiscretize:
             I0=0,
             demand=(DemandSpec("poisson", 1e5),),
         )
-        with _allocates_at_most(5 * 2**20), pytest.raises(MemoryError, match="inventory grid"):
+        with allocates_at_most(5 * 2**20), pytest.raises(MemoryError, match="inventory grid"):
             SolveContext(instance)
         path = tmp_path / "inst.json"
         save_instance(instance, path)

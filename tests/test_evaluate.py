@@ -1,5 +1,9 @@
 """Analytic policy cost, Monte-Carlo simulation, optimality gap."""
 
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -14,14 +18,21 @@ from rss_policy import (
     expected_cost,
     extract_policy,
     optimality_gap,
+    policy_to_dict,
+    save_instance,
     simulate,
     solve_kconvex,
     solve_lost_sales,
 )
+from rss_policy import demand
+from rss_policy.cli import main as cli_main
 from conftest import (
+    allocates_at_most,
     demand_matrix_rollout,
     deterministic_instance,
     direct_cycle_cost,
+    ignore_overflow,
+    overflow_instance,
     random_desk_instance,
 )
 
@@ -31,6 +42,21 @@ def _policy(horizon, *reviews):
         horizon=horizon,
         reviews=tuple(PolicyReview(*rv) for rv in reviews),
     )
+
+
+def _alternate_draws(rng, horizon, n=4):
+    """(instance, context, heuristic policy) for ``n`` desk draws: beta = 1
+    on even draws and beta from {0, 0.5} on odd ones, which
+    ``solve_lost_sales`` solves."""
+    for k in range(n):
+        inst = random_desk_instance(rng, horizon=horizon, partial_backlog=k % 2 == 1)
+        ctx = SolveContext(inst)
+        solve = solve_kconvex if inst.beta == 1.0 else solve_lost_sales
+        yield inst, ctx, extract_policy(solve(inst, context=ctx), inst)
+
+
+def _no_rollout(pmf, u):
+    raise AssertionError("rolled out a policy the evaluator refuses")
 
 
 class TestExpectedCost:
@@ -46,19 +72,28 @@ class TestExpectedCost:
         assert expected_cost(inst, policy) == pytest.approx(2 * 7.0 + 3 * 4.0)
 
     def test_review_cost_shifts_linearly(self, rng):
-        inst = random_desk_instance(rng, horizon=4)
-        policy = extract_policy(solve_kconvex(inst), inst)
-        base = expected_cost(inst, policy)
-        p = inst.params
-        bumped = Instance(
-            T=inst.T,
-            params=CostParams(K=p.K, W=p.W + 13.0, h=p.h, b=p.b),
-            I0=inst.I0,
-            demand=inst.demand,
-        )
-        assert expected_cost(bumped, policy) == pytest.approx(
-            base + 13.0 * policy.n_reviews, abs=1e-6
-        )
+        # the bumped instance was built field by field and lost beta
+        for inst, ctx, policy in _alternate_draws(rng, horizon=4):
+            base = expected_cost(inst, policy, context=ctx)
+            bumped = dataclasses.replace(
+                inst, params=dataclasses.replace(inst.params, W=inst.params.W + 13.0)
+            )
+            assert expected_cost(bumped, policy) == pytest.approx(
+                base + 13.0 * policy.n_reviews, abs=1e-6
+            )
+
+    @ignore_overflow
+    def test_refuses_a_cost_that_overflows(self, monkeypatch):
+        # it returned inf, and simulate rolled out to a mean of inf and a
+        # half-width of NaN
+        policy = _policy(2, (1, 1, 5, 5), (2, 1, 5, 5))
+        assert math.isfinite(expected_cost(overflow_instance(1e307), policy))
+        inst = overflow_instance(1e308)
+        with pytest.raises(ValueError, match="expected cost is inf: the costs overflow"):
+            expected_cost(inst, policy)
+        monkeypatch.setattr(DemandPmf, "sample", _no_rollout)
+        with pytest.raises(ValueError, match="the costs overflow"):
+            simulate(inst, policy, n_paths=10, seed=0)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_partial_backlog_matches_solver_and_simulation(self, beta):
@@ -139,13 +174,12 @@ class TestSimulate:
         assert report.mc_mean == report.expected_cost
 
     def test_seeded_reproducibility(self, rng):
-        inst = random_desk_instance(rng, horizon=3)
-        policy = extract_policy(solve_kconvex(inst), inst)
-        a = simulate(inst, policy, n_paths=500, seed=11)
-        b = simulate(inst, policy, n_paths=500, seed=11)
-        c = simulate(inst, policy, n_paths=500, seed=12)
-        assert a.mc_mean == b.mc_mean
-        assert a.mc_mean != c.mc_mean
+        for inst, _, policy in _alternate_draws(rng, horizon=3):
+            a = simulate(inst, policy, n_paths=500, seed=11)
+            b = simulate(inst, policy, n_paths=500, seed=11)
+            c = simulate(inst, policy, n_paths=500, seed=12)
+            assert a.mc_mean == b.mc_mean
+            assert a.mc_mean != c.mc_mean
 
     def test_single_path(self, rng):
         inst = random_desk_instance(rng, horizon=2)
@@ -158,11 +192,7 @@ class TestSimulate:
         # the grid check ran only after every path had been rolled out
         inst = deterministic_instance([3, 4], K=50, W=7, h=1, b=10)
         top = SolveContext(inst).grid.max_inv
-
-        def no_rollout(pmf, u):
-            raise AssertionError("rolled out a policy the grid refuses")
-
-        monkeypatch.setattr(DemandPmf, "sample", no_rollout)
+        monkeypatch.setattr(DemandPmf, "sample", _no_rollout)
         with pytest.raises(ValueError, match="above the inventory grid"):
             simulate(inst, _policy(2, (1, 2, top + 1, top + 1)), n_paths=10, seed=5)
 
@@ -172,12 +202,41 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(inst, policy, n_paths=0, seed=5)
 
+    def test_refuses_a_rollout_too_large_for_memory(self, monkeypatch, tmp_path, capsys):
+        # the (n_paths, T) uniforms were drawn unchecked; with 5 MiB of
+        # memory, 10^5 paths at T = 5 (8 MB) are refused before they are
+        # drawn, and so is one path of Poisson(10^4) demand, whose
+        # ``DemandPmf.sample`` bucket table takes 9 MB
+        monkeypatch.setattr(demand, "physical_memory", lambda: 5 * 2**20)
+        flat = deterministic_instance([10, 10, 10, 10, 10], K=50, W=7, h=1, b=10)
+        wide = Instance(
+            T=1,
+            params=CostParams(K=50.0, W=5.0, h=1.0, b=10.0),
+            I0=0,
+            demand=(DemandSpec("poisson", 1e4),),
+        )
+        policies = {}
+        for inst, n_paths in ((flat, 100_000), (wide, 1)):
+            ctx = SolveContext(inst)
+            policies[inst] = extract_policy(solve_kconvex(inst, context=ctx), inst)
+            expected_cost(inst, policies[inst], context=ctx)  # builds the curves it reads
+            with allocates_at_most(5 * 2**20):
+                with pytest.raises(MemoryError, match=f"a rollout of {n_paths} paths"):
+                    simulate(inst, policies[inst], n_paths, seed=0, context=ctx)
+        assert simulate(flat, policies[flat], 10_000, seed=0).n_paths == 10_000
+        path, policy_path = tmp_path / "inst.json", tmp_path / "policy.json"
+        save_instance(flat, path)
+        policy_path.write_text(json.dumps(policy_to_dict(policies[flat])))
+        argv = ["evaluate", str(path), "--policy", str(policy_path), "--simulate", "100000"]
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: a rollout of 100000 paths")
+        assert err.count("\n") == 1
+
     def test_mean_consistent_with_analytic(self, rng):
-        inst = random_desk_instance(rng, horizon=3)
-        ctx = SolveContext(inst)
-        policy = extract_policy(solve_kconvex(inst, context=ctx), inst)
-        report = simulate(inst, policy, n_paths=40_000, seed=7, context=ctx)
-        assert abs(report.mc_mean - report.expected_cost) <= 4 * report.mc_halfwidth_95
+        for inst, ctx, policy in _alternate_draws(rng, horizon=3):
+            report = simulate(inst, policy, n_paths=40_000, seed=7, context=ctx)
+            assert abs(report.mc_mean - report.expected_cost) <= 4 * report.mc_halfwidth_95
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_rollout_matches_demand_matrix_oracle(self, rng, beta):

@@ -17,6 +17,7 @@ from rss_policy import (
     SolveContext,
     enumerate_optimal,
     expected_cost,
+    extract_policy,
     gen_scalability,
     optimality_gap,
     scarf_fixed_R,
@@ -66,10 +67,12 @@ class TestScarfFixedSchedule:
         ctx = SolveContext(inst)
         one = scarf_fixed_R(inst, ReviewSchedule((1,)), context=ctx)
         two = scarf_fixed_R(inst, ReviewSchedule((1, 2)), context=ctx)
-        assert one.cost == pytest.approx(5 + 2 + 10)
-        assert two.cost == pytest.approx(2 * 5 + 2 * 2)
-        assert expected_cost(inst, one.policy, context=ctx) == pytest.approx(one.cost, abs=1e-9)
-        assert expected_cost(inst, two.policy, context=ctx) == pytest.approx(two.cost, abs=1e-9)
+        assert one.root_cost(inst.I0) == pytest.approx(5 + 2 + 10)
+        assert two.root_cost(inst.I0) == pytest.approx(2 * 5 + 2 * 2)
+        for tables in (one, two):
+            policy = extract_policy(tables, inst)
+            cost = expected_cost(inst, policy, context=ctx)
+            assert cost == pytest.approx(tables.root_cost(inst.I0), abs=1e-9)
 
     def test_zero_demand_costs_only_reviews(self):
         inst = Instance(
@@ -80,8 +83,8 @@ class TestScarfFixedSchedule:
         )
         ctx = SolveContext(inst)
         for sched in all_schedules(4):
-            res = scarf_fixed_R(inst, sched, context=ctx)
-            assert res.cost == pytest.approx(7.0 * sched.n_reviews)
+            tables = scarf_fixed_R(inst, sched, context=ctx)
+            assert tables.root_cost(inst.I0) == pytest.approx(7.0 * sched.n_reviews)
 
     def test_every_period_schedule_matches_brute_force(self, rng):
         # unrestricted ordering with zero review cost: the classic
@@ -99,9 +102,9 @@ class TestScarfFixedSchedule:
                 ),
             )
             ctx = SolveContext(inst)
-            res = scarf_fixed_R(inst, ReviewSchedule(tuple(range(1, T + 1))), context=ctx)
-            oracle = window_slice(ctx, res.tables.grid, brute_force_every_period(ctx))
-            np.testing.assert_allclose(res.tables.cost_to_go[1], oracle, atol=1e-9)
+            tables = scarf_fixed_R(inst, ReviewSchedule(tuple(range(1, T + 1))), context=ctx)
+            oracle = window_slice(ctx, tables.grid, brute_force_every_period(ctx))
+            np.testing.assert_allclose(tables.cost_to_go[1], oracle, atol=1e-9)
 
 
 def _assert_matches_oracle(inst):
@@ -156,10 +159,10 @@ class TestEnumerateOptimal:
         ctx = SolveContext(inst)
         res = enumerate_optimal(inst, context=ctx)
         for sched in all_schedules(4):
-            single = scarf_fixed_R(inst, sched, context=ctx)
-            assert res.cost <= single.cost + 1e-9
+            single = scarf_fixed_R(inst, sched, context=ctx).root_cost(inst.I0)
+            assert res.cost <= single + 1e-9
             if sched.periods == res.schedule.periods:
-                assert single.cost == pytest.approx(res.cost, abs=1e-9)
+                assert single == pytest.approx(res.cost, abs=1e-9)
 
     def test_never_beaten_by_heuristic(self, rng):
         for _ in range(5):
@@ -245,13 +248,16 @@ class TestEnumerateOptimal:
             K, W, b = rng.uniform(1.0, 16.0, 3)
             inst = _poisson_instance(rng.uniform(5.0, 20.0, T), K=K, W=W, h=1.0, b=b)
             ctx = SolveContext(inst)
-            scarf = {s.periods: scarf_fixed_R(inst, s, context=ctx) for s in all_schedules(inst.T)}
+            scarf = {
+                s.periods: scarf_fixed_R(inst, s, context=ctx).root_cost(inst.I0)
+                for s in all_schedules(inst.T)
+            }
             i0_idx = ctx.grid.index(inst.I0)
             for suffix in {p[k:] for p in scarf for k in range(1, len(p))}:
                 t = suffix[0]
                 table = full_grid_scarf(ctx, ReviewSchedule((1,) + suffix)).cost_to_go[t]
                 bound = _prefix_bound(ctx, t, table, i0_idx)
-                cheapest = min(r.cost for p, r in scarf.items() if p[-len(suffix):] == suffix)
+                cheapest = min(c for p, c in scarf.items() if p[-len(suffix):] == suffix)
                 assert bound <= cheapest + 1e-9
 
     def test_deterministic_tie_break(self):
@@ -338,8 +344,8 @@ def test_long_horizon_does_not_recurse():
     sys.setrecursionlimit(150)
     try:
         ctx = SolveContext(inst)
-        res = scarf_fixed_R(inst, ReviewSchedule((1,)), context=ctx)
+        tables = scarf_fixed_R(inst, ReviewSchedule((1,)), context=ctx)
     finally:
         sys.setrecursionlimit(limit)
-    assert res.policy.n_reviews == 1
-    assert np.isfinite(res.cost)
+    assert extract_policy(tables, inst).n_reviews == 1
+    assert np.isfinite(tables.root_cost(inst.I0))

@@ -3,6 +3,7 @@ partial lost sales."""
 
 import csv
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,7 +43,9 @@ from conftest import (
     direct_no_order_curve,
     full_grid_scarf,
     full_grid_sweep,
+    ignore_overflow,
     kconvex_table_oracle,
+    overflow_instance,
     q_loop_oracle,
     random_desk_instance,
     scan_oracle,
@@ -306,8 +309,9 @@ class TestSweepBound:
     def _check(self, inst):
         ctx = SolveContext(inst)
         stats_of = {}
-        for solve, table_fn in ((solve_kconvex, _kconvex_table), (solve_plain, _plain_table)):
-            full = full_grid_sweep(ctx, table_fn, solve.__name__)
+        solvers = (("kconvex", solve_kconvex, _kconvex_table), ("plain", solve_plain, _plain_table))
+        for name, solve, table_fn in solvers:
+            full = full_grid_sweep(ctx, table_fn)
             cost_to_go, reviews, stats = unpruned_sweep(ctx, table_fn)
             assert full.cost_to_go.keys() == cost_to_go.keys()
             for t in cost_to_go:
@@ -317,7 +321,7 @@ class TestSweepBound:
             tables = solve(inst, context=ctx)
             assert_window_matches_full_grid(ctx, tables, full)
             assert tables.stats.states_evaluated <= full.stats.states_evaluated
-            stats_of[tables.algorithm] = full.stats
+            stats_of[name] = full.stats
         # the full-grid exhaustive search scans the whole grid of each candidate it builds
         built = stats_of["plain"].states_evaluated // ctx.grid.size
         assert built + stats_of["plain"].candidates_pruned == inst.T * (inst.T + 1) // 2
@@ -339,7 +343,7 @@ class TestSweepBound:
         assert tables.stats.candidates_pruned >= 820 // 2
         schedule = ReviewSchedule(extract_policy(tables, inst).review_periods)
         scarf = scarf_fixed_R(inst, schedule, context=ctx)
-        assert scarf.tables.stats.candidates_pruned == 0
+        assert scarf.stats.candidates_pruned == 0
 
     def test_benchmark_report_counts_pruned(self, tmp_path):
         out = tmp_path / "bench"
@@ -395,14 +399,14 @@ class TestWindow:
             for table_fn in (_kconvex_table, _plain_table):
                 full = full_grid_sweep(ctx, table_fn)
                 for start in (None, tiny):
-                    windowed = _sweep(ctx, table_fn, "windowed", window=start)
+                    windowed = _sweep(ctx, table_fn, window=start)
                     assert_window_matches_full_grid(ctx, windowed, full)
                 grew_floor |= windowed.grid.min_inv < tiny.min_inv
                 grew_ceiling |= windowed.grid.max_inv > tiny.max_inv
             later = rng.random(inst.T - 1) < 0.5
             schedule = ReviewSchedule((1,) + tuple(int(u) for u in np.flatnonzero(later) + 2))
             scarf = scarf_fixed_R(inst, schedule, context=ctx)
-            assert_window_matches_full_grid(ctx, scarf.tables, full_grid_scarf(ctx, schedule))
+            assert_window_matches_full_grid(ctx, scarf, full_grid_scarf(ctx, schedule))
         assert grew_floor and grew_ceiling
 
     @pytest.mark.parametrize("seed", range(3))
@@ -416,8 +420,8 @@ class TestWindow:
             ctx = SolveContext(random_desk_instance(rng, mean_range=(10.0, 30.0)))
             for table_fn in (_kconvex_table, _plain_table):
                 for start in (None, _tiny_window(ctx)):
-                    tables = _sweep(ctx, table_fn, "windowed", window=start)
-                    again = _sweep(ctx, table_fn, "windowed", window=tables.grid)
+                    tables = _sweep(ctx, table_fn, window=start)
+                    again = _sweep(ctx, table_fn, window=tables.grid)
                     assert again.stats.window_widenings == 0
                     assert tables.cost_to_go.keys() == again.cost_to_go.keys()
                     for t, table in tables.cost_to_go.items():
@@ -437,7 +441,7 @@ class TestWindow:
         full = full_grid_sweep(ctx, _kconvex_table)
         assert full.reviews[1].cycle == inst.T
         start = _tiny_window(ctx) if tiny else None
-        windowed = _sweep(ctx, _kconvex_table, "windowed", window=start)
+        windowed = _sweep(ctx, _kconvex_table, window=start)
         assert_window_matches_full_grid(ctx, windowed, full)
 
     def test_tables_live_on_the_window(self):
@@ -511,7 +515,7 @@ class TestOneCurve:
                 curves.append(curve.copy())
                 return _plain_table(ctx, curve, stats)
 
-            _sweep(ctx, recording, "lost_sales")
+            _sweep(ctx, recording)
             order = [(t, r) for t in range(inst.T, 0, -1) for r in range(1, inst.T - t + 2)]
             for (t, r), curve in zip(order, curves, strict=True):
                 want = ctx.engine.cycle_curve(t, r, cost_to_go[t + r])
@@ -539,7 +543,8 @@ class TestPointMassDraws:
             for t, table in kconvex.cost_to_go.items():
                 np.testing.assert_allclose(plain.cost_to_go[t], table, rtol=0.0, atol=1e-8)
             schedule = ReviewSchedule(policy.review_periods)
-            assert scarf_fixed_R(inst, schedule, context=ctx).cost == kconvex.root_cost(inst.I0)
+            scarf = scarf_fixed_R(inst, schedule, context=ctx)
+            assert scarf.root_cost(inst.I0) == kconvex.root_cost(inst.I0)
 
 
 class TestLostSales:
@@ -551,12 +556,11 @@ class TestLostSales:
             plain = solve_plain(inst)
             assert ls.value(1, 0) == plain.value(1, 0)
             assert extract_policy(ls, inst) == extract_policy(plain, inst)
-            # the pruned plain sweep itself, bitwise; only the name differs
+            # the pruned plain sweep itself, bitwise
             assert ls.cost_to_go.keys() == plain.cost_to_go.keys()
             for t in ls.cost_to_go:
                 assert np.array_equal(ls.cost_to_go[t], plain.cost_to_go[t])
             assert (ls.reviews, ls.stats) == (plain.reviews, plain.stats)
-            assert (ls.algorithm, plain.algorithm) == ("lost_sales", "plain")
 
     def test_pure_lost_sales_resets_shortage(self):
         # shortage vanishes instead of backlogging: with ordering priced
@@ -662,6 +666,25 @@ def test_rejects_context_of_another_instance(entry):
     with pytest.raises(ValueError, match="different instance"):
         _ENTRY_POINTS[entry](inst, other)
     _ENTRY_POINTS[entry](inst, SolveContext(inst))
+
+
+@ignore_overflow
+def test_refuses_costs_that_overflow():
+    # every cycle of period 2 cost inf, so the period got no table and
+    # period 1 stopped with KeyError: 2
+    inst = overflow_instance(1e308)
+    for solve in (solve_plain, solve_kconvex, solve_lost_sales, enumerate_optimal):
+        with pytest.raises(ValueError, match="no cycle at period 2 has a finite cost"):
+            solve(inst)
+    for periods in ((1,), (1, 2)):
+        with pytest.raises(ValueError, match="has a finite cost: the costs overflow"):
+            scarf_fixed_R(inst, ReviewSchedule(periods))
+    fine = overflow_instance(1e307)
+    assert math.isfinite(solve_kconvex(fine).root_cost(fine.I0))
+    assert math.isfinite(scarf_fixed_R(fine, ReviewSchedule((1, 2))).root_cost(fine.I0))
+    # a scheduled period without candidates still gets no table
+    tables = scarf_fixed_R(deterministic_instance([10, 10]), ReviewSchedule((1,)))
+    assert 2 not in tables.cost_to_go and 2 not in tables.reviews
 
 
 class TestExtractPolicy:
