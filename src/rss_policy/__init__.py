@@ -22,8 +22,9 @@ inventory grid and the cost engine (:class:`CycleCostEngine`), which
 prices every review cycle; the solvers and the evaluator decide on its
 prices. Its ``tail_eps`` and ``quantile_eps`` are the only
 discretization settings; without a context the defaults are used. The
-grid is the state space; the heuristic sweeps decide on a certified
-window of it, on which their value tables are returned.
+grid is the state space; the heuristic sweeps and the exact search
+decide on certified windows of it, and the sweeps return their value
+tables on theirs.
 """
 
 from .costs import CostParams, CycleCostEngine

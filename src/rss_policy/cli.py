@@ -18,6 +18,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Optional
 
+import numpy as np
+
 from .demand import DEFAULT_TAIL_EPS
 from .evaluate import expected_cost, optimality_gap, simulate
 from .exact import DEFAULT_NODE_BUDGET, HorizonCapError, enumerate_optimal
@@ -373,7 +375,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every entry point refuses a non-finite result itself
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except HorizonCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY

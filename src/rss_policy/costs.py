@@ -4,9 +4,10 @@ The *cycle curve* of a cycle of r periods at period t is its no-order
 cost over the post-order positions at period t: the expected
 holding/penalty of periods t..t+r-1 plus the expected cost-to-go
 ``future`` at period t + r, whose states below ``future``'s span take
-its floor value ``future[0]``. The solvers, the exact search and the
-evaluator decide on ``CycleCostEngine.cycle_curve``; the heuristic sweep
-reads its two parts, ``cycle_hp_fn`` and ``tail``, on its window.
+its floor value ``future[0]``. The solvers and the evaluator decide on
+``CycleCostEngine.cycle_curve``; the heuristic sweep and the exact
+search read its two parts, ``cycle_hp_fn`` and ``tail``, on their
+windows.
 
 Write hp(t, r) for the expected holding/penalty of a cycle of r periods,
 periods t..t+r-1, as a function of the post-order position y at period

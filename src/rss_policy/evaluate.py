@@ -100,7 +100,8 @@ def simulate(
     (instance beta < 1) truncates negative closing inventories after
     the penalty is charged. The policy is priced before the rollout, and a
     rollout too large for memory, 8 (T + 5) bytes per path plus the
-    largest ``DemandPmf.sample`` bucket table, raises ``MemoryError``.
+    largest ``DemandPmf.sample`` bucket table, raises ``MemoryError``. A
+    mean or half-width that overflows float64 raises ``ValueError``.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -124,8 +125,13 @@ def simulate(
         cost += p.h * np.maximum(inv, 0.0) + p.b * np.maximum(-inv, 0.0)
         if instance.beta < 1.0:
             inv = _truncate(inv, instance.beta)
+    mean = float(cost.mean())
     halfwidth = float(1.96 * cost.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return EvalReport(analytic, float(cost.mean()), halfwidth, n_paths, seed)
+    if not (math.isfinite(mean) and math.isfinite(halfwidth)):
+        raise ValueError(
+            f"the Monte-Carlo mean is {mean} with half-width {halfwidth}: the costs overflow"
+        )
+    return EvalReport(analytic, mean, halfwidth, n_paths, seed)
 
 
 def optimality_gap(policy_cost: float, optimal_cost: float) -> float:

@@ -186,14 +186,15 @@ def build_grid(
 ) -> InventoryGrid:
     """Size the grid from the total-demand quantile, with 10% headroom.
 
-    The grid is the state space: the exact search and the evaluator span
-    it, and the heuristic sweep decides on a certified window of it (see
-    the module docstring); the cost engine's curves grow to the spans
-    these read. The ceiling is the (1 - quantile_eps) quantile of total
-    horizon demand rounded up by 10%; the floor is its negative. Both are
-    widened if needed so the initial inventory lies on the grid. A grid
-    whose cost engine's widest span, the grid and every period's largest
-    demand below it, is too long for memory raises ``MemoryError``.
+    The grid is the state space: the evaluator spans it, and the
+    heuristic sweep and the exact search decide on certified windows of
+    it (see the module docstring and ``exact``); the cost engine's curves
+    grow to the spans these read. The ceiling is the (1 - quantile_eps)
+    quantile of total horizon demand rounded up by 10%; the floor is its
+    negative. Both are widened if needed so the initial inventory lies on
+    the grid. A grid whose cost engine's widest span, the grid and every
+    period's largest demand below it, is too long for memory raises
+    ``MemoryError``.
     """
     if not 0 < quantile_eps <= 1e-4:
         raise ValueError("quantile_eps must lie in (0, 1e-4]")
@@ -239,9 +240,10 @@ class SolveContext:
     """Discretized demand, grid and cost engine shared by solver runs,
     the exact baseline and the policy evaluator on one instance.
 
-    The grid is the state space; the heuristic sweep decides on a
-    certified window of it (see the module docstring), and the engine's
-    curves span what the reads so far have needed (see ``costs``)."""
+    The grid is the state space; the heuristic sweep and the exact
+    search decide on certified windows of it (see the module docstring
+    and ``exact``), and the engine's curves span what the reads so far
+    have needed (see ``costs``)."""
 
     def __init__(
         self,
@@ -285,8 +287,12 @@ class ValueTables:
         return float(self.cost_to_go[t][self.grid.index(i)])
 
     def root_cost(self, i0: int) -> float:
-        """Expected policy cost from period 1 with opening inventory i0."""
-        return self.value(1, i0)
+        """Expected policy cost from period 1 with opening inventory i0; a
+        cost that overflows float64 (inf or NaN) raises ``ValueError``."""
+        cost = self.value(1, i0)
+        if not math.isfinite(cost):
+            raise ValueError(f"the root cost is {cost}: the costs overflow")
+        return cost
 
 
 @dataclass
@@ -359,6 +365,13 @@ def _exceeds(a: float, b: float) -> bool:
     return a > b + _BOUND_MARGIN * abs(b)
 
 
+def _floor_holds(hp_floor: float, future_min: float, order_value: float) -> bool:
+    """The floor condition of the window certificate (see the module
+    docstring): hp(f) + min F exceeds the value of the cheapest order,
+    v(b) + K for a sweep's table."""
+    return _exceeds(hp_floor + future_min, order_value)
+
+
 def _initial_window(ctx: SolveContext) -> InventoryGrid:
     """The sweep's first window: plus and minus the largest period-demand
     support (at least 1), widened to hold the initial inventory and cut to
@@ -388,7 +401,7 @@ def _certify(
         beyond = hp[n - 1] + future_min  # bounds the curve above c once hp rises at c
         if not (hp[n - 1] >= hp[n - 2] and _exceeds(beyond, float(curve[m:].min()))):
             hi = min(grid.max_inv, 2 * hi + 1)
-    if lo > grid.min_inv and not _exceeds(hp[0] + future_min, res.best_n + ctx.params.K):
+    if lo > grid.min_inv and not _floor_holds(hp[0], future_min, res.best_n + ctx.params.K):
         lo = max(grid.min_inv, 2 * lo - 1)
     return None if (lo, hi) == (window.min_inv, window.max_inv) else InventoryGrid(lo, hi)
 

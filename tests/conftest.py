@@ -13,6 +13,8 @@ import pytest
 from rss_policy import (
     CostParams,
     DemandSpec,
+    EnumerationResult,
+    HorizonCapError,
     Instance,
     PolicyReview,
     ReviewSchedule,
@@ -20,8 +22,10 @@ from rss_policy import (
     SolveStats,
     extract_policy,
     scarf_fixed_R,
+    solve_kconvex,
 )
-from rss_policy.solver import _kconvex_table, _sweep
+from rss_policy.exact import DEFAULT_NODE_BUDGET
+from rss_policy.solver import _exceeds, _kconvex_table, _suffix_min, _sweep
 
 
 def direct_cycle_cost(ctx: SolveContext, t: int, i: int, q: int, r: int) -> float:
@@ -340,6 +344,76 @@ def enumeration_oracle(ctx: SolveContext) -> tuple[float, ReviewSchedule, int]:
         if cost < best_cost:
             best_cost, best = cost, sched
     return best_cost, best, len(schedules)
+
+
+def _full_grid_prefix_bound(ctx: SolveContext, t: int, table: np.ndarray, i0_idx: int) -> float:
+    """The bound of ``full_grid_enumerate``: W plus the every-period SDP
+    over periods 1..t-1 on the whole grid."""
+    p = ctx.params
+    value = table
+    for u in range(t - 1, 1, -1):
+        curve = ctx.engine.cycle_curve(u, 1, value)
+        np.minimum(curve[:-1], (p.W + p.K) + _suffix_min(curve)[1:], out=curve[:-1])
+        value = curve
+    curve = ctx.engine.cycle_curve(1, 1, value)
+    return p.W + min(float(curve[i0_idx]), p.K + float(curve[i0_idx:].min()))
+
+
+def full_grid_enumerate(ctx: SolveContext, budget: int = DEFAULT_NODE_BUDGET) -> EnumerationResult:
+    """The branch-and-bound search of ``enumerate_optimal`` as it was
+    before it decided on a window: every node table and every table of
+    its bound's every-period SDP span the whole grid, and each suffix
+    runs its own SDP."""
+    instance = ctx.instance
+    T = instance.T
+    stats = SolveStats()
+    i0_idx = ctx.grid.index(instance.I0)
+    incumbent = solve_kconvex(instance, context=ctx).root_cost(instance.I0)
+    zeros = np.zeros(ctx.grid.size)
+    stack = [(t, T + 1, zeros, ()) for t in range(1, T + 1)]
+    best_cost = float("inf")
+    best_periods: tuple[int, ...] = ()
+    count = explored = pruned = 0
+    while stack:
+        if explored == budget:
+            raise HorizonCapError(f"more than {budget} nodes")
+        t, end, future, later = stack.pop()
+        explored += 1
+        table = _kconvex_table(ctx, ctx.engine.cycle_curve(t, end - t, future), stats).table
+        periods = (t,) + later
+        if t == 1:
+            count += 1
+            cost = float(table[i0_idx])
+            if cost < best_cost or (cost == best_cost and periods < best_periods):
+                best_cost, best_periods = cost, periods
+        elif _exceeds(_full_grid_prefix_bound(ctx, t, table, i0_idx), min(incumbent, best_cost)):
+            pruned += 2 ** (t - 1) - 1
+        else:
+            stack.extend((u, t, table, periods) for u in range(1, t))
+    best_schedule = ReviewSchedule(best_periods)
+    tables = scarf_fixed_R(instance, best_schedule, context=ctx)
+    return EnumerationResult(
+        policy=extract_policy(tables, instance),
+        cost=tables.root_cost(instance.I0),
+        schedule=best_schedule,
+        n_schedules=count,
+        stats=stats,
+        nodes_explored=explored,
+        nodes_pruned=pruned,
+    )
+
+
+def assert_same_search(res: EnumerationResult, full: EnumerationResult) -> None:
+    """Two searches found the same optimum by the same prune decisions:
+    cost, schedule, policy and node counts equal, bitwise."""
+    assert res.cost == full.cost
+    assert res.schedule == full.schedule
+    assert res.policy == full.policy
+    assert (res.n_schedules, res.nodes_explored, res.nodes_pruned) == (
+        full.n_schedules,
+        full.nodes_explored,
+        full.nodes_pruned,
+    )
 
 
 @contextlib.contextmanager

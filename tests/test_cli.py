@@ -7,17 +7,21 @@ import copy
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rss_policy
 from rss_policy import cli, evaluate, instance_to_dict, save_instance
 from rss_policy.cli import main as cli_main
 from rss_policy.demand import DEFAULT_TAIL_EPS
 from rss_policy.solver import DEFAULT_QUANTILE_EPS
 from conftest import (
     deterministic_instance,
-    ignore_overflow,
     overflow_instance,
     random_desk_instance,
 )
@@ -82,7 +86,6 @@ def test_out_of_memory_exits_3(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@ignore_overflow
 def test_costs_that_overflow_exit_2(tmp_path, capsys):
     # solve stopped with KeyError: 2 (exit 1), and evaluate printed
     # {"expected_cost": Infinity}, which is not JSON, and exited 0
@@ -108,8 +111,27 @@ def test_costs_that_overflow_exit_2(tmp_path, capsys):
     # and the Monte-Carlo mean of 1000 paths that cost about 3.5e307 each
     high = tmp_path / "high.json"
     save_instance(overflow_instance(1e307, I0=1000), high)
-    refused(["solve", str(high)], "JSON")
-    refused(["evaluate", str(paths[1e307]), "--policy", str(policy), "--simulate", "1000"], "JSON")
+    refused(["solve", str(high)], "the costs overflow")
+    refused(
+        ["evaluate", str(paths[1e307]), "--policy", str(policy), "--simulate", "1000"],
+        "the costs overflow",
+    )
+
+
+def test_costs_that_overflow_print_no_numpy_warnings(tmp_path):
+    # numpy's RuntimeWarning lines went to stderr, after a solve that
+    # exited 0 and before the error line of one that exited 2
+    env = {**os.environ, "PYTHONPATH": str(Path(rss_policy.__file__).parents[1])}
+    for hb, code in ((1e307, 0), (1e308, 2)):
+        path = tmp_path / f"inst{hb:g}.json"
+        save_instance(overflow_instance(hb), path)
+        argv = [sys.executable, "-m", "rss_policy.cli", "solve", str(path)]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == code, out.stderr
+        if code:
+            assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+        else:
+            assert out.stderr == ""
 
 
 def test_eps_defaults_are_the_library_constants():

@@ -27,9 +27,11 @@ from rss_policy.cli import main as cli_main
 from rss_policy.exact import _prefix_bound
 from conftest import (
     all_schedules,
+    assert_same_search,
     brute_force_every_period,
     deterministic_instance,
     enumeration_oracle,
+    full_grid_enumerate,
     full_grid_scarf,
     random_desk_instance,
     window_slice,
@@ -191,8 +193,9 @@ class TestEnumerateOptimal:
         assert held < memo / 4
 
     def test_holds_few_tables(self, rng):
-        # only the tables on the search's current path stay alive: a few
-        # per period, against one per schedule suffix (2^T - 1) if memoised
+        # only the tables on the search's current path, and the bound table
+        # each child on the stack inherits, stay alive: a few per period,
+        # against one per schedule suffix (2^T - 1) if memoised
         inst = random_desk_instance(rng, horizon=12)
         ctx = SolveContext(inst)
         enumerate_optimal(inst, context=ctx)  # builds every level and pmf
@@ -211,6 +214,20 @@ class TestEnumerateOptimal:
     @pytest.mark.parametrize("name", sorted(_TIE_PRONE))
     def test_matches_oracle_on_tie_prone_instances(self, name):
         _assert_matches_oracle(_TIE_PRONE[name]())
+
+    def test_matches_full_grid_search(self):
+        # the window and the inherited bounds change no prune decision: the
+        # search finds what the full-grid search finds, by the same nodes,
+        # whether or not a floor check restarts it
+        restarted = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            horizon = int(rng.integers(2, 8))
+            inst = random_desk_instance(rng, horizon, point_masses=seed % 2 == 1)
+            res = enumerate_optimal(inst, context=SolveContext(inst))
+            assert_same_search(res, full_grid_enumerate(SolveContext(inst)))
+            restarted += res.stats.window_widenings > 0
+        assert restarted > 0
 
     def test_rejects_above_budget(self, rng):
         inst = random_desk_instance(rng, horizon=5)
@@ -241,24 +258,37 @@ class TestEnumerateOptimal:
 
     def test_bound_never_exceeds_its_subtree(self, rng):
         # the bound of every suffix lies below the cheapest schedule under
-        # it; cheap orders make the schedules order often, so a bound that
-        # overcharges orders after period 1 fails here
+        # it, and the bound a child inherits from its parent's SDP tables
+        # lies below the child's own; cheap orders make the schedules order
+        # often, so a bound that overcharges orders after period 1 fails here
         for _ in range(4):
             T = int(rng.integers(2, 8))
             K, W, b = rng.uniform(1.0, 16.0, 3)
             inst = _poisson_instance(rng.uniform(5.0, 20.0, T), K=K, W=W, h=1.0, b=b)
             ctx = SolveContext(inst)
+            g, f = ctx.grid.min_inv, solve_kconvex(inst, context=ctx).grid.min_inv
             scarf = {
                 s.periods: scarf_fixed_R(inst, s, context=ctx).root_cost(inst.I0)
                 for s in all_schedules(inst.T)
             }
-            i0_idx = ctx.grid.index(inst.I0)
+            searched = {}  # suffix -> (its table, its bound, its SDP tables)
             for suffix in {p[k:] for p in scarf for k in range(1, len(p))}:
                 t = suffix[0]
                 table = full_grid_scarf(ctx, ReviewSchedule((1,) + suffix)).cost_to_go[t]
-                bound = _prefix_bound(ctx, t, table, i0_idx)
+                bound, sdp = _prefix_bound(ctx, g, t, table, inst.I0 - g)
+                searched[suffix] = table, bound, sdp
                 cheapest = min(c for p, c in scarf.items() if p[-len(suffix):] == suffix)
                 assert bound <= cheapest + 1e-9
+                # on the window of the search, a table flat below it gives the
+                # same bound unless a floor check fails
+                on_window = _prefix_bound(ctx, f, t, table[f - g :], inst.I0 - f)
+                if on_window is not None and np.all(table[: f - g] == table[f - g]):
+                    assert on_window[0] == bound
+            for suffix, (_, bound, sdp) in searched.items():
+                for u in range(2, suffix[0]):
+                    child_table, child_bound, _ = searched[(u,) + suffix]
+                    inherited = bound + float((child_table - sdp[u]).min())
+                    assert inherited <= child_bound + 1e-9 * abs(child_bound)
 
     def test_deterministic_tie_break(self):
         # zero demand and prohibitive K: every schedule with the same
