@@ -118,7 +118,8 @@ class CycleCostEngine:
             self._floors.append(min(low, below))
         self._base = min(f - demand.period(u).max_value for u, f in enumerate(self._floors, 1))
         xs = np.arange(self._base, high + 1, dtype=np.float64)
-        self._one_period = params.h * np.maximum(xs, 0.0) + params.b * np.maximum(-xs, 0.0)
+        with np.errstate(over="ignore"):  # an overflowing cost is refused where it is read
+            self._one_period = params.h * np.maximum(xs, 0.0) + params.b * np.maximum(-xs, 0.0)
         # (t, r) -> (first position, hp(t, r) from there on)
         self._curves: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
 
@@ -216,13 +217,14 @@ class CycleCostEngine:
         padded = np.concatenate((np.full(cum.max_value, future[0]), future))
         return np.convolve(padded, cum.probs, "valid")[: future.shape[0]]
 
-    def cycle_curve(self, t: int, r: int, future: np.ndarray) -> np.ndarray:
-        """The cycle curve of a cycle of r periods at period t over the grid,
-        excluding the review/order fixed costs, with ``future`` over the
-        grid: ``cycle_hp_fn`` plus ``tail`` under full backlogging, and
-        one ``backlog_step`` per period back from the last with beta < 1."""
+    def cycle_curve(self, t: int, r: int, future: np.ndarray, lo: int | None = None) -> np.ndarray:
+        """The cycle curve of a cycle of r periods at period t, excluding the
+        review/order fixed costs, over the positions ``future`` spans from
+        ``lo`` (the grid floor by default): ``cycle_hp_fn`` plus ``tail`` under
+        full backlogging, and with beta < 1, on the grid, a ``backlog_step`` per period."""
         if self._beta == 1.0:
-            return self.cycle_hp_fn(t, r)(range(self._lo, self._hi + 1)) + self.tail(t, r, future)
+            lo = self._lo if lo is None else lo
+            return self.cycle_hp_fn(t, r)(range(lo, lo + future.shape[0])) + self.tail(t, r, future)
         w = future
         for u in range(t + r - 1, t - 1, -1):
             w = self.backlog_step(u, w)

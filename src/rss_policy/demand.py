@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaln, ndtr, ndtri, pdtr, pdtrik, xlogy
@@ -124,26 +124,35 @@ class DemandPmf:
 
     @property
     def _buckets(self) -> int:
-        """M of ``sample``; its bucket table peaks below 24 (M + 1) bytes."""
+        """M of ``sampler``: its table takes 8 M bytes, 24 (M + 1) to build."""
         return 1 << max(10, (32 * len(self) - 1).bit_length())
 
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        """``quantile`` of each u in [0, 1), elementwise and exactly.
+    def sampler(self) -> Callable[[np.ndarray], np.ndarray]:
+        """``sample`` with its bucket table built once, for many draws.
 
         M is a power of two of at least 32 * len(self) and 1024, so j / M
         and u * M are exact, and G[j] is the support index of
         quantile(j / M) for j = 0..M. For j = floor(u * M),
         j / M <= u < (j + 1) / M and quantile is monotone, so
-        G[j] <= answer <= G[j + 1]. Where the two agree, G[j] is the
-        answer; only the draws in buckets that hold a cdf step (about
-        1 % of them) are searched.
+        G[j] <= answer <= G[j + 1]. Where the two agree, bucket j holds
+        the demand; only the draws in buckets that hold a cdf step (about
+        1 % of them, marked -1) are searched.
         """
         cdf, last, m = self.cdf(), len(self) - 1, self._buckets
-        table = np.minimum(np.searchsorted(cdf, np.arange(m + 1) / m, side="left"), last)
-        idx = np.where(table[:-1] == table[1:], table[:-1], -1)[(u * m).astype(np.intp)]
-        step = np.flatnonzero(idx < 0)
-        idx[step] = np.minimum(np.searchsorted(cdf, u[step], side="left"), last)
-        return self.offset + idx
+        table = self.offset + np.minimum(np.searchsorted(cdf, np.arange(m + 1) / m), last)
+        buckets = np.where(table[:-1] == table[1:], table[:-1], -1)
+
+        def draw(u: np.ndarray) -> np.ndarray:
+            d = buckets[(u * m).astype(np.intp)]
+            step = np.flatnonzero(d < 0)
+            d[step] = self.offset + np.minimum(np.searchsorted(cdf, u[step]), last)
+            return d
+
+        return draw
+
+    def sample(self, u: np.ndarray) -> np.ndarray:
+        """``quantile`` of each u in [0, 1), elementwise and exactly."""
+        return self.sampler()(u)
 
 
 def point_mass(value: int) -> DemandPmf:

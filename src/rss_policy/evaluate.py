@@ -1,14 +1,27 @@
 """Analytic and Monte-Carlo evaluation of fixed (R,s,S) policies.
 
-The analytic route recurses backward over the policy's review cycles on
-the context's whole grid with the cost engine's ``cycle_curve``; the
-heuristic sweep's tables equal the grid's on its certified window (see
-``solver``).
-So a solver's reported cost and the evaluator's answer for its extracted
-policy agree to floating-point noise; any larger mismatch signals a bug
-rather than tolerance slack. The Monte-Carlo route samples demand from
-the same discretized pmfs, by the exact inverse-CDF lookup of
-``DemandPmf.sample``, as an independent stochastic check.
+The analytic route recurses backward over the policy's review cycles
+with the engine's ``cycle_curve``, which the solvers decide on, so a
+solver's cost and the evaluator's for its policy agree to floating-point
+noise; any larger mismatch signals a bug. With beta < 1 it spans the
+grid [g, G]. Under full backlogging it prices on the window [f, c],
+f = max(g, min(I0, min_t s_t - 1)) and c = max(I0, max_t S_t), bitwise
+as on the grid. By induction from the flat zero table after the last
+review: a position y in [f, c] reads hp at y and the next table at
+y - d, d >= 0, never above c. Below f the window's ``tail`` pads with
+the table's value at f, where the grid's reads [g, f) and pads with the
+value at g; these agree when the table is flat on [g, f]. If f > g,
+then f < s_t <= S_t for every review t, so [g, f] lies below s_t and
+takes the one ordering value W + K + curve(S_t). So every value on
+[f, c], I0 and each S_t among them, is the grid's dot product of the
+same numbers.
+
+The Monte-Carlo route samples the same pmfs by ``DemandPmf.sampler``
+in blocks of ``_BLOCK`` paths, each the next rows of the one stream of
+uniforms, so path i keeps its draws whatever the number of paths. A
+block is transposed in cache and rolled out on integer positions,
+charged by lookup into the engine's one-period cost vector: the same
+expression of the same numbers, so each path's cost keeps its bits.
 """
 
 from __future__ import annotations
@@ -23,6 +36,8 @@ from .model import Instance, Policy
 from .costs import _truncate
 from .demand import check_memory
 from .solver import SolveContext, _context
+
+_BLOCK = 1 << 14  # paths per block of the rollout
 
 
 @dataclass(frozen=True)
@@ -44,39 +59,36 @@ def expected_cost(
 ) -> float:
     """Exact expected cost of the policy under the discretized demand.
 
-    At each review the fixed decision rule applies: order up to the
-    order-up-to level iff the opening inventory is below the reorder
-    level. Each review's no-order curve is the cost engine's
-    ``cycle_curve``, which the solvers decide on, partial backlogging
-    included. A policy whose
-    order-up-to level lies above the grid ceiling cannot be priced on
-    the grid and is refused; this covers every reorder level above the
-    ceiling. A cost that overflows float64 (inf or NaN) raises
-    ``ValueError``.
+    At each review the fixed decision rule applies: order up to S iff the
+    opening inventory is below s, priced on the policy's window under
+    full backlogging (module docstring). A policy whose S, or s, lies
+    above the grid ceiling cannot be priced and is refused. A cost that
+    overflows float64 raises ``ValueError``.
     """
     if policy.horizon != instance.T:
         raise ValueError(
             f"policy horizon {policy.horizon} does not match instance horizon {instance.T}"
         )
     ctx = _context(instance, context)
-    grid = ctx.grid
-    top = max(rv.order_up_to for rv in policy.reviews)
+    grid, top = ctx.grid, max(rv.order_up_to for rv in policy.reviews)
     if top > grid.max_inv:
         raise ValueError(
             f"order-up-to level {top} lies above the inventory grid "
             f"[{grid.min_inv}, {grid.max_inv}]"
         )
-    p = ctx.params
-    future = np.zeros(grid.size)
-    for review in reversed(policy.reviews):
-        t, r = review.period, review.cycle
-        curve = ctx.engine.cycle_curve(t, r, future)
-        table = p.W + curve
-        if review.reorder > grid.min_inv:
-            order_value = (p.W + p.K) + curve[grid.index(review.order_up_to)]
-            table[: grid.index(review.reorder)] = order_value
-        future = table
-    cost = float(future[grid.index(instance.I0)])
+    p, lo, hi = ctx.params, grid.min_inv, grid.max_inv
+    if instance.beta == 1.0:
+        lo = max(lo, min(instance.I0, min(rv.reorder for rv in policy.reviews) - 1))
+        hi = max(instance.I0, top)
+    future = np.zeros(hi - lo + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for review in reversed(policy.reviews):
+            curve = ctx.engine.cycle_curve(review.period, review.cycle, future, lo)
+            table = p.W + curve
+            if review.reorder > lo:
+                table[: review.reorder - lo] = (p.W + p.K) + curve[review.order_up_to - lo]
+            future = table
+    cost = float(future[instance.I0 - lo])
     if not math.isfinite(cost):
         raise ValueError(f"the policy's expected cost is {cost}: the costs overflow")
     return cost
@@ -90,43 +102,50 @@ def simulate(
     *,
     context: Optional[SolveContext] = None,
 ) -> EvalReport:
-    """Seeded Monte-Carlo rollout of the policy.
+    """Seeded Monte-Carlo rollout of the policy, which is priced first.
 
-    Samples from the discretized pmfs, so the simulation validates
-    exactly the model the solvers optimise. Each period's demand is
-    drawn by inverse CDF (``DemandPmf.sample``, equal to ``quantile``
-    draw by draw) from one (n_paths, T) matrix of uniforms, so path i
-    keeps its draws whatever the number of paths. Partial backlogging
-    (instance beta < 1) truncates negative closing inventories after
-    the penalty is charged. The policy is priced before the rollout, and a
-    rollout too large for memory, 8 (T + 5) bytes per path plus the
-    largest ``DemandPmf.sample`` bucket table, raises ``MemoryError``. A
-    mean or half-width that overflows float64 raises ``ValueError``.
+    Partial backlogging (beta < 1) truncates negative closing inventories
+    after the penalty is charged. A path's opening state in period u is
+    at least the engine's floor_u (``costs``): orders only raise it, and
+    demand and truncation lower it no more than the floors, so the
+    one-period cost vector charges every closing inventory. A rollout
+    too large for memory raises ``MemoryError`` (8 bytes a path, 8 (2T + 8)
+    a path of a block, the bucket tables and the largest one's build, 40 a
+    vector position), and an overflowing mean or half-width ``ValueError``.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     ctx = _context(instance, context)
     analytic = expected_cost(instance, policy, context=ctx)
-    buckets = max(ctx.demand.period(t)._buckets for t in range(1, instance.T + 1))
-    nbytes = 8 * n_paths * (instance.T + 5) + 24 * (buckets + 1)
-    check_memory(nbytes, f"a rollout of {n_paths} paths")
-    p = ctx.params
-    u = np.random.default_rng(seed).random((n_paths, instance.T))
+    T, p, base, hold = instance.T, ctx.params, ctx.engine._base, ctx.engine._one_period
+    pmfs = [ctx.demand.period(t) for t in range(1, T + 1)]
+    block, buckets = min(n_paths, _BLOCK), [pmf._buckets for pmf in pmfs]
+    nbytes = 8 * (n_paths + block * (2 * T + 8) + sum(buckets) + 5 * hold.shape[0])
+    check_memory(nbytes + 24 * (max(buckets) + 1), f"a rollout of {n_paths} paths")
+    draws = [pmf.sampler() for pmf in pmfs]
+    nxt = _truncate(np.arange(base, base + hold.shape[0]), instance.beta) - base
     reviews = {rv.period: rv for rv in policy.reviews}
-    inv = np.full(n_paths, float(instance.I0))
-    cost = np.zeros(n_paths)
-    for t in range(1, instance.T + 1):
-        rv = reviews.get(t)
-        if rv is not None:
-            order = inv < rv.reorder
-            cost += p.W + p.K * order
-            inv = np.where(order, rv.order_up_to, inv)
-        inv = inv - ctx.demand.period(t).sample(u[:, t - 1])
-        cost += p.h * np.maximum(inv, 0.0) + p.b * np.maximum(-inv, 0.0)
-        if instance.beta < 1.0:
-            inv = _truncate(inv, instance.beta)
-    mean = float(cost.mean())
-    halfwidth = float(1.96 * cost.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    rng, cost = np.random.default_rng(seed), np.empty(n_paths)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        u, by_period = np.empty((block, T)), np.empty((T, block))
+        for start in range(0, n_paths, block):
+            b = min(block, n_paths - start)
+            rng.random(out=u[:b])
+            by_period[:, :b] = u[:b].T
+            inv, c = np.full(b, instance.I0 - base), np.zeros(b)
+            for t in range(1, T + 1):
+                rv = reviews.get(t)
+                if rv is not None:
+                    order = inv < max(rv.reorder - base, 0)  # inv >= 0
+                    c += p.W + p.K * order
+                    inv = np.where(order, rv.order_up_to - base, inv)
+                inv -= draws[t - 1](by_period[t - 1, :b])
+                c += hold[inv]
+                if instance.beta < 1.0:
+                    inv = nxt[inv]
+            cost[start : start + b] = c
+        mean = float(cost.mean())
+        halfwidth = float(1.96 * cost.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     if not (math.isfinite(mean) and math.isfinite(halfwidth)):
         raise ValueError(
             f"the Monte-Carlo mean is {mean} with half-width {halfwidth}: the costs overflow"

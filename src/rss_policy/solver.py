@@ -186,10 +186,10 @@ def build_grid(
 ) -> InventoryGrid:
     """Size the grid from the total-demand quantile, with 10% headroom.
 
-    The grid is the state space: the evaluator spans it, and the
-    heuristic sweep and the exact search decide on certified windows of
-    it (see the module docstring and ``exact``); the cost engine's curves
-    grow to the spans these read. The ceiling is the (1 - quantile_eps)
+    The grid is the state space: the heuristic sweep and the exact search
+    decide on certified windows of it (see the module docstring and
+    ``exact``), and the evaluator prices on the policy's window at beta = 1
+    (``evaluate``); the cost engine's curves grow to the spans these read. The ceiling is the (1 - quantile_eps)
     quantile of total horizon demand rounded up by 10%; the floor is its
     negative. Both are widened if needed so the initial inventory lies on
     the grid. A grid whose cost engine's widest span, the grid and every

@@ -187,6 +187,22 @@ def path_sum_policy_cost(ctx: SolveContext, policy) -> float:
     return float(future[grid.index(ctx.instance.I0)])
 
 
+def full_grid_expected_cost(ctx: SolveContext, policy) -> float:
+    """``expected_cost`` under full backlogging as it was before it priced on
+    the policy's window: every review's curve spans the grid, as
+    ``cycle_hp_fn`` read over the grid plus ``tail``."""
+    grid, p, engine = ctx.grid, ctx.params, ctx.engine
+    future = np.zeros(grid.size)
+    for rv in reversed(policy.reviews):
+        hp = engine.cycle_hp_fn(rv.period, rv.cycle)(grid.levels())
+        curve = hp + engine.tail(rv.period, rv.cycle, future)
+        table = p.W + curve
+        if rv.reorder > grid.min_inv:
+            table[: grid.index(rv.reorder)] = (p.W + p.K) + curve[grid.index(rv.order_up_to)]
+        future = table
+    return float(future[grid.index(ctx.instance.I0)])
+
+
 def demand_matrix_rollout(ctx: SolveContext, policy, n_paths: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo rollout of a policy that first samples an (n_paths, T)
     float demand matrix, column by column by inverse CDF from one matrix

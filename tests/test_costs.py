@@ -203,7 +203,9 @@ class TestConvolvesOnce:
 
     def test_solve_then_price_convolves_each_value_once(self, monkeypatch):
         # the sweep reads its window and reads up where hp falls; pricing the
-        # policy reads the grid, growing the curves it touches at both ends
+        # policy reads its own window, here inside what the sweep read, and
+        # grows nothing; reading the policy's cycles on the grid grows their
+        # curves at both ends
         inst = gen_scalability(20, 1, seed=20)[0]
         ctx = SolveContext(inst)
         lengths = []
@@ -218,8 +220,12 @@ class TestConvolvesOnce:
         tables = solve_kconvex(inst, context=ctx)
         assert tables.grid != ctx.grid
         in_sweep = len(lengths)
-        expected_cost(inst, extract_policy(tables, inst), context=ctx)
-        assert len(lengths) > in_sweep  # the pricing grew curves
+        policy = extract_policy(tables, inst)
+        expected_cost(inst, policy, context=ctx)
+        assert len(lengths) == in_sweep  # the pricing grew no curve
+        for rv in policy.reviews:
+            ctx.engine.cycle_hp_fn(rv.period, rv.cycle)(ctx.grid.levels())
+        assert len(lengths) > in_sweep  # the grid reads grew curves
         assert len(lengths) > len(ctx.engine._curves)  # some curve grew by pieces
         assert sum(lengths) == ctx.engine.stored_states
 

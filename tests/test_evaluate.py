@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,12 +27,13 @@ from rss_policy import (
 )
 from rss_policy import demand
 from rss_policy.cli import main as cli_main
+from rss_policy.evaluate import _BLOCK
 from conftest import (
     allocates_at_most,
     demand_matrix_rollout,
     deterministic_instance,
     direct_cycle_cost,
-    ignore_overflow,
+    full_grid_expected_cost,
     overflow_instance,
     random_desk_instance,
 )
@@ -55,7 +57,7 @@ def _alternate_draws(rng, horizon, n=4):
         yield inst, ctx, extract_policy(solve(inst, context=ctx), inst)
 
 
-def _no_rollout(pmf, u):
+def _no_rollout(pmf):
     raise AssertionError("rolled out a policy the evaluator refuses")
 
 
@@ -82,18 +84,24 @@ class TestExpectedCost:
                 base + 13.0 * policy.n_reviews, abs=1e-6
             )
 
-    @ignore_overflow
     def test_refuses_a_cost_that_overflows(self, monkeypatch):
         # it returned inf, and simulate rolled out to a mean of inf and a
-        # half-width of NaN
+        # half-width of NaN; numpy's overflow warnings, raised as errors
+        # here, stopped the context, the pricing and the rollout before
+        # the library's own checks
         policy = _policy(2, (1, 1, 5, 5), (2, 1, 5, 5))
-        assert math.isfinite(expected_cost(overflow_instance(1e307), policy))
-        inst = overflow_instance(1e308)
-        with pytest.raises(ValueError, match="expected cost is inf: the costs overflow"):
-            expected_cost(inst, policy)
-        monkeypatch.setattr(DemandPmf, "sample", _no_rollout)
-        with pytest.raises(ValueError, match="the costs overflow"):
-            simulate(inst, policy, n_paths=10, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = overflow_instance(1e307)
+            assert math.isfinite(expected_cost(fits, policy, context=SolveContext(fits)))
+            with pytest.raises(ValueError, match="Monte-Carlo mean is inf .*: the costs overflow"):
+                simulate(fits, policy, n_paths=10, seed=0)
+            inst = overflow_instance(1e308)
+            with pytest.raises(ValueError, match="expected cost is inf: the costs overflow"):
+                expected_cost(inst, policy)
+            monkeypatch.setattr(DemandPmf, "sampler", _no_rollout)
+            with pytest.raises(ValueError, match="the costs overflow"):
+                simulate(inst, policy, n_paths=10, seed=0)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_partial_backlog_matches_solver_and_simulation(self, beta):
@@ -147,6 +155,63 @@ class TestExpectedCost:
             expected_cost(inst, policy)
 
 
+def _every_period(horizon, levels):
+    """A review in every period, with the given (s, S) at each."""
+    return _policy(horizon, *((t, 1, s, S) for t, (s, S) in enumerate(levels, 1)))
+
+
+class TestWindow:
+    """``expected_cost`` prices on the policy's window under full
+    backlogging; its cost is bitwise the whole grid's."""
+
+    def _check(self, rng, inst, policies):
+        """Also from an I0 drawn above 0, mostly above some reorder level,
+        where the window's floor is a reorder level less one."""
+        ceiling = SolveContext(inst).grid.max_inv
+        for start in (inst, dataclasses.replace(inst, I0=int(rng.integers(0, ceiling + 1)))):
+            ctx, grid_ctx = SolveContext(start), SolveContext(start)
+            for policy in policies:
+                want = full_grid_expected_cost(grid_ctx, policy)
+                assert expected_cost(start, policy, context=ctx).hex() == want.hex(), policy
+
+    def _policies(self, rng, inst):
+        """The heuristic's policy, and reviews in every period with levels
+        drawn over the grid and near demand, reorder levels at and below
+        the grid floor, and order-up-to levels at the ceiling."""
+        ctx = SolveContext(inst)
+        g, G, T = ctx.grid.min_inv, ctx.grid.max_inv, inst.T
+        drawn = [tuple(sorted(rng.integers(g, G + 1, size=2).tolist())) for _ in range(T)]
+        near = [tuple(sorted(rng.integers(-5, min(G, 40) + 1, size=2).tolist())) for _ in range(T)]
+        return [
+            extract_policy(solve_kconvex(inst, context=ctx), inst),
+            _every_period(T, drawn),
+            _every_period(T, near),
+            _every_period(T, [(g, G)] * T),
+            _every_period(T, [(g - 3, G)] * T),
+            _every_period(T, [(g + 1, G)] + near[1:]),
+            _every_period(T, [(s, G) for s, _ in near]),
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_draws_match_the_grid(self, seed):
+        # I0 in [-M, M], Poisson and normal demand with cv up to 0.4, and
+        # point masses on every other draw
+        rng = np.random.default_rng(500 + seed)
+        for k in range(6):
+            inst = random_desk_instance(rng, point_masses=k % 2 == 1)
+            self._check(rng, inst, self._policies(rng, inst))
+
+    def test_long_normal_pmfs_match_the_grid(self, rng):
+        for I0 in (-40, 0, 35):
+            inst = Instance(
+                T=5,
+                params=CostParams(K=150.0, W=40.0, h=1.0, b=9.0),
+                I0=I0,
+                demand=tuple(DemandSpec("normal", m, 0.4) for m in (60.0, 30.0, 90.0, 20.0, 50.0)),
+            )
+            self._check(rng, inst, self._policies(rng, inst))
+
+
 class TestPolicyValidation:
     def test_rejects_review_past_horizon(self):
         with pytest.raises(ValueError):
@@ -192,7 +257,7 @@ class TestSimulate:
         # the grid check ran only after every path had been rolled out
         inst = deterministic_instance([3, 4], K=50, W=7, h=1, b=10)
         top = SolveContext(inst).grid.max_inv
-        monkeypatch.setattr(DemandPmf, "sample", _no_rollout)
+        monkeypatch.setattr(DemandPmf, "sampler", _no_rollout)
         with pytest.raises(ValueError, match="above the inventory grid"):
             simulate(inst, _policy(2, (1, 2, top + 1, top + 1)), n_paths=10, seed=5)
 
@@ -204,9 +269,10 @@ class TestSimulate:
 
     def test_refuses_a_rollout_too_large_for_memory(self, monkeypatch, tmp_path, capsys):
         # the (n_paths, T) uniforms were drawn unchecked; with 5 MiB of
-        # memory, 10^5 paths at T = 5 (8 MB) are refused before they are
-        # drawn, and so is one path of Poisson(10^4) demand, whose
-        # ``DemandPmf.sample`` bucket table takes 9 MB
+        # memory, 10^6 paths at T = 5 (an 8 MB cost vector) are refused
+        # before they are drawn, and so is one path of Poisson(10^4)
+        # demand, whose ``DemandPmf.sampler`` bucket table takes 13 MB to
+        # build
         monkeypatch.setattr(demand, "physical_memory", lambda: 5 * 2**20)
         flat = deterministic_instance([10, 10, 10, 10, 10], K=50, W=7, h=1, b=10)
         wide = Instance(
@@ -216,22 +282,37 @@ class TestSimulate:
             demand=(DemandSpec("poisson", 1e4),),
         )
         policies = {}
-        for inst, n_paths in ((flat, 100_000), (wide, 1)):
+        for inst, n_paths in ((flat, 1_000_000), (wide, 1)):
             ctx = SolveContext(inst)
             policies[inst] = extract_policy(solve_kconvex(inst, context=ctx), inst)
             expected_cost(inst, policies[inst], context=ctx)  # builds the curves it reads
             with allocates_at_most(5 * 2**20):
                 with pytest.raises(MemoryError, match=f"a rollout of {n_paths} paths"):
                     simulate(inst, policies[inst], n_paths, seed=0, context=ctx)
-        assert simulate(flat, policies[flat], 10_000, seed=0).n_paths == 10_000
         path, policy_path = tmp_path / "inst.json", tmp_path / "policy.json"
         save_instance(flat, path)
         policy_path.write_text(json.dumps(policy_to_dict(policies[flat])))
-        argv = ["evaluate", str(path), "--policy", str(policy_path), "--simulate", "100000"]
+        argv = ["evaluate", str(path), "--policy", str(policy_path), "--simulate", "1000000"]
         assert cli_main(argv) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: out of memory: a rollout of 100000 paths")
+        assert err.startswith("error: out of memory: a rollout of 1000000 paths")
         assert err.count("\n") == 1
+
+    def test_rolls_out_in_blocks_within_memory(self, monkeypatch):
+        # with the whole (n_paths, T) matrix of uniforms the check asked
+        # 8 (T + 5) bytes a path, 8 MB for 10^5 paths at T = 5, and refused
+        # them under 5 MiB; the blocks keep the rollout and its check below
+        monkeypatch.setattr(demand, "physical_memory", lambda: 5 * 2**20)
+        flat = deterministic_instance([10, 10, 10, 10, 10], K=50, W=7, h=1, b=10)
+        ctx = SolveContext(flat)
+        policy = extract_policy(solve_kconvex(flat, context=ctx), flat)
+        expected_cost(flat, policy, context=ctx)
+        with allocates_at_most(5 * 2**20):
+            report = simulate(flat, policy, 100_000, seed=0, context=ctx)
+        assert report.n_paths == 100_000
+        assert (report.mc_mean, report.mc_halfwidth_95) == demand_matrix_rollout(
+            ctx, policy, 100_000, 0
+        )
 
     def test_mean_consistent_with_analytic(self, rng):
         for inst, ctx, policy in _alternate_draws(rng, horizon=3):
@@ -260,6 +341,21 @@ class TestSimulate:
                 assert (report.mc_mean, report.mc_halfwidth_95) == demand_matrix_rollout(
                     ctx, policy, n_paths, seed
                 )
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_blocks_keep_the_paths_draws(self, rng, beta):
+        # a block boundary neither drops nor repeats a path's draws: one
+        # path, a block short of one, one block, one path past it and two
+        # blocks and three paths give the estimate of one matrix of draws
+        base = random_desk_instance(rng, horizon=2)
+        inst = Instance(T=2, params=base.params, I0=-4, demand=base.demand, beta=beta)
+        ctx = SolveContext(inst)
+        policy = extract_policy(solve_lost_sales(inst, context=ctx), inst)
+        for n_paths in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+            report = simulate(inst, policy, n_paths, seed=n_paths, context=ctx)
+            assert (report.mc_mean, report.mc_halfwidth_95) == demand_matrix_rollout(
+                ctx, policy, n_paths, n_paths
+            ), n_paths
 
     @pytest.mark.parametrize("seed", range(8))
     def test_partial_backlog_draws(self, seed):
