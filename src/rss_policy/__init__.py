@@ -20,11 +20,10 @@ Each entry point takes an optional ``context``: a :class:`SolveContext`
 built for the same instance. It holds the discretized demand, the
 inventory grid and the cost engine (:class:`CycleCostEngine`), which
 prices every review cycle; the solvers and the evaluator decide on its
-prices. Its ``tail_eps`` and ``quantile_eps`` are the only
-discretization settings; without a context the defaults are used. The
-grid is the state space; the heuristic sweeps and the exact search
-decide on certified windows of it, and the sweeps return their value
-tables on theirs.
+prices. The discretization is fixed, and without a context the entry
+point builds one. The grid is the state space; the heuristic sweeps and
+the exact search decide on certified windows of it, and the sweeps
+return their value tables on theirs.
 """
 
 from .costs import CostParams, CycleCostEngine

@@ -18,15 +18,11 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Optional
 
-import numpy as np
-
-from .demand import DEFAULT_TAIL_EPS
 from .evaluate import expected_cost, optimality_gap, simulate
 from .exact import DEFAULT_NODE_BUDGET, HorizonCapError, enumerate_optimal
 from .model import Instance
 from .serialize import SchemaError, load_instance, load_policy, policy_to_dict, save_instance
 from .solver import (
-    DEFAULT_QUANTILE_EPS,
     SolveContext,
     extract_policy,
     solve_kconvex,
@@ -84,7 +80,7 @@ def _solve_with(name: str, instance: Instance, ctx: SolveContext, exact_budget: 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    ctx = SolveContext(instance, tail_eps=args.tail_eps, quantile_eps=args.grid_eps)
+    ctx = SolveContext(instance)
     policy, cost, _, _ = _solve_with(args.solver, instance, ctx, DEFAULT_NODE_BUDGET)
     doc = policy_to_dict(policy, expected_cost=cost)
     print(json.dumps(doc, sort_keys=True, allow_nan=False))
@@ -94,7 +90,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     policy = load_policy(args.policy, horizon=instance.T)
-    ctx = SolveContext(instance, tail_eps=args.tail_eps, quantile_eps=args.grid_eps)
+    ctx = SolveContext(instance)
     if args.simulate is None:
         doc: dict[str, Any] = {"expected_cost": expected_cost(instance, policy, context=ctx)}
     else:
@@ -320,16 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--grid-eps", type=float, default=DEFAULT_QUANTILE_EPS,
-                       help="tail mass excluded when sizing the inventory grid")
-        p.add_argument("--tail-eps", type=float, default=DEFAULT_TAIL_EPS,
-                       help="tail mass cut when discretizing demand")
-
     p_solve = sub.add_parser("solve", help="compute a policy for an instance file")
     p_solve.add_argument("instance")
     p_solve.add_argument("--solver", choices=SOLVERS, default="kconvex")
-    common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a policy file on an instance")
@@ -339,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also run a Monte-Carlo estimate with N paths")
     p_eval.add_argument("--seed", type=int, default=0,
                         help="seed of the Monte-Carlo estimate")
-    common(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_bench = sub.add_parser("benchmark", help="run a benchmark campaign")
@@ -375,9 +363,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # every entry point refuses a non-finite result itself
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        return args.func(args)
     except HorizonCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY

@@ -128,7 +128,8 @@ class DemandPmf:
         return 1 << max(10, (32 * len(self) - 1).bit_length())
 
     def sampler(self) -> Callable[[np.ndarray], np.ndarray]:
-        """``sample`` with its bucket table built once, for many draws.
+        """A function that maps each u in [0, 1) to ``quantile(u)``,
+        elementwise and exactly, by a bucket table built once for many draws.
 
         M is a power of two of at least 32 * len(self) and 1024, so j / M
         and u * M are exact, and G[j] is the support index of
@@ -149,10 +150,6 @@ class DemandPmf:
             return d
 
         return draw
-
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        """``quantile`` of each u in [0, 1), elementwise and exactly."""
-        return self.sampler()(u)
 
 
 def point_mass(value: int) -> DemandPmf:

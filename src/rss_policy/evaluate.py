@@ -17,11 +17,12 @@ takes the one ordering value W + K + curve(S_t). So every value on
 same numbers.
 
 The Monte-Carlo route samples the same pmfs by ``DemandPmf.sampler``
-in blocks of ``_BLOCK`` paths, each the next rows of the one stream of
-uniforms, so path i keeps its draws whatever the number of paths. A
-block is transposed in cache and rolled out on integer positions,
-charged by lookup into the engine's one-period cost vector: the same
-expression of the same numbers, so each path's cost keeps its bits.
+in blocks of ``_BLOCK`` paths and at most ``_BLOCK_DRAWS`` draws, each
+the next rows of the one stream of uniforms, so path i keeps its draws
+whatever the number of paths and the block size. A block is transposed
+in cache and rolled out on integer positions, charged by lookup into the
+engine's one-period cost vector: the same expression of the same
+numbers, so each path's cost keeps its bits.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .demand import check_memory
 from .solver import SolveContext, _context
 
 _BLOCK = 1 << 14  # paths per block of the rollout
+_BLOCK_DRAWS = 1 << 20  # uniforms per block: fewer paths when T > 64
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,8 @@ def simulate(
     analytic = expected_cost(instance, policy, context=ctx)
     T, p, base, hold = instance.T, ctx.params, ctx.engine._base, ctx.engine._one_period
     pmfs = [ctx.demand.period(t) for t in range(1, T + 1)]
-    block, buckets = min(n_paths, _BLOCK), [pmf._buckets for pmf in pmfs]
+    block = min(n_paths, _BLOCK, max(1, _BLOCK_DRAWS // T))
+    buckets = [pmf._buckets for pmf in pmfs]
     nbytes = 8 * (n_paths + block * (2 * T + 8) + sum(buckets) + 5 * hold.shape[0])
     check_memory(nbytes + 24 * (max(buckets) + 1), f"a rollout of {n_paths} paths")
     draws = [pmf.sampler() for pmf in pmfs]

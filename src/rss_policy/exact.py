@@ -248,6 +248,7 @@ def _prefix_bound(
     return p.W + min(float(curve[i0_idx]), p.K + float(curve[i0_idx:].min())), tables
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite cost is refused by the caller
 def _search(
     ctx: SolveContext, lo: int, incumbent: float, budget: int
 ) -> Optional[tuple[tuple[int, ...], int, int, int, SolveStats]]:

@@ -149,10 +149,11 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .costs import CycleCostEngine
-from .demand import DEFAULT_TAIL_EPS, CumulativeDemandCache, check_memory, discretize
+from .demand import CumulativeDemandCache, check_memory, discretize
 from .model import Instance, Policy, PolicyReview
 
-DEFAULT_QUANTILE_EPS = 1e-5
+QUANTILE_EPS = 1e-5  # total-demand mass above the grid's ceiling, before headroom
+MAX_TOTAL_MACS = 10**11  # multiply-adds of the total-demand convolution, about 20 s
 
 
 @dataclass(frozen=True)
@@ -179,27 +180,32 @@ class InventoryGrid:
         return np.arange(self.min_inv, self.max_inv + 1)
 
 
-def build_grid(
-    instance: Instance,
-    demand: CumulativeDemandCache,
-    quantile_eps: float = DEFAULT_QUANTILE_EPS,
-) -> InventoryGrid:
+def build_grid(instance: Instance, demand: CumulativeDemandCache) -> InventoryGrid:
     """Size the grid from the total-demand quantile, with 10% headroom.
 
     The grid is the state space: the heuristic sweep and the exact search
     decide on certified windows of it (see the module docstring and
     ``exact``), and the evaluator prices on the policy's window at beta = 1
-    (``evaluate``); the cost engine's curves grow to the spans these read. The ceiling is the (1 - quantile_eps)
-    quantile of total horizon demand rounded up by 10%; the floor is its
-    negative. Both are widened if needed so the initial inventory lies on
-    the grid. A grid whose cost engine's widest span, the grid and every
-    period's largest demand below it, is too long for memory raises
-    ``MemoryError``.
+    (``evaluate``); the cost engine's curves grow to the spans these read.
+    The ceiling is the (1 - ``QUANTILE_EPS``) quantile of total horizon
+    demand rounded up by 10%; the floor is its negative. Both are widened
+    if needed so the initial inventory lies on the grid. A total demand
+    whose prefix convolutions take more than ``MAX_TOTAL_MACS``
+    multiply-adds, or a grid whose cost engine's widest span, the grid
+    and every period's largest demand below it, is too long for memory
+    raises ``MemoryError``.
     """
-    if not 0 < quantile_eps <= 1e-4:
-        raise ValueError("quantile_eps must lie in (0, 1e-4]")
+    lengths = [len(demand.period(t)) for t in range(1, instance.T + 1)]
+    macs, prefix = 0, lengths[0]  # prefix: the length of the pmf of periods 1..t
+    for n in lengths[1:]:
+        macs, prefix = macs + prefix * n, prefix + n - 1
+    if macs > MAX_TOTAL_MACS:
+        raise MemoryError(
+            f"the total demand's convolution needs {macs:.3g} multiply-adds, "
+            f"more than the bound of {MAX_TOTAL_MACS:.0e}"
+        )
     total = demand.cumulative(1, instance.T + 1)
-    m = total.quantile(1.0 - quantile_eps)
+    m = total.quantile(1.0 - QUANTILE_EPS)
     max_inv = int(math.ceil(1.1 * m))
     max_inv = max(max_inv, instance.I0, 0)
     min_inv = min(-max_inv, instance.I0)
@@ -240,22 +246,17 @@ class SolveContext:
     """Discretized demand, grid and cost engine shared by solver runs,
     the exact baseline and the policy evaluator on one instance.
 
-    The grid is the state space; the heuristic sweep and the exact
-    search decide on certified windows of it (see the module docstring
-    and ``exact``), and the engine's curves span what the reads so far
-    have needed (see ``costs``)."""
+    The demand is cut by ``discretize`` and the grid sized by
+    ``build_grid``, neither of which is a setting. The grid is the state
+    space; the heuristic sweep and the exact search decide on certified
+    windows of it (see the module docstring and ``exact``), and the
+    engine's curves span what the reads so far have needed (see
+    ``costs``)."""
 
-    def __init__(
-        self,
-        instance: Instance,
-        tail_eps: float = DEFAULT_TAIL_EPS,
-        quantile_eps: float = DEFAULT_QUANTILE_EPS,
-    ):
+    def __init__(self, instance: Instance):
         self.instance = instance
-        self.demand = CumulativeDemandCache(
-            [discretize(spec, tail_eps) for spec in instance.demand]
-        )
-        self.grid = build_grid(instance, self.demand, quantile_eps)
+        self.demand = CumulativeDemandCache([discretize(spec) for spec in instance.demand])
+        self.grid = build_grid(instance, self.demand)
         self.engine = CycleCostEngine(
             instance.params, self.demand, self.grid.min_inv, self.grid.max_inv, instance.beta
         )
@@ -406,6 +407,7 @@ def _certify(
     return None if (lo, hi) == (window.min_inv, window.max_inv) else InventoryGrid(lo, hi)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite cost is refused below
 def _sweep(
     ctx: SolveContext,
     table_fn: Callable[[SolveContext, np.ndarray, SolveStats], _CycleResult],
@@ -498,8 +500,8 @@ def _context(
     instance: Instance, context: Optional[SolveContext], *, full_backlog: bool = False
 ) -> SolveContext:
     """The context of a solver or evaluator call: the given one, checked
-    against the instance, or one with the default settings. Callers that
-    only handle full backlogging refuse instances with beta < 1 first."""
+    against the instance, or a new one. Callers that only handle full
+    backlogging refuse instances with beta < 1 first."""
     if full_backlog and instance.beta < 1.0:
         raise ValueError("partial backlogging requires solve_lost_sales")
     if context is None:

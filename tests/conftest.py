@@ -486,13 +486,6 @@ def overflow_instance(hb: float, I0: int = 0) -> Instance:
     return Instance(T=2, params=params, I0=I0, demand=(DemandSpec("poisson", 5.0),) * 2)
 
 
-# numpy warns where the costs of ``overflow_instance`` overflow, before the
-# library refuses them
-ignore_overflow = pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
-)
-
-
 def deterministic_instance(means, K=100.0, W=10.0, h=1.0, b=1000.0, I0=0) -> Instance:
     """Point-mass demand (normal with cv 0) for hand-checkable cases."""
     return Instance(

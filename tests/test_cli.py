@@ -18,8 +18,6 @@ import pytest
 import rss_policy
 from rss_policy import cli, evaluate, instance_to_dict, save_instance
 from rss_policy.cli import main as cli_main
-from rss_policy.demand import DEFAULT_TAIL_EPS
-from rss_policy.solver import DEFAULT_QUANTILE_EPS
 from conftest import (
     deterministic_instance,
     overflow_instance,
@@ -134,11 +132,20 @@ def test_costs_that_overflow_print_no_numpy_warnings(tmp_path):
             assert out.stderr == ""
 
 
-def test_eps_defaults_are_the_library_constants():
-    parser = cli.build_parser()
-    for argv in (["solve", "i.json"], ["evaluate", "i.json", "--policy", "p.json"]):
-        args = parser.parse_args(argv)
-        assert (args.grid_eps, args.tail_eps) == (DEFAULT_QUANTILE_EPS, DEFAULT_TAIL_EPS)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "i.json", "--tail-eps", "1e-4"],
+        ["evaluate", "i.json", "--policy", "p.json", "--grid-eps", "1e-4"],
+    ],
+)
+def test_discretization_is_not_an_option(capsys, argv):
+    # --tail-eps and --grid-eps let solve and evaluate price one policy on
+    # two discretizations (1407.963 against 1409.238)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["directory", "missing", "reviews-int", "review-null"])

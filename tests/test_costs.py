@@ -254,13 +254,13 @@ class TestPartialBacklogPaths:
         ]
         for demand, I0 in zip(demands, (0, -4)):
             inst = Instance(T=3, params=params, I0=I0, demand=demand, beta=beta)
-            yield SolveContext(inst, tail_eps=1e-3)
+            yield SolveContext(inst)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
     def test_cycle_curves_match_path_sums(self, rng, beta):
         below_grid = False
         for ctx in self._contexts(beta):
-            assert max(len(ctx.demand.period(u)) for u in (1, 2, 3)) <= 7
+            assert max(len(ctx.demand.period(u)) for u in (1, 2, 3)) <= 11
             grid = ctx.grid
             for t, r in _all_cycles(3):
                 future = rng.uniform(0.0, 100.0, grid.size)

@@ -343,17 +343,4 @@ def test_sample_equals_quantile(name):
         np.random.default_rng(17).random(100_000),
     ])
     keys = keys[(keys >= 0.0) & (keys < 1.0)]
-    assert pmf.sample(keys).tolist() == [pmf.quantile(x) for x in keys]
-
-
-def test_cli_solve_accepts_coarse_tail_eps(tmp_path, capsys):
-    instance = Instance(
-        T=3,
-        params=CostParams(K=50.0, W=5.0, h=1.0, b=10.0),
-        I0=0,
-        demand=tuple(DemandSpec("poisson", m) for m in (6.0, 9.0, 4.0)),
-    )
-    path = tmp_path / "inst.json"
-    save_instance(instance, path)
-    assert cli_main(["solve", str(path), "--tail-eps", "1e-4"]) == 0
-    assert "expected_cost" in capsys.readouterr().out
+    assert pmf.sampler()(keys).tolist() == [pmf.quantile(x) for x in keys]

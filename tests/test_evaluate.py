@@ -18,6 +18,7 @@ from rss_policy import (
     SolveContext,
     expected_cost,
     extract_policy,
+    gen_scalability,
     optimality_gap,
     policy_to_dict,
     save_instance,
@@ -356,6 +357,21 @@ class TestSimulate:
             assert (report.mc_mean, report.mc_halfwidth_95) == demand_matrix_rollout(
                 ctx, policy, n_paths, n_paths
             ), n_paths
+
+    def test_long_horizons_roll_out_in_blocks_of_fewer_paths(self, monkeypatch):
+        # at T = 100 a block holds 10 485 paths, not 2^14: its two buffers
+        # take 16.8 MB, not 26.2 (a 20.8 MB traced peak, not 30.4), and the
+        # paths keep their draws, so lifting the cap keeps every bit
+        inst = gen_scalability(100, 1, seed=100)[0]
+        ctx = SolveContext(inst)
+        policy = extract_policy(solve_kconvex(inst, context=ctx), inst)
+        expected_cost(inst, policy, context=ctx)
+        with allocates_at_most(24 * 2**20):
+            capped = simulate(inst, policy, 20_000, seed=5, context=ctx)
+        monkeypatch.setattr("rss_policy.evaluate._BLOCK_DRAWS", 1 << 40)
+        lifted = simulate(inst, policy, 20_000, seed=5, context=ctx)
+        assert capped.mc_mean.hex() == lifted.mc_mean.hex()
+        assert capped.mc_halfwidth_95.hex() == lifted.mc_halfwidth_95.hex()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_partial_backlog_draws(self, seed):

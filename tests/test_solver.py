@@ -31,6 +31,7 @@ from rss_policy import (
 )
 from rss_policy.cli import main as cli_main
 from rss_policy.solver import (
+    QUANTILE_EPS,
     InventoryGrid,
     SolveStats,
     _kconvex_table,
@@ -43,7 +44,6 @@ from conftest import (
     direct_no_order_curve,
     full_grid_scarf,
     full_grid_sweep,
-    ignore_overflow,
     kconvex_table_oracle,
     overflow_instance,
     q_loop_oracle,
@@ -68,9 +68,9 @@ class TestBuildGrid:
             I0=0,
             demand=tuple(DemandSpec("poisson", 50.0) for _ in range(10)),
         )
-        ctx = SolveContext(inst, quantile_eps=1e-5)
+        ctx = SolveContext(inst)
         total = ctx.demand.cumulative(1, 11)
-        q = total.quantile(1 - 1e-5)
+        q = total.quantile(1 - QUANTILE_EPS)
         assert ctx.grid.max_inv >= q
         # roughly 1.1 x (500 + 4.3 * sqrt(500))
         assert 600 <= ctx.grid.max_inv <= 700
@@ -86,10 +86,33 @@ class TestBuildGrid:
         ctx = SolveContext(inst)
         assert ctx.grid.max_inv >= 700
 
-    def test_rejects_bad_eps(self):
-        inst = deterministic_instance([5])
-        with pytest.raises(ValueError):
-            build_grid(inst, SolveContext(inst).demand, quantile_eps=1e-3)
+    def test_refuses_a_total_demand_too_long_to_convolve(self, monkeypatch):
+        # two Poisson(1e7) pmfs of 1.0e7 values each pass the memory checks,
+        # but their convolution, 1e14 multiply-adds, would take hours
+        inst = Instance(
+            T=2,
+            params=CostParams(K=100, W=100, h=1, b=10),
+            I0=0,
+            demand=(DemandSpec("poisson", 1e7),) * 2,
+        )
+
+        def no_convolution(*args):
+            raise AssertionError("convolved before the work check")
+
+        monkeypatch.setattr(np, "convolve", no_convolution)
+        with pytest.raises(MemoryError, match="needs 1e[+]14 multiply-adds"):
+            SolveContext(inst)
+
+    def test_counts_the_total_demand_convolution(self, monkeypatch):
+        inst = gen_scalability(30, 1, seed=30)[0]
+        ctx = SolveContext(inst)
+        lengths = [len(ctx.demand.period(t)) for t in range(1, inst.T + 1)]
+        macs = sum(len(ctx.demand.cumulative(1, t)) * lengths[t - 1] for t in range(2, inst.T + 1))
+        monkeypatch.setattr("rss_policy.solver.MAX_TOTAL_MACS", macs)
+        assert build_grid(inst, ctx.demand) == ctx.grid
+        monkeypatch.setattr("rss_policy.solver.MAX_TOTAL_MACS", macs - 1)
+        with pytest.raises(MemoryError):
+            build_grid(inst, ctx.demand)
 
 
 class TestHandExamples:
@@ -668,7 +691,7 @@ def test_rejects_context_of_another_instance(entry):
     _ENTRY_POINTS[entry](inst, SolveContext(inst))
 
 
-@ignore_overflow
+@pytest.mark.filterwarnings("error")
 def test_refuses_costs_that_overflow():
     # every cycle of period 2 cost inf, so the period got no table and
     # period 1 stopped with KeyError: 2
@@ -680,7 +703,9 @@ def test_refuses_costs_that_overflow():
         with pytest.raises(ValueError, match="has a finite cost: the costs overflow"):
             scarf_fixed_R(inst, ReviewSchedule(periods))
     fine = overflow_instance(1e307)
-    assert math.isfinite(solve_kconvex(fine).root_cost(fine.I0))
+    for solve in (solve_plain, solve_kconvex, solve_lost_sales):
+        assert math.isfinite(solve(fine).root_cost(fine.I0))
+    assert math.isfinite(enumerate_optimal(fine).cost)
     assert math.isfinite(scarf_fixed_R(fine, ReviewSchedule((1, 2))).root_cost(fine.I0))
     # a scheduled period without candidates still gets no table
     tables = scarf_fixed_R(deterministic_instance([10, 10]), ReviewSchedule((1,)))
