@@ -1,8 +1,8 @@
 """Command-line interface: solve instances, evaluate policies, run
 benchmark campaigns, and generate testbed instance files.
 
-Exit codes: 0 success, 2 input error, 3 capability error (exact solver
-over its node budget, or out of memory), 4 output I/O error.
+Exit codes: 0 success, 2 input error, 3 capability error (over the exact
+solver's node budget, the work bound or memory), 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -364,11 +364,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HorizonCapError as exc:
+    except (HorizonCapError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ def check_memory(nbytes: int, what: str) -> None:
     32 bytes per value."""
     memory = physical_memory()
     if nbytes > memory:
-        raise MemoryError(f"{what} needs more than the {memory / 2**30:.3g} GiB of memory")
+        raise MemoryError(f"out of memory: {what} needs more than {memory / 2**30:.3g} GiB")
 
 
 @dataclass(frozen=True)

@@ -77,44 +77,43 @@ child runs its SDP, and hands its own tables on.
 Window. The search decides on the window [f, G] of the grid [g, G],
 with f the floor of the window of its incumbent's tables and G the grid
 ceiling: every node table, bound table and tail convolution spans the
-window, and the engine grows its hp curves from f only. The window
-tables are the grid's on the window, by the floor half of the sweep's
-certificate (see ``solver``); with the ceiling at the grid's, nothing
-is checked above. The proof carries over. f is the grid floor or at
-most -1, so hp(f) >= hp(f + 1), and hp, being convex, does not
-decrease from f downwards. Assume, as the zero terminal table does,
-that the next table F is the grid's on the window and constant on
-[g, f]. Then the curve v is the grid's on the window. A table at x >= f is the grid's whatever
+window, and the engine grows its hp curves from f only. Every window
+table is checked by the sweep's certificate, ``solver._certify``; with
+the ceiling at the grid's only its floor half runs, and at the grid
+floor nothing is checked. f is the grid floor or at most -1, so
+hp(f) >= hp(f + 1), and hp, being convex, does not decrease from f
+downwards. Assume, as the zero terminal table does, that the next table
+F is the grid's on the window and constant on [g, f]. Then the curve v
+is the grid's on the window. A table at x >= f is the grid's whatever
 lies below f: a plain level reads v at and above x, and a kconvex level
 is W + v(x) above the highest stop and W + K + v(b) at or below it,
-where the stops at or above f, and b above them, are the grid's. What
-must be checked is that the grid's table is constant on [g, f], where
-the next tail convolution reads the window's floor value:
+where the stops at or above f, and b above them, are the grid's. The
+floor half checks hp(f) + min F > o, for the table's order value o, so
+that the grid's table is constant on [g, f], where the next tail
+convolution reads the window's floor value:
 
-* a node table at t > 1 checks hp(f) + min F > v(b) + K, with b its
-  order-up-to level, as the sweep does, with the sweep's proof;
+* a node table at t > 1 has o = v(b) + K, with b its order-up-to
+  level, as in the sweep, and the sweep's proof;
 * a bound table at period u > 1 takes, at x, the lesser of v(x) and
-  W + K plus the minimum of v above x, and checks
-  hp(f) + min F > min v + W + K, with min v over the window. Then every
-  grid level x <= f has v(x) >= hp(x) + min F >= hp(f) + min F >
-  min v + W + K, so v is least above f and the grid's table is
-  min v + W + K on all of [g, f];
+  W + K plus the minimum of v above x, and has o = min v + W + K, with
+  min v over the window. Then every grid level x <= f has
+  v(x) >= hp(x) + min F >= hp(f) + min F > min v + W + K, so v is least
+  above f and the grid's table is min v + W + K on all of [g, f];
 * a full schedule's table is read only at the opening inventory, which
   lies in the window, and the period-1 bound step only there and above,
-  so neither needs a check.
+  so neither is checked.
 
 Both tables of an inherited bound are then constant on [g, f], so c on
-the window is c on the grid. A failed check restarts the search on
-[max(g, 2f - 1), G], as a failed certificate restarts the sweep, and
-``window_widenings`` counts the restarts; at the grid floor nothing is
-checked. Every window value is computed by the grid's arithmetic on the
-same values (see ``solver``, Exactness), so until a check fails a pass
-makes the full-grid search's prune decisions in its order. The costs,
-schedules, policies and node counts are the full-grid search's bitwise,
-and a pass runs over the node budget exactly when that search does.
-The window keeps the grid's ceiling. A ceiling taken from the incumbent
-as well failed its check on nodes with long cycles often enough to
-cancel the gain.
+the window is c on the grid. On a failed check the search starts over
+on ``_certify``'s wider window [max(g, 2f - 1), G], as the sweep does,
+and ``window_widenings`` counts the restarts. Every window value is
+computed by the grid's arithmetic on the same values (see ``solver``,
+Exactness), so until a check fails a pass makes the full-grid search's
+prune decisions in its order. The costs, schedules, policies and node
+counts are the full-grid search's bitwise, and a pass runs over the
+node budget exactly when that search does. The window keeps the grid's
+ceiling: one taken from the incumbent as well failed its check on nodes
+with long cycles often enough to cancel the gain.
 
 Node budget. The search builds at most ``budget`` suffixes and
 raises ``HorizonCapError`` when it needs more. The default, 2^14 - 1, is
@@ -124,19 +123,21 @@ instance that enumeration solved within its old horizon cap solves.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .model import Instance, Policy
 from .solver import (
+    InventoryGrid,
     SolveContext,
     SolveStats,
     ValueTables,
     _context,
+    _certify,
     _exceeds,
-    _floor_holds,
     _kconvex_table,
     _suffix_min,
     _sweep,
@@ -153,11 +154,14 @@ class HorizonCapError(ValueError):
 
 @dataclass(frozen=True)
 class ReviewSchedule:
-    """An ordered set of review periods starting at period 1."""
+    """An ordered set of review periods starting at period 1, given as
+    integers (booleans are refused)."""
 
     periods: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if any(isinstance(t, bool) or not isinstance(t, numbers.Integral) for t in self.periods):
+            raise ValueError(f"review periods must be integers, not {self.periods!r}")
         periods = tuple(int(t) for t in self.periods)
         if not periods or periods[0] != 1:
             raise ValueError("a schedule must start with a review at period 1")
@@ -219,47 +223,48 @@ _INHERIT_SLACK = 1e-12
 
 
 def _window_curve(
-    ctx: SolveContext, lo: int, t: int, r: int, future: np.ndarray
+    ctx: SolveContext, window: InventoryGrid, t: int, r: int, future: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """hp(t, r) and the cycle curve of the cycle (t, r) on the window
-    [lo, G], with ``future`` spanning it."""
-    hp = ctx.engine.cycle_hp_fn(t, r)(range(lo, ctx.grid.max_inv + 1))
+    """hp(t, r) and the cycle curve of the cycle (t, r) on the window, with
+    ``future`` spanning it."""
+    hp = ctx.engine.cycle_hp_fn(t, r)(range(window.min_inv, window.max_inv + 1))
     return hp, hp + ctx.engine.tail(t, r, future)
 
 
 def _prefix_bound(
-    ctx: SolveContext, lo: int, t: int, table: np.ndarray, i0_idx: int
-) -> Optional[tuple[float, dict[int, np.ndarray]]]:
+    ctx: SolveContext, window: InventoryGrid, t: int, table: np.ndarray, i0_idx: int
+) -> Union[tuple[float, dict[int, np.ndarray]], InventoryGrid]:
     """Lower bound on every schedule below the suffix at t > 1 with table
-    F_t on the window [lo, G]: W plus the every-period-review SDP of the
-    module docstring over periods 1..t-1, and the SDP's tables at periods
-    t-1..2, or None when one of them fails its floor check."""
+    F_t on the window: W plus the every-period-review SDP of the module
+    docstring over periods 1..t-1, and the SDP's tables at periods
+    t-1..2, or ``_certify``'s wider window when one of them fails its
+    check."""
     p = ctx.params
-    checked = lo > ctx.grid.min_inv
     value, tables = table, {}
     for u in range(t - 1, 1, -1):
-        hp, curve = _window_curve(ctx, lo, u, 1, value)
+        hp, curve = _window_curve(ctx, window, u, 1, value)
         sufmin = _suffix_min(curve)
-        if checked and not _floor_holds(hp[0], value.min(), sufmin[0] + (p.W + p.K)):
-            return None
+        wider = _certify(ctx, window, hp, value.min(), curve, sufmin[0] + (p.W + p.K))
+        if wider is not None:
+            return wider
         np.minimum(curve[:-1], (p.W + p.K) + sufmin[1:], out=curve[:-1])
         value = tables[u] = curve
-    curve = _window_curve(ctx, lo, 1, 1, value)[1]
+    curve = _window_curve(ctx, window, 1, 1, value)[1]
     return p.W + min(float(curve[i0_idx]), p.K + float(curve[i0_idx:].min())), tables
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite cost is refused by the caller
 def _search(
-    ctx: SolveContext, lo: int, incumbent: float, budget: int
-) -> Optional[tuple[tuple[int, ...], int, int, int, SolveStats]]:
-    """One pass of the branch-and-bound search on the window [lo, G]: the
-    best schedule's periods, the counters of ``EnumerationResult`` and the
-    stats, or None when a table fails its floor check."""
+    ctx: SolveContext, window: InventoryGrid, incumbent: float, budget: int
+) -> tuple[tuple[int, ...], int, int, int, SolveStats]:
+    """The branch-and-bound search on the window: the best schedule's
+    periods, the counters of ``EnumerationResult`` and the stats. When a
+    table fails its check the search starts over on the wider window and
+    returns that pass, with one more widening."""
     T, K = ctx.instance.T, ctx.params.K
-    checked = lo > ctx.grid.min_inv
-    i0_idx = ctx.instance.I0 - lo
+    i0_idx = ctx.instance.I0 - window.min_inv
     stats = SolveStats()
-    zeros = np.zeros(ctx.grid.max_inv - lo + 1)
+    zeros = np.zeros(window.size)
     # (review t, next review, table at the next review, later reviews, and
     # the parent's bound with its SDP table at t, None if it has none); the
     # children of a popped entry prepend a review u < t and share its table
@@ -275,7 +280,7 @@ def _search(
             )
         t, end, future, later, parent = stack.pop()
         explored += 1
-        hp, curve = _window_curve(ctx, lo, t, end - t, future)
+        hp, curve = _window_curve(ctx, window, t, end - t, future)
         res = _kconvex_table(ctx, curve, stats)
         periods = (t,) + later
         if t == 1:
@@ -284,17 +289,18 @@ def _search(
             if cost < best_cost or (cost == best_cost and periods < best_periods):
                 best_cost, best_periods = cost, periods
             continue
-        if checked and not _floor_holds(hp[0], future.min(), res.best_n + K):
-            return None
+        wider = _certify(ctx, window, hp, future.min(), curve, res.best_n + K)
         cutoff = min(incumbent, best_cost)
-        if parent is not None:
+        if wider is None and parent is not None:
             inherited = parent[0] + float((res.table - parent[1]).min())
             if _exceeds(inherited - _INHERIT_SLACK * abs(inherited), cutoff):
                 pruned += 2 ** (t - 1) - 1  # the suffixes below this one
                 continue
-        bound = _prefix_bound(ctx, lo, t, res.table, i0_idx)
-        if bound is None:
-            return None
+        bound = _prefix_bound(ctx, window, t, res.table, i0_idx) if wider is None else wider
+        if isinstance(bound, InventoryGrid):  # a failed check
+            found = _search(ctx, bound, incumbent, budget)
+            found[-1].window_widenings += 1
+            return found
         own, sdp = bound
         if _exceeds(own, cutoff):
             pruned += 2 ** (t - 1) - 1
@@ -314,19 +320,19 @@ def enumerate_optimal(
     """Exact optimum over all review schedules, by the branch-and-bound
     search of the module docstring; raises ``HorizonCapError`` if it
     needs more than ``budget`` nodes, and ``ValueError`` for a budget
-    below 1. Ties between equally cheap schedules go to the
-    lexicographically earliest one. Each schedule's cost is identical to
-    a standalone ``scarf_fixed_R`` call, whose tables give the policy.
+    that is not an integer of at least 1. Ties between equally cheap
+    schedules go to the lexicographically earliest one. Each schedule's
+    cost is identical to a standalone ``scarf_fixed_R`` call, whose
+    tables give the policy.
     """
-    if budget < 1:
-        raise ValueError(f"the node budget must be at least 1, not {budget}")
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
+        raise ValueError(f"the node budget must be an integer of at least 1, not {budget!r}")
     ctx = _context(instance, context, full_backlog=True)
     incumbent = solve_kconvex(instance, context=ctx)
-    cost, lo, widenings = incumbent.root_cost(instance.I0), incumbent.grid.min_inv, 0
-    while (found := _search(ctx, lo, cost, budget)) is None:
-        lo, widenings = max(ctx.grid.min_inv, 2 * lo - 1), widenings + 1
-    periods, count, explored, pruned, stats = found
-    stats.window_widenings = widenings
+    window = InventoryGrid(incumbent.grid.min_inv, ctx.grid.max_inv)
+    periods, count, explored, pruned, stats = _search(
+        ctx, window, incumbent.root_cost(instance.I0), budget
+    )
     best_schedule = ReviewSchedule(periods)
     tables = scarf_fixed_R(instance, best_schedule, context=ctx)
     return EnumerationResult(

@@ -366,13 +366,6 @@ def _exceeds(a: float, b: float) -> bool:
     return a > b + _BOUND_MARGIN * abs(b)
 
 
-def _floor_holds(hp_floor: float, future_min: float, order_value: float) -> bool:
-    """The floor condition of the window certificate (see the module
-    docstring): hp(f) + min F exceeds the value of the cheapest order,
-    v(b) + K for a sweep's table."""
-    return _exceeds(hp_floor + future_min, order_value)
-
-
 def _initial_window(ctx: SolveContext) -> InventoryGrid:
     """The sweep's first window: plus and minus the largest period-demand
     support (at least 1), widened to hold the initial inventory and cut to
@@ -388,13 +381,16 @@ def _certify(
     hp: np.ndarray,
     future_min: float,
     curve: np.ndarray,
-    res: _CycleResult,
+    order_value: float,
 ) -> Optional[InventoryGrid]:
-    """None if the candidate's decision on the window is the grid's (the
-    ceiling and floor conditions of the module docstring), else the wider
-    window: each failing end about doubles, cut to the grid. ``hp`` starts
-    at the window floor and spans at least the window; an end at the
-    grid's needs no check."""
+    """The window check of every windowed table: None if the table decided
+    on the window is the grid's there (the ceiling and floor conditions of
+    the module docstring), else the wider window, each failing end about
+    doubled and cut to the grid. ``hp`` starts at the window floor and
+    spans at least the window; an end at the grid's needs no check.
+    ``order_value`` is the value of the cheapest order: v(b) + K for a
+    sweep's or an exact node's table, min v + W + K for an exact bound
+    table (see ``exact``)."""
     grid, n = ctx.grid, window.size
     lo, hi = window.min_inv, window.max_inv
     if hi < grid.max_inv:
@@ -402,7 +398,7 @@ def _certify(
         beyond = hp[n - 1] + future_min  # bounds the curve above c once hp rises at c
         if not (hp[n - 1] >= hp[n - 2] and _exceeds(beyond, float(curve[m:].min()))):
             hi = min(grid.max_inv, 2 * hi + 1)
-    if lo > grid.min_inv and not _floor_holds(hp[0], future_min, res.best_n + ctx.params.K):
+    if lo > grid.min_inv and not _exceeds(hp[0] + future_min, order_value):
         lo = max(grid.min_inv, 2 * lo - 1)
     return None if (lo, hi) == (window.min_inv, window.max_inv) else InventoryGrid(lo, hi)
 
@@ -442,7 +438,7 @@ def _sweep(
     ``backlog_step``. The levels need the default lengths and depend on
     the tables, so the engine never keeps them.
     """
-    T = ctx.instance.T
+    T, K = ctx.instance.T, ctx.params.K
     prune = ctx.instance.beta == 1.0
     if not prune:
         window = ctx.grid
@@ -479,7 +475,7 @@ def _sweep(
                     continue
                 curve = hp[: window.size] + ctx.engine.tail(t, r, future)
             res = table_fn(ctx, curve, stats)
-            wider = _certify(ctx, window, hp, future_min, curve, res) if prune else None
+            wider = _certify(ctx, window, hp, future_min, curve, res.best_n + K) if prune else None
             if wider is not None:
                 tables = _sweep(ctx, table_fn, lengths, wider)
                 tables.stats.window_widenings += 1

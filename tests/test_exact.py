@@ -13,6 +13,7 @@ from rss_policy import (
     DemandSpec,
     HorizonCapError,
     Instance,
+    InventoryGrid,
     ReviewSchedule,
     SolveContext,
     enumerate_optimal,
@@ -50,6 +51,16 @@ class TestReviewSchedule:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             ReviewSchedule((1, 5, 3))
+
+    @pytest.mark.parametrize("periods", [(1, 2.9), (1, 3.0), (True, 2), (1, False), ("1", "3")])
+    def test_rejects_periods_that_are_not_integers(self, periods):
+        # (1, 2.9) became (1, 2), and scarf_fixed_R priced that schedule instead
+        with pytest.raises(ValueError, match="must be integers"):
+            ReviewSchedule(periods)
+
+    def test_accepts_numpy_integers(self):
+        periods = ReviewSchedule((1, np.int64(3))).periods
+        assert periods == (1, 3) and all(type(t) is int for t in periods)
 
     def test_enumeration_counts(self):
         assert len(all_schedules(1)) == 1
@@ -256,17 +267,32 @@ class TestEnumerateOptimal:
         assert "--exact-budget" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("budget", [2.5, True])
+    def test_refuses_a_budget_that_is_not_an_integer(self, budget):
+        # explored == 2.5 never held, so a T = 4 search ran to all 4 of its
+        # nodes where any integer budget below 4 raises HorizonCapError
+        inst = gen_scalability(4, 1, seed=4)[0]
+        assert enumerate_optimal(inst).nodes_explored == 4
+        with pytest.raises(ValueError, match="an integer of at least 1") as info:
+            enumerate_optimal(inst, budget=budget)
+        assert not isinstance(info.value, HorizonCapError)
+
     def test_bound_never_exceeds_its_subtree(self, rng):
         # the bound of every suffix lies below the cheapest schedule under
         # it, and the bound a child inherits from its parent's SDP tables
         # lies below the child's own; cheap orders make the schedules order
         # often, so a bound that overcharges orders after period 1 fails here
+        instances = []
         for _ in range(4):
             T = int(rng.integers(2, 8))
             K, W, b = rng.uniform(1.0, 16.0, 3)
-            inst = _poisson_instance(rng.uniform(5.0, 20.0, T), K=K, W=W, h=1.0, b=b)
+            instances.append(_poisson_instance(rng.uniform(5.0, 20.0, T), K=K, W=W, h=1.0, b=b))
+        instances.append(gen_scalability(3, 2, seed=9)[1])  # its search restarts on a bound
+        widened = 0
+        for inst in instances:
             ctx = SolveContext(inst)
             g, f = ctx.grid.min_inv, solve_kconvex(inst, context=ctx).grid.min_inv
+            window = InventoryGrid(f, ctx.grid.max_inv)
             scarf = {
                 s.periods: scarf_fixed_R(inst, s, context=ctx).root_cost(inst.I0)
                 for s in all_schedules(inst.T)
@@ -275,20 +301,24 @@ class TestEnumerateOptimal:
             for suffix in {p[k:] for p in scarf for k in range(1, len(p))}:
                 t = suffix[0]
                 table = full_grid_scarf(ctx, ReviewSchedule((1,) + suffix)).cost_to_go[t]
-                bound, sdp = _prefix_bound(ctx, g, t, table, inst.I0 - g)
+                bound, sdp = _prefix_bound(ctx, ctx.grid, t, table, inst.I0 - g)
                 searched[suffix] = table, bound, sdp
                 cheapest = min(c for p, c in scarf.items() if p[-len(suffix):] == suffix)
                 assert bound <= cheapest + 1e-9
                 # on the window of the search, a table flat below it gives the
-                # same bound unless a floor check fails
-                on_window = _prefix_bound(ctx, f, t, table[f - g :], inst.I0 - f)
-                if on_window is not None and np.all(table[: f - g] == table[f - g]):
+                # same bound unless a floor check fails, which widens the floor
+                on_window = _prefix_bound(ctx, window, t, table[f - g :], inst.I0 - f)
+                if isinstance(on_window, InventoryGrid):
+                    assert on_window == InventoryGrid(max(g, 2 * f - 1), ctx.grid.max_inv)
+                    widened += 1
+                elif np.all(table[: f - g] == table[f - g]):
                     assert on_window[0] == bound
             for suffix, (_, bound, sdp) in searched.items():
                 for u in range(2, suffix[0]):
                     child_table, child_bound, _ = searched[(u,) + suffix]
                     inherited = bound + float((child_table - sdp[u]).min())
                     assert inherited <= child_bound + 1e-9 * abs(child_bound)
+        assert widened > 0
 
     def test_deterministic_tie_break(self):
         # zero demand and prohibitive K: every schedule with the same

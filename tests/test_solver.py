@@ -114,6 +114,18 @@ class TestBuildGrid:
         with pytest.raises(MemoryError):
             build_grid(inst, ctx.demand)
 
+    def test_cli_reports_the_work_bound_as_a_work_bound(self, monkeypatch, tmp_path, capsys):
+        # the refusal exits 3 like a memory error, but it is a bound on time:
+        # it printed "error: out of memory: the total demand's convolution ..."
+        inst = gen_scalability(4, 1, seed=4)[0]
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        monkeypatch.setattr("rss_policy.solver.MAX_TOTAL_MACS", 1)
+        assert cli_main(["solve", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the total demand's convolution needs ")
+        assert "memory" not in err and err.count("\n") == 1
+
 
 class TestHandExamples:
     def test_single_period_review_cost_only(self):
