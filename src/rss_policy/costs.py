@@ -221,10 +221,13 @@ class CycleCostEngine:
         """The cycle curve of a cycle of r periods at period t, excluding the
         review/order fixed costs, over the positions ``future`` spans from
         ``lo`` (the grid floor by default): ``cycle_hp_fn`` plus ``tail`` under
-        full backlogging, and with beta < 1, on the grid, a ``backlog_step`` per period."""
+        full backlogging, and with beta < 1 a ``backlog_step`` per period, for
+        which ``future`` must span the grid and ``lo`` be None or its floor."""
         if self._beta == 1.0:
             lo = self._lo if lo is None else lo
             return self.cycle_hp_fn(t, r)(range(lo, lo + future.shape[0])) + self.tail(t, r, future)
+        if lo not in (None, self._lo) or future.shape[0] != self._hi - self._lo + 1:
+            raise ValueError(f"with beta < 1 a cycle curve spans the grid [{self._lo}, {self._hi}]")
         w = future
         for u in range(t + r - 1, t - 1, -1):
             w = self.backlog_step(u, w)

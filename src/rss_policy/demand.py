@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaln, ndtr, ndtri, pdtr, pdtrik, xlogy
 
-DEFAULT_TAIL_EPS = 1e-6
+TAIL_EPS = 1e-6  # upper-tail mass of each period's demand cut by ``discretize``
 
 
 def physical_memory() -> int:
@@ -157,49 +157,57 @@ def point_mass(value: int) -> DemandPmf:
     return DemandPmf(offset=int(value), probs=np.array([1.0]))
 
 
-def discretize(spec: DemandSpec, tail_eps: float = DEFAULT_TAIL_EPS) -> DemandPmf:
+def cut_length(spec: DemandSpec) -> int:
+    """Number of values of ``discretize(spec)``, from scalar special-function
+    calls alone: 1 for a point mass, else one more than the smallest point
+    whose CDF reaches ``1 - TAIL_EPS``. A cut that is not finite raises
+    ``ValueError``."""
+    q = 1.0 - TAIL_EPS
+    if spec.kind == "poisson":
+        mu = spec.mean
+        if mu == 0:
+            return 1
+        cut = np.ceil(pdtrik(q, mu))
+        if not np.isfinite(cut):  # pdtrik gives NaN for very large means
+            raise ValueError(f"cannot cut the Poisson demand of mean {mu:g}")
+        below = np.maximum(cut - 1, 0)
+        return int(below if pdtr(below, mu) >= q else cut) + 1
+    if spec.sigma == 0:
+        return 1
+    cut = spec.mean - 0.5 + spec.sigma * float(ndtri(q))
+    if cut == math.inf:
+        raise ValueError(f"cannot cut the normal demand of mean {spec.mean:g}")
+    return max(int(np.ceil(cut)), 0) + 1
+
+
+def discretize(spec: DemandSpec) -> DemandPmf:
     """Truncate and renormalize a demand distribution onto the integers.
 
-    The support is cut at the smallest point whose CDF reaches
-    ``1 - tail_eps``; the remaining mass is spread by renormalization.
-    That moves mass from the upper tail onto the kept support, so the
-    discretized mean sits below the true mean: the relative shift is
-    within about 2 * ``tail_eps`` for Poisson means of at least 1 and for
-    normal demand with cv up to 0.4 (1.7e-6 for Poisson(7.25) at the
-    default), and grows to about 10 * ``tail_eps`` for means near 0.1.
-    A cut too long for memory raises ``MemoryError`` (``check_memory``).
+    The support is cut after ``cut_length(spec)`` values, at the smallest
+    point whose CDF reaches ``1 - TAIL_EPS``, and the cut mass is spread by
+    renormalization. The cut alone lowers the mean, relative: by at most
+    about 2 * TAIL_EPS for normal cv up to 0.4 and Poisson means from 10,
+    about 5 * TAIL_EPS for Poisson means from 1 (1.7e-6 for Poisson(7.25)),
+    and more below (1.5e-4 at 0.017). Folding the normal mass below -0.5
+    into 0 raises it: the normal demand of mean 40 and cv 0.3 reads 3.2e-5
+    high. A cut too long for memory raises ``MemoryError``;
+    ``SolveContext`` bounds the work on the total demand from the cut
+    lengths, before any pmf is built.
 
     The pmfs are bitwise those of ``scipy.stats``'s ``poisson.ppf``/``pmf``
     and ``norm.ppf``/``cdf``: these are the special functions they
     evaluate, in the same order, with ``rv_discrete.pmf``'s clip at 1.
     """
-    if not 0 < tail_eps < 0.01:
-        raise ValueError("tail_eps must lie in (0, 0.01)")
-    q = 1.0 - tail_eps
-    if spec.kind == "poisson":
-        mu = spec.mean
-        if mu == 0:
-            return point_mass(0)
-        cut = np.ceil(pdtrik(q, mu))
-        if not np.isfinite(cut):  # pdtrik gives NaN for very large means
-            raise ValueError(f"cannot cut the Poisson demand of mean {mu:g}")
-        below = np.maximum(cut - 1, 0)
-        kmax = int(below if pdtr(below, mu) >= q else cut)
-        check_memory(32 * (kmax + 1), f"the Poisson demand of mean {mu:g}")
-        k = np.arange(kmax + 1)
-        probs = np.minimum(np.exp(xlogy(k, mu) - gammaln(k + 1) - mu), 1.0)
-        return DemandPmf(offset=0, probs=probs)
-    # Normal with sigma = cv * mean; cv = 0 degenerates to a point mass
-    # at the nearest integer.
-    sigma = spec.sigma
-    if sigma == 0:
+    n = cut_length(spec)
+    if n == 1:  # a point mass at the rounded mean, 0 unless a normal has cv 0
         return point_mass(int(round(spec.mean)))
-    cut = spec.mean - 0.5 + sigma * float(ndtri(q))
-    if cut == math.inf:
-        raise ValueError(f"cannot cut the normal demand of mean {spec.mean:g}")
-    kmax = max(int(np.ceil(cut)), 0)
-    check_memory(32 * (kmax + 2), f"the normal demand of mean {spec.mean:g}")
-    edges = (np.arange(kmax + 2) - 0.5 - spec.mean) / sigma
+    if spec.kind == "poisson":
+        check_memory(32 * n, f"the Poisson demand of mean {spec.mean:g}")
+        k = np.arange(n)
+        probs = np.minimum(np.exp(xlogy(k, spec.mean) - gammaln(k + 1) - spec.mean), 1.0)
+        return DemandPmf(offset=0, probs=probs)
+    check_memory(32 * (n + 1), f"the normal demand of mean {spec.mean:g}")
+    edges = (np.arange(n + 1) - 0.5 - spec.mean) / spec.sigma
     cdfs = ndtr(edges)
     probs = np.diff(cdfs)
     probs[0] += cdfs[0]  # fold mass below -0.5 into demand 0

@@ -28,6 +28,7 @@ numbers, so each path's cost keeps its bits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -114,9 +115,13 @@ def simulate(
     too large for memory raises ``MemoryError`` (8 bytes a path, 8 (2T + 8)
     a path of a block, the bucket tables and the largest one's build, 40 a
     vector position), and an overflowing mean or half-width ``ValueError``.
+    ``n_paths`` and ``seed`` are integers, Python or numpy; floats and
+    booleans raise ``ValueError``.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+    if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral) or n_paths < 1:
+        raise ValueError(f"n_paths must be an integer of at least 1, not {n_paths!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"the seed must be an integer, not {seed!r}")
     ctx = _context(instance, context)
     analytic = expected_cost(instance, policy, context=ctx)
     T, p, base, hold = instance.T, ctx.params, ctx.engine._base, ctx.engine._one_period

@@ -149,7 +149,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .costs import CycleCostEngine
-from .demand import CumulativeDemandCache, check_memory, discretize
+from .demand import CumulativeDemandCache, check_memory, cut_length, discretize
 from .model import Instance, Policy, PolicyReview
 
 QUANTILE_EPS = 1e-5  # total-demand mass above the grid's ceiling, before headroom
@@ -189,21 +189,12 @@ def build_grid(instance: Instance, demand: CumulativeDemandCache) -> InventoryGr
     (``evaluate``); the cost engine's curves grow to the spans these read.
     The ceiling is the (1 - ``QUANTILE_EPS``) quantile of total horizon
     demand rounded up by 10%; the floor is its negative. Both are widened
-    if needed so the initial inventory lies on the grid. A total demand
-    whose prefix convolutions take more than ``MAX_TOTAL_MACS``
-    multiply-adds, or a grid whose cost engine's widest span, the grid
-    and every period's largest demand below it, is too long for memory
-    raises ``MemoryError``.
+    if needed so the initial inventory lies on the grid. A grid whose cost
+    engine's widest span, the grid and every period's largest demand below
+    it, is too long for memory raises ``MemoryError``. The work on the
+    total demand's convolution is bounded before its pmfs are built, by
+    ``SolveContext``.
     """
-    lengths = [len(demand.period(t)) for t in range(1, instance.T + 1)]
-    macs, prefix = 0, lengths[0]  # prefix: the length of the pmf of periods 1..t
-    for n in lengths[1:]:
-        macs, prefix = macs + prefix * n, prefix + n - 1
-    if macs > MAX_TOTAL_MACS:
-        raise MemoryError(
-            f"the total demand's convolution needs {macs:.3g} multiply-adds, "
-            f"more than the bound of {MAX_TOTAL_MACS:.0e}"
-        )
     total = demand.cumulative(1, instance.T + 1)
     m = total.quantile(1.0 - QUANTILE_EPS)
     max_inv = int(math.ceil(1.1 * m))
@@ -246,8 +237,11 @@ class SolveContext:
     """Discretized demand, grid and cost engine shared by solver runs,
     the exact baseline and the policy evaluator on one instance.
 
-    The demand is cut by ``discretize`` and the grid sized by
-    ``build_grid``, neither of which is a setting. The grid is the state
+    The demand is cut by ``discretize`` (``demand.TAIL_EPS``) and the grid
+    sized by ``build_grid``, neither of which is a setting. Before any pmf
+    is built, a total demand whose prefix convolutions take more than
+    ``MAX_TOTAL_MACS`` multiply-adds, counted from the cut lengths
+    (``cut_length``), raises ``MemoryError``. The grid is the state
     space; the heuristic sweep and the exact search decide on certified
     windows of it (see the module docstring and ``exact``), and the
     engine's curves span what the reads so far have needed (see
@@ -255,6 +249,15 @@ class SolveContext:
 
     def __init__(self, instance: Instance):
         self.instance = instance
+        lengths = [cut_length(spec) for spec in instance.demand]
+        macs, prefix = 0, lengths[0]  # prefix: the length of the pmf of periods 1..t
+        for n in lengths[1:]:
+            macs, prefix = macs + prefix * n, prefix + n - 1
+        if macs > MAX_TOTAL_MACS:
+            raise MemoryError(
+                f"the total demand's convolution needs {macs:.3g} multiply-adds, "
+                f"more than the bound of {MAX_TOTAL_MACS:.0e}"
+            )
         self.demand = CumulativeDemandCache([discretize(spec) for spec in instance.demand])
         self.grid = build_grid(instance, self.demand)
         self.engine = CycleCostEngine(
@@ -432,15 +435,18 @@ def _sweep(
     remaining candidates are dropped; neither gets a tail convolution.
     Every other candidate is certified, and when a certificate fails the
     sweep starts over on the wider window and returns that pass, with one
-    more widening. With beta < 1 the window is the grid and every
-    candidate is decided, cut from the level of its next review e: period
-    t adds e = t + 1's table as a level and advances each by one engine
-    ``backlog_step``. The levels need the default lengths and depend on
-    the tables, so the engine never keeps them.
+    more widening. With beta < 1 the window is the grid (another given
+    window raises ``ValueError``) and every candidate is decided, cut
+    from the level of its next review e: period t adds e = t + 1's table
+    as a level and advances each by one engine ``backlog_step``. The
+    levels need the default lengths and depend on the tables, so the
+    engine never keeps them.
     """
     T, K = ctx.instance.T, ctx.params.K
     prune = ctx.instance.beta == 1.0
     if not prune:
+        if window is not None and window != ctx.grid:
+            raise ValueError(f"with beta < 1 the sweep spans the grid {ctx.grid}")
         window = ctx.grid
     elif window is None:
         window = _initial_window(ctx)

@@ -44,14 +44,14 @@ class TestDiscretize:
         assert discretize(DemandSpec("normal", 50.4, 0.0)).offset == 50
 
     def test_poisson_moments(self):
-        pmf = discretize(DemandSpec("poisson", 50.0), tail_eps=1e-6)
+        pmf = discretize(DemandSpec("poisson", 50.0))
         assert pmf.mean() == pytest.approx(50.0, abs=1e-3)
         assert pmf.variance() == pytest.approx(50.0, abs=0.1)
         # support should end a few standard deviations above the mean
         assert 50 + 3 * np.sqrt(50) < pmf.max_value < 50 + 7 * np.sqrt(50)
 
     def test_normal_moments(self):
-        pmf = discretize(DemandSpec("normal", 60.0, 0.2), tail_eps=1e-6)
+        pmf = discretize(DemandSpec("normal", 60.0, 0.2))
         assert pmf.mean() == pytest.approx(60.0, abs=0.01)
         assert np.sqrt(pmf.variance()) == pytest.approx(12.0, rel=0.02)
 
@@ -73,10 +73,6 @@ class TestDiscretize:
         # the cut overflows to inf: an OverflowError after a RuntimeWarning
         with pytest.raises(ValueError, match=r"normal demand of mean 1e\+308"):
             discretize(DemandSpec("normal", 1e308, 1.5))
-        with pytest.raises(ValueError):
-            discretize(DemandSpec("poisson", 5.0), tail_eps=0.5)
-        with pytest.raises(ValueError):
-            discretize(DemandSpec("poisson", 5.0), tail_eps=0.0)
 
     def test_refuses_a_poisson_mean_without_a_finite_cut(self, tmp_path, capsys):
         # scipy's pdtrik returns NaN for very large means, and the cut
@@ -131,20 +127,8 @@ class TestDiscretize:
             pmf = discretize(spec)
             assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("tail_eps", [1e-5, 1e-3, 9e-3])
-    @pytest.mark.parametrize(
-        "spec",
-        [DemandSpec("poisson", 20.0), DemandSpec("normal", 40.0, 0.3)],
-        ids=["poisson", "normal"],
-    )
-    def test_coarse_tail_eps_renormalizes(self, spec, tail_eps):
-        # the cut tail may hold up to tail_eps; it is renormalized, not rejected
-        pmf = discretize(spec, tail_eps=tail_eps)
-        assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert pmf.mean() == pytest.approx(spec.mean, rel=3 * tail_eps)
 
-
-def _scipy_stats_discretize(spec, tail_eps):
+def _scipy_stats_discretize(spec):
     """``discretize`` through the scipy.stats distribution objects: the
     reference the special-function construction must match bitwise."""
     from scipy.stats import norm, poisson
@@ -152,12 +136,12 @@ def _scipy_stats_discretize(spec, tail_eps):
     if spec.kind == "poisson":
         if spec.mean == 0:
             return point_mass(0)
-        kmax = int(poisson.ppf(1.0 - tail_eps, spec.mean))
+        kmax = int(poisson.ppf(1.0 - demand.TAIL_EPS, spec.mean))
         return DemandPmf(offset=0, probs=poisson.pmf(np.arange(kmax + 1), spec.mean))
     sigma = spec.sigma
     if sigma == 0:
         return point_mass(int(round(spec.mean)))
-    kmax = max(int(np.ceil(spec.mean - 0.5 + sigma * norm.ppf(1.0 - tail_eps))), 0)
+    kmax = max(int(np.ceil(spec.mean - 0.5 + sigma * norm.ppf(1.0 - demand.TAIL_EPS))), 0)
     cdfs = norm.cdf((np.arange(kmax + 2) - 0.5 - spec.mean) / sigma)
     probs = np.diff(cdfs)
     probs[0] += cdfs[0]
@@ -168,7 +152,9 @@ def _scipy_stats_discretize(spec, tail_eps):
 def _reference_specs():
     """The testbeds' specs (every factorial cell at T = 10 and 20, the
     scalability instances of T = 1..59 with the CLI's seeds) and seeded
-    random Poisson and normal specs, small means included."""
+    random Poisson and normal specs, small means included, and Poisson
+    means of 1e6 to 3e6, where scipy's ``pdtr`` correction can lower the
+    cut by one."""
     specs = {s for T in (10, 20) for inst in gen_analysis(T) for s in inst.demand}
     specs |= {s for T in range(1, 60) for s in gen_scalability(T, 1, seed=T)[0].demand}
     rng = np.random.default_rng(16)
@@ -176,17 +162,22 @@ def _reference_specs():
     for m in means:
         specs.add(DemandSpec("poisson", float(m)))
         specs.add(DemandSpec("normal", float(m), float(rng.uniform(0.0, 0.5))))
+    specs |= {DemandSpec("poisson", float(m)) for m in np.linspace(1e6, 3e6, 5)}
     return tuple(sorted(specs, key=lambda s: (s.kind, s.mean, s.cv)))
 
 
-@pytest.mark.parametrize("tail_eps", [1e-9, 1e-6, 1e-5, 1e-3, 9e-3])
-def test_discretize_matches_scipy_stats_bitwise(tail_eps):
-    mismatched = []
+def test_discretize_matches_scipy_stats_bitwise():
+    from scipy.special import pdtrik
+
+    mismatched, corrected = [], 0
     for spec in _reference_specs():
-        got, ref = discretize(spec, tail_eps), _scipy_stats_discretize(spec, tail_eps)
+        got, ref = discretize(spec), _scipy_stats_discretize(spec)
         if got.offset != ref.offset or got.probs.tobytes() != ref.probs.tobytes():
             mismatched.append(spec)
+        if spec.kind == "poisson" and spec.mean > 0:
+            corrected += ref.max_value < np.ceil(pdtrik(1.0 - demand.TAIL_EPS, spec.mean))
     assert not mismatched, mismatched[:5]
+    assert corrected  # the one-step correction of the cut is covered
 
 
 def test_package_imports_no_scipy_stats():
@@ -265,7 +256,7 @@ class TestCumulativeCache:
     def test_mean_adds_up(self):
         # Compared with the means of the cached period pmfs, not the spec
         # means: discretize's tail renormalization shifts each period mean
-        # by about tail_eps, which is covered by TestDiscretize.
+        # by a few TAIL_EPS, which is covered by TestDiscretize.
         means = [4.0, 11.5, 7.25, 20.0]
         cache = self._cache(means)
         for t in range(1, 5):

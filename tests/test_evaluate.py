@@ -268,6 +268,24 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(inst, policy, n_paths=0, seed=5)
 
+    @pytest.mark.parametrize(
+        "n_paths, seed", [(3.0, 5), (True, 5), (3, 1.5), (3, True)],
+        ids=["float-paths", "bool-paths", "float-seed", "bool-seed"],
+    )
+    def test_refuses_arguments_that_are_not_integers(self, rng, n_paths, seed):
+        # numpy's TypeError from inside the rollout, or, for seed=True, a
+        # run as seed 1 that reported "seed: True"
+        inst = random_desk_instance(rng, horizon=2)
+        policy = extract_policy(solve_kconvex(inst), inst)
+        with pytest.raises(ValueError, match="must be an integer"):
+            simulate(inst, policy, n_paths=n_paths, seed=seed)
+
+    def test_accepts_numpy_integers(self, rng):
+        inst = random_desk_instance(rng, horizon=2)
+        policy = extract_policy(solve_kconvex(inst), inst)
+        got = simulate(inst, policy, n_paths=np.int64(50), seed=np.uint32(5))
+        assert got == simulate(inst, policy, n_paths=50, seed=5)
+
     def test_refuses_a_rollout_too_large_for_memory(self, monkeypatch, tmp_path, capsys):
         # the (n_paths, T) uniforms were drawn unchecked; with 5 MiB of
         # memory, 10^6 paths at T = 5 (an 8 MB cost vector) are refused

@@ -17,7 +17,6 @@ from rss_policy import (
     PolicyReview,
     ReviewSchedule,
     SolveContext,
-    build_grid,
     enumerate_optimal,
     expected_cost,
     extract_policy,
@@ -103,16 +102,33 @@ class TestBuildGrid:
         with pytest.raises(MemoryError, match="needs 1e[+]14 multiply-adds"):
             SolveContext(inst)
 
+    def test_refuses_the_total_demand_before_building_its_pmfs(self, monkeypatch):
+        # the count read the lengths of the built pmfs: both Poisson(1e7)
+        # pmfs, about 0.4 s and a 447 MB peak, came before the refusal
+        inst = Instance(
+            T=2,
+            params=CostParams(K=100, W=100, h=1, b=10),
+            I0=0,
+            demand=(DemandSpec("poisson", 1e7),) * 2,
+        )
+
+        def no_pmf(*args):
+            raise AssertionError("built a pmf before the work check")
+
+        monkeypatch.setattr("rss_policy.solver.discretize", no_pmf)
+        with pytest.raises(MemoryError, match="the total demand's convolution needs 1e[+]14 "):
+            SolveContext(inst)
+
     def test_counts_the_total_demand_convolution(self, monkeypatch):
         inst = gen_scalability(30, 1, seed=30)[0]
         ctx = SolveContext(inst)
         lengths = [len(ctx.demand.period(t)) for t in range(1, inst.T + 1)]
         macs = sum(len(ctx.demand.cumulative(1, t)) * lengths[t - 1] for t in range(2, inst.T + 1))
         monkeypatch.setattr("rss_policy.solver.MAX_TOTAL_MACS", macs)
-        assert build_grid(inst, ctx.demand) == ctx.grid
+        assert SolveContext(inst).grid == ctx.grid
         monkeypatch.setattr("rss_policy.solver.MAX_TOTAL_MACS", macs - 1)
-        with pytest.raises(MemoryError):
-            build_grid(inst, ctx.demand)
+        with pytest.raises(MemoryError, match="the total demand's convolution"):
+            SolveContext(inst)
 
     def test_cli_reports_the_work_bound_as_a_work_bound(self, monkeypatch, tmp_path, capsys):
         # the refusal exits 3 like a memory error, but it is a bound on time:
@@ -558,6 +574,27 @@ class TestOneCurve:
             below_grid |= min(ctx.engine._floors) < ctx.grid.min_inv
         if beta >= 0.9:  # near-full backlogging carries the levels below the grid floor
             assert below_grid
+
+    def test_partial_backlog_refuses_a_window(self):
+        # below beta = 1 the curve read ``future`` as ending at the grid
+        # ceiling and ignored ``lo``: on this grid, [-206, 206], the curve
+        # "from level 0" was the grid's at levels 197..206, and the sweep
+        # dropped the window it was given
+        inst = dataclasses.replace(gen_scalability(3, 1, seed=3)[0], beta=0.5)
+        ctx = SolveContext(inst)
+        grid = ctx.grid
+        assert grid == InventoryGrid(-206, 206)
+        with pytest.raises(ValueError, match="spans the grid"):
+            ctx.engine.cycle_curve(1, 1, np.zeros(10), lo=0)
+        with pytest.raises(ValueError, match="spans the grid"):
+            ctx.engine.cycle_curve(1, 1, np.zeros(grid.size), lo=0)
+        with pytest.raises(ValueError, match="spans the grid"):
+            _sweep(ctx, _plain_table, window=InventoryGrid(-10, 10))
+        # the grid itself, given or by default, is the one window
+        curve = ctx.engine.cycle_curve(1, 1, np.zeros(grid.size), lo=grid.min_inv)
+        assert np.array_equal(curve, ctx.engine.cycle_curve(1, 1, np.zeros(grid.size)))
+        tables = _sweep(ctx, _plain_table, window=grid)
+        assert tables.reviews == solve_lost_sales(inst, context=ctx).reviews
 
 
 class TestPointMassDraws:
