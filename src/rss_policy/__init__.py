@@ -39,11 +39,10 @@ from .evaluate import EvalReport, expected_cost, optimality_gap, simulate
 from .exact import (
     EnumerationResult,
     HorizonCapError,
-    ReviewSchedule,
     enumerate_optimal,
     scarf_fixed_R,
 )
-from .model import Instance, Policy, PolicyReview
+from .model import Instance, Policy, PolicyReview, ReviewSchedule
 from .serialize import (
     SchemaError,
     instance_from_dict,

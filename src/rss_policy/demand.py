@@ -11,6 +11,7 @@ same period ranges many times.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,6 +35,11 @@ def check_memory(nbytes: int, what: str) -> None:
     memory = physical_memory()
     if nbytes > memory:
         raise MemoryError(f"out of memory: {what} needs more than {memory / 2**30:.3g} GiB")
+
+
+def is_integer(value: object) -> bool:
+    """Whether ``value`` is a Python or numpy integer; booleans are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,8 @@ class DemandPmf:
     positive, finite total; it is stored divided by that total, so
     unnormalized weights and truncated pmfs are renormalized to unit
     mass. Empty, non-1-D, negative, non-finite or all-zero weights, a
-    total that overflows and a negative offset raise ``ValueError``.
+    total that overflows and a negative or non-integer offset raise
+    ``ValueError``.
     """
 
     offset: int
@@ -87,6 +94,8 @@ class DemandPmf:
         total = float(probs.sum())
         if not 0 < total < np.inf:
             raise ValueError(f"pmf mass {total} must be positive and finite")
+        if not is_integer(self.offset):
+            raise ValueError(f"the offset must be an integer, not {self.offset!r}")
         if self.offset < 0:
             raise ValueError("demand support must be nonnegative")
         probs = probs / total
@@ -154,7 +163,7 @@ class DemandPmf:
 
 def point_mass(value: int) -> DemandPmf:
     """Degenerate pmf concentrated at ``value``."""
-    return DemandPmf(offset=int(value), probs=np.array([1.0]))
+    return DemandPmf(offset=value, probs=np.array([1.0]))
 
 
 def cut_length(spec: DemandSpec) -> int:

@@ -28,7 +28,6 @@ numbers, so each path's cost keeps its bits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from .model import Instance, Policy
 from .costs import _truncate
-from .demand import check_memory
+from .demand import check_memory, is_integer
 from .solver import SolveContext, _context
 
 _BLOCK = 1 << 14  # paths per block of the rollout
@@ -118,9 +117,9 @@ def simulate(
     ``n_paths`` and ``seed`` are integers, Python or numpy; floats and
     booleans raise ``ValueError``.
     """
-    if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral) or n_paths < 1:
+    if not is_integer(n_paths) or n_paths < 1:
         raise ValueError(f"n_paths must be an integer of at least 1, not {n_paths!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+    if not is_integer(seed):
         raise ValueError(f"the seed must be an integer, not {seed!r}")
     ctx = _context(instance, context)
     analytic = expected_cost(instance, policy, context=ctx)

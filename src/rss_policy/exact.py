@@ -123,13 +123,13 @@ instance that enumeration solved within its old horizon cap solves.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .model import Instance, Policy
+from .demand import is_integer
+from .model import Instance, Policy, ReviewSchedule
 from .solver import (
     InventoryGrid,
     SolveContext,
@@ -150,35 +150,6 @@ DEFAULT_NODE_BUDGET = 2**14 - 1
 
 class HorizonCapError(ValueError):
     """Raised when the exact search needs more nodes than its budget."""
-
-
-@dataclass(frozen=True)
-class ReviewSchedule:
-    """An ordered set of review periods starting at period 1, given as
-    integers (booleans are refused)."""
-
-    periods: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(isinstance(t, bool) or not isinstance(t, numbers.Integral) for t in self.periods):
-            raise ValueError(f"review periods must be integers, not {self.periods!r}")
-        periods = tuple(int(t) for t in self.periods)
-        if not periods or periods[0] != 1:
-            raise ValueError("a schedule must start with a review at period 1")
-        if any(b <= a for a, b in zip(periods, periods[1:])):
-            raise ValueError("review periods must be strictly increasing")
-        object.__setattr__(self, "periods", periods)
-
-    def cycles(self, horizon: int) -> tuple[int, ...]:
-        """Cycle lengths; they sum to the horizon."""
-        if self.periods[-1] > horizon:
-            raise ValueError("schedule extends past the horizon")
-        ends = self.periods[1:] + (horizon + 1,)
-        return tuple(e - s for s, e in zip(self.periods, ends))
-
-    @property
-    def n_reviews(self) -> int:
-        return len(self.periods)
 
 
 def scarf_fixed_R(
@@ -325,7 +296,7 @@ def enumerate_optimal(
     cost is identical to a standalone ``scarf_fixed_R`` call, whose
     tables give the policy.
     """
-    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) or budget < 1:
+    if not is_integer(budget) or budget < 1:
         raise ValueError(f"the node budget must be an integer of at least 1, not {budget!r}")
     ctx = _context(instance, context, full_backlog=True)
     incumbent = solve_kconvex(instance, context=ctx)

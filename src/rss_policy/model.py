@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .costs import CostParams
-from .demand import DemandSpec
+from .demand import DemandSpec, is_integer
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,8 @@ class Instance:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if not (is_integer(self.T) and is_integer(self.I0)):
+            raise ValueError(f"T and I0 must be integers, not {self.T!r} and {self.I0!r}")
         if self.T < 1:
             raise ValueError("horizon must be at least one period")
         demand = tuple(self.demand)
@@ -32,8 +34,40 @@ class Instance:
             raise ValueError(f"expected {self.T} demand specs, got {len(demand)}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
+        if not isinstance(self.label, (str, type(None))):
+            raise ValueError(f"label must be a string, not {self.label!r}")
         object.__setattr__(self, "demand", demand)
+        object.__setattr__(self, "T", int(self.T))
         object.__setattr__(self, "I0", int(self.I0))
+
+
+@dataclass(frozen=True)
+class ReviewSchedule:
+    """An ordered set of review periods starting at period 1, given as
+    integers (booleans are refused)."""
+
+    periods: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not all(map(is_integer, self.periods)):
+            raise ValueError(f"review periods must be integers, not {self.periods!r}")
+        periods = tuple(int(t) for t in self.periods)
+        if not periods or periods[0] != 1:
+            raise ValueError("a schedule must start with a review at period 1")
+        if any(b <= a for a, b in zip(periods, periods[1:])):
+            raise ValueError("review periods must be strictly increasing")
+        object.__setattr__(self, "periods", periods)
+
+    def cycles(self, horizon: int) -> tuple[int, ...]:
+        """Cycle lengths; they sum to the horizon."""
+        if self.periods[-1] > horizon:
+            raise ValueError("schedule extends past the horizon")
+        ends = self.periods[1:] + (horizon + 1,)
+        return tuple(e - s for s, e in zip(self.periods, ends))
+
+    @property
+    def n_reviews(self) -> int:
+        return len(self.periods)
 
 
 @dataclass(frozen=True)
@@ -60,26 +94,14 @@ class Policy:
 
     def __post_init__(self) -> None:
         reviews = tuple(self.reviews)
-        if not reviews:
-            raise ValueError("a policy needs at least one review")
-        if reviews[0].period != 1:
-            raise ValueError("the first review must happen at period 1")
-        t = 0
-        for rv in reviews:
-            if rv.period <= t:
-                raise ValueError("review periods must be strictly increasing")
-            if rv.period > self.horizon:
-                raise ValueError(f"review period {rv.period} exceeds horizon {self.horizon}")
-            if rv.cycle < 1:
-                raise ValueError("cycle lengths must be positive")
-            if rv.reorder > rv.order_up_to:
-                raise ValueError("reorder level cannot exceed the order-up-to level")
-            t = rv.period
-        for cur, nxt in zip(reviews, reviews[1:]):
-            if cur.period + cur.cycle != nxt.period:
-                raise ValueError("cycle lengths must chain reviews contiguously")
-        if reviews[-1].period + reviews[-1].cycle != self.horizon + 1:
-            raise ValueError("the last cycle must end at the horizon")
+        values = [v for rv in reviews for v in (rv.cycle, rv.reorder, rv.order_up_to)]
+        if not all(map(is_integer, [self.horizon] + values)):
+            raise ValueError("the horizon, cycles and levels must be integers")
+        schedule = ReviewSchedule(tuple(rv.period for rv in reviews))
+        if schedule.cycles(self.horizon) != tuple(rv.cycle for rv in reviews):
+            raise ValueError("cycle lengths must chain the reviews to the end of the horizon")
+        if any(rv.reorder > rv.order_up_to for rv in reviews):
+            raise ValueError("reorder level cannot exceed the order-up-to level")
         object.__setattr__(self, "reviews", reviews)
 
     @property

@@ -22,14 +22,11 @@ class SchemaError(ValueError):
 def instance_to_dict(instance: Instance) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "T": instance.T,
-        "K": instance.params.K,
-        "W": instance.params.W,
-        "h": instance.params.h,
-        "b": instance.params.b,
+        **{key: float(getattr(instance.params, key)) for key in ("K", "W", "h", "b")},
         "I0": instance.I0,
-        "beta": instance.beta,
+        "beta": float(instance.beta),
         "demand": [
-            {"kind": d.kind, "mean": d.mean, "cv": d.cv} for d in instance.demand
+            {"kind": d.kind, "mean": float(d.mean), "cv": float(d.cv)} for d in instance.demand
         ],
     }
     if instance.label is not None:

@@ -288,6 +288,21 @@ class TestDemandPmf:
         with pytest.raises(ValueError):
             DemandPmf(offset=-1, probs=np.array([1.0]))
 
+    @pytest.mark.parametrize("offset", [2.5, 2.0, True])
+    def test_rejects_offsets_that_are_not_integers(self, offset):
+        # 2.5 was stored as offset 2, which shifted the whole demand
+        with pytest.raises(ValueError, match="must be an integer"):
+            DemandPmf(offset=offset, probs=np.array([1.0]))
+
+    def test_point_mass_rejects_a_fraction(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            point_mass(2.7)  # was a point mass at 2
+
+    def test_accepts_numpy_integer_offsets(self):
+        pmf = DemandPmf(offset=np.int64(3), probs=np.array([1.0]))
+        assert pmf.offset == 3 and type(pmf.offset) is int
+        assert point_mass(np.int32(4)) == point_mass(4)
+
     def test_rejects_zero_or_overflowing_mass(self):
         with pytest.raises(ValueError):
             DemandPmf(offset=0, probs=np.zeros(3))

@@ -5,11 +5,13 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from rss_policy import (
     CostParams,
     DemandSpec,
+    Instance,
     Policy,
     PolicyReview,
     SchemaError,
@@ -44,6 +46,32 @@ class TestInstanceDocuments:
         path = tmp_path / "inst.json"
         save_instance(inst, path)
         assert load_instance(path) == inst
+
+    def test_random_round_trip_with_numpy_values(self, tmp_path, rng):
+        # numpy integers and float32 values made save_instance raise
+        # "Object of type int64 is not JSON serializable"
+        def pick(options):
+            return options[rng.integers(len(options))]
+
+        def number(high):
+            value = pick([int(rng.integers(0, high)), float(rng.uniform(0, high))])
+            return pick([np.int64, np.float32, np.float64])(value)
+
+        for i in range(200):
+            T = int(rng.integers(1, 5))
+            inst = Instance(
+                T=pick([np.int64, int])(T),
+                params=CostParams(K=number(1e4), W=number(1e4), h=number(10) + 1, b=number(10)),
+                I0=np.int64(rng.integers(-10**6, 10**6)),
+                demand=tuple(
+                    DemandSpec(pick(["poisson", "normal"]), number(1e3), number(2))
+                    for _ in range(T)
+                ),
+                beta=pick([np.int64(rng.integers(0, 2)), np.float32(rng.random()), rng.random()]),
+                label=pick([None, "cell", "T1-K20 \u00e9", ""]),
+            )
+            save_instance(inst, tmp_path / f"{i}.json")
+            assert load_instance(tmp_path / f"{i}.json") == inst
 
     def test_unknown_and_missing_keys(self):
         with pytest.raises(SchemaError, match="unknown instance keys"):

@@ -23,8 +23,9 @@ kconvex schedule, ``enumerate_optimal`` (T <= 14), ``expected_cost`` and
 ``solve_lost_sales`` at beta = 0.5 on a context of its own.
 
 The bits depend on the host BLAS's summation order, so compare files
-made on one host; this is why the script is not a CI step. It takes
-about 6 s on a 2-core x86_64 host with ``OPENBLAS_NUM_THREADS=1``.
+made on one host; CI runs the script and checks only its line count,
+1583, which does not depend on the BLAS. It takes about 6 s on a 2-core
+x86_64 host with ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
