@@ -2,7 +2,8 @@
 benchmark campaigns, and generate testbed instance files.
 
 Exit codes: 0 success, 2 input error, 3 capability error (over the exact
-solver's node budget, the work bound or memory), 4 output I/O error.
+solver's node budget, the work bound or memory), 4 output I/O error
+(stdout included).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import statistics
 import sys
 import time
@@ -78,16 +80,15 @@ def _solve_with(name: str, instance: Instance, ctx: SolveContext, exact_budget: 
     return policy, tables.root_cost(instance.I0), tables.stats, None
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> None:
     instance = load_instance(args.instance)
     ctx = SolveContext(instance)
     policy, cost, _, _ = _solve_with(args.solver, instance, ctx, DEFAULT_NODE_BUDGET)
     doc = policy_to_dict(policy, expected_cost=cost)
     print(json.dumps(doc, sort_keys=True, allow_nan=False))
-    return EXIT_OK
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> None:
     instance = load_instance(args.instance)
     policy = load_policy(args.policy, horizon=instance.T)
     ctx = SolveContext(instance)
@@ -98,7 +99,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise SchemaError("--simulate needs at least one path")
         doc = asdict(simulate(instance, policy, args.simulate, args.seed, context=ctx))
     print(json.dumps(doc, sort_keys=True, allow_nan=False))
-    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +210,7 @@ def _write_summary(path: Path, rows: list[dict[str, Any]]) -> None:
                 )
 
 
-def cmd_benchmark(args: argparse.Namespace) -> int:
+def cmd_benchmark(args: argparse.Namespace) -> None:
     if args.reps < 1:
         raise SchemaError("--reps needs at least one repetition")
     if args.exact_budget < 1:
@@ -234,49 +234,39 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         raise SchemaError(f"no {args.suite} instances for T in [{args.t_min}, {args.t_max}]")
     instances.sort(key=lambda inst: inst.label or "")
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    out_dir.mkdir(parents=True, exist_ok=True)
     all_rows: list[dict[str, Any]] = []
-    try:
-        with (out_dir / "report.csv").open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS, extrasaction="ignore")
-            writer.writeheader()
+    with (out_dir / "report.csv").open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        fh.flush()
+        for instance in instances:
+            rows = _benchmark_instance(
+                instance,
+                solvers,
+                args.reps,
+                oracle=not args.skip_oracle,
+                factors=_analysis_factors(instance) if args.suite == "analysis" else {},
+                exact_budget=args.exact_budget,
+            )
+            for row in rows:
+                writer.writerow(_format_row(row))
             fh.flush()
-            for instance in instances:
-                rows = _benchmark_instance(
-                    instance,
-                    solvers,
-                    args.reps,
-                    oracle=not args.skip_oracle,
-                    factors=_analysis_factors(instance) if args.suite == "analysis" else {},
-                    exact_budget=args.exact_budget,
-                )
-                for row in rows:
-                    writer.writerow(_format_row(row))
-                fh.flush()
-                all_rows.extend(rows)
-        for solver in solvers:
-            with (out_dir / f"times_{solver}.csv").open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["T", "median_seconds"])
-                for T in horizons:
-                    sel = [
-                        r["wall_time_ms"] / 1000.0
-                        for r in all_rows
-                        if r["solver"] == solver and r["T"] == T
-                    ]
-                    if sel:
-                        writer.writerow([T, f"{statistics.median(sel):.6f}"])
-        if args.suite == "analysis" and all_rows:
-            _write_summary(out_dir / "summary.csv", all_rows)
-    except OSError as exc:
-        print(f"error: write failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+            all_rows.extend(rows)
+    for solver in solvers:
+        with (out_dir / f"times_{solver}.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["T", "median_seconds"])
+            for T in horizons:
+                sel = [
+                    r["wall_time_ms"] / 1000.0
+                    for r in all_rows
+                    if r["solver"] == solver and r["T"] == T
+                ]
+                if sel:
+                    writer.writerow([T, f"{statistics.median(sel):.6f}"])
+    if args.suite == "analysis" and all_rows:
+        _write_summary(out_dir / "summary.csv", all_rows)
 
 
 def _format_row(row: dict[str, Any]) -> dict[str, Any]:
@@ -288,7 +278,7 @@ def _format_row(row: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> None:
     if args.seed < 0:
         raise SchemaError("--seed must be nonnegative")
     if args.suite == "scalability":
@@ -296,15 +286,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         batch = gen_analysis(args.t, seed=args.seed)
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for instance in batch:
-            save_instance(instance, out_dir / f"{instance.label}.json")
-    except OSError as exc:
-        print(f"error: write failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for instance in batch:
+        save_instance(instance, out_dir / f"{instance.label}.json")
     print(f"wrote {len(batch)} instances to {out_dir}")
-    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -360,16 +345,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        sys.stdout.flush()
     except (HorizonCapError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as exc:
+        print(f"error: write failure: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # the bytes stdout kept would fail again at exit, as status 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

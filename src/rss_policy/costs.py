@@ -57,7 +57,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .demand import CumulativeDemandCache
+from .demand import CumulativeDemandCache, check_memory
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,13 @@ class CycleCostEngine:
     """Cycle curves of one instance, with memoised holding/penalty curves.
 
     Each curve is memoised over one span of post-order positions, grown
-    by the reads (``cycle_hp_fn``). One engine serves one solver run (or a
-    family of runs over the same instance); it is not safe for concurrent
-    mutation.
+    by the reads (``cycle_hp_fn``). The engine owns the states below the
+    grid: the floors, and over [min_u(floor_u - dmax_u), high] each closing
+    inventory's one-period cost and next state, which ``simulate`` reads
+    too; building them peaks at five 8-byte arrays, 40 bytes a position.
+    A span too long for memory (the grid and every period's largest demand
+    below it) raises ``MemoryError`` before anything is built. One engine
+    serves one solver run (or a family of runs); it is not thread-safe.
     """
 
     def __init__(
@@ -108,18 +112,22 @@ class CycleCostEngine:
         backlogged fraction."""
         if high < low:
             raise ValueError("need low <= high")
+        dmax = [demand.period(u).max_value for u in range(1, demand.horizon + 1)]
+        check_memory(40 * (high - low + 1 + sum(dmax)), "the inventory grid")
         self._demand = demand
         self._lo, self._hi = low, high
         self._beta = beta
-        # _floors[u - 1] = floor_u of the module docstring; _one_period spans [_base, high]
+        # _floors[u - 1] = floor_u of the module docstring
         self._floors = [low]
-        for u in range(1, demand.horizon):
-            below = int(_truncate(np.int64(self._floors[-1] - demand.period(u).max_value), beta))
-            self._floors.append(min(low, below))
-        self._base = min(f - demand.period(u).max_value for u, f in enumerate(self._floors, 1))
-        xs = np.arange(self._base, high + 1, dtype=np.float64)
+        for d in dmax[:-1]:
+            self._floors.append(min(low, int(_truncate(np.int64(self._floors[-1] - d), beta))))
+        self._base = min(f - d for f, d in zip(self._floors, dmax))
+        # over the closing inventories [_base, high]: their one-period cost, and
+        # _next, the index from _base of the state each one leaves
+        xs = np.arange(self._base, high + 1)
         with np.errstate(over="ignore"):  # an overflowing cost is refused where it is read
             self._one_period = params.h * np.maximum(xs, 0.0) + params.b * np.maximum(-xs, 0.0)
+        self._next = _truncate(xs, beta) - self._base
         # (t, r) -> (first position, hp(t, r) from there on)
         self._curves: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
 
@@ -127,27 +135,27 @@ class CycleCostEngine:
         """hp(t, r) grown to span at least [lo + floor_t - low, hi], with its
         first position.
 
-        The spans of the chain (t+1, r-1), (t+2, r-2), ... are set from the
-        top, each joining what its parent reads to what it holds; the
-        curves lacking theirs then grow from the deepest up, so long
-        cycles do not recurse.
+        Each curve (u, t + r - u) of the chain is asked for its span of the
+        module docstring, [lo + floor_u - low, hi]. A curve grown to [A, B]
+        has a child spanning [A - dmax_u, B], so below the first curve that
+        spans its own the chain does too; the curves above it grow from the
+        deepest up, and long cycles do not recurse.
         """
-        spans = []
-        a, b = lo + self._floors[t - 1] - self._lo, hi
+        lacking = []
         for u in range(t, t + r):
+            a = lo + self._floors[u - 1] - self._lo
             first, curve = self._curves.get((u, t + r - u), (a, _EMPTY))
-            if first <= a and b < first + curve.shape[0]:
-                break  # it spans enough, and so does the rest of its chain
-            a, b = min(a, first), max(b, first + curve.shape[0] - 1)
-            spans.append((u, t + r - u, a, b))
-            a -= self._demand.period(u).max_value
-        for u, k, a, b in reversed(spans):
-            self._grow(u, k, a, b)
+            if first <= a and hi < first + curve.shape[0]:
+                break
+            lacking.append((u, a))
+        for u, a in reversed(lacking):
+            self._grow(u, t + r - u, a, hi)
         return self._curves[(t, r)]
 
     def _grow(self, u: int, k: int, a: int, b: int) -> None:
-        """Extend hp(u, k) to [a, b]: the positions below and above its span
-        are convolved as pieces from hp(u+1, k-1), which spans what they read."""
+        """Extend hp(u, k) to its span joined with [a, b]: the positions below
+        and above its span are convolved as pieces from hp(u+1, k-1), which
+        spans what they read."""
         pmf = self._demand.period(u)
 
         def piece(lo: int, hi: int) -> np.ndarray:
@@ -160,6 +168,7 @@ class CycleCostEngine:
             return self.step(u, lo, hi, closing)
 
         first, old = self._curves.get((u, k), (a, _EMPTY))
+        a, b = min(a, first), max(b, first + old.shape[0] - 1)
         pieces = (piece(a, first - 1), old, piece(first + old.shape[0], b))
         parts = [p for p in pieces if p.shape[0]]
         curve = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -178,9 +187,9 @@ class CycleCostEngine:
         """Partial-backlog period u over [floor_u, high]: ``step`` on the next
         values ``w`` (ending at high) read at the truncated closing inventories,
         so penalty is charged on the full shortfall; the clip binds at w[0]."""
-        pmf, lo = self._demand.period(u), self._floors[u - 1]
-        xs = np.arange(lo - pmf.max_value, self._hi - pmf.offset + 1)
-        idx = _truncate(xs, self._beta) - (self._hi + 1 - w.shape[0])
+        pmf, lo, base = self._demand.period(u), self._floors[u - 1], self._base
+        nxt = self._next[lo - pmf.max_value - base : self._hi - pmf.offset - base + 1]
+        idx = nxt - (self._hi + 1 - w.shape[0] - base)
         return self.step(u, lo, self._hi, w[np.clip(idx, 0, w.shape[0] - 1)])
 
     def cycle_hp_fn(self, t: int, r: int) -> Callable[[Sequence[int]], np.ndarray]:

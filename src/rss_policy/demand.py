@@ -29,9 +29,9 @@ def physical_memory() -> int:
 
 def check_memory(nbytes: int, what: str) -> None:
     """Raise ``MemoryError``, before anything is allocated, when a peak of
-    ``nbytes`` bytes would exceed physical memory. A pmf or the cost
-    engine's one-period cost peaks at four float64 arrays of their length,
-    32 bytes per value."""
+    ``nbytes`` bytes would exceed physical memory. A pmf peaks at four
+    float64 arrays of its length, 32 bytes per value; the cost engine at
+    five 8-byte arrays over its span, 40 bytes per position."""
     memory = physical_memory()
     if nbytes > memory:
         raise MemoryError(f"out of memory: {what} needs more than {memory / 2**30:.3g} GiB")

@@ -34,7 +34,6 @@ from typing import Optional
 import numpy as np
 
 from .model import Instance, Policy
-from .costs import _truncate
 from .demand import check_memory, is_integer
 from .solver import SolveContext, _context
 
@@ -107,13 +106,14 @@ def simulate(
     """Seeded Monte-Carlo rollout of the policy, which is priced first.
 
     Partial backlogging (beta < 1) truncates negative closing inventories
-    after the penalty is charged. A path's opening state in period u is
-    at least the engine's floor_u (``costs``): orders only raise it, and
-    demand and truncation lower it no more than the floors, so the
-    one-period cost vector charges every closing inventory. A rollout
-    too large for memory raises ``MemoryError`` (8 bytes a path, 8 (2T + 8)
-    a path of a block, the bucket tables and the largest one's build, 40 a
-    vector position), and an overflowing mean or half-width ``ValueError``.
+    after the penalty is charged, by the engine's transition table. A
+    path's opening state in period u is at least the engine's floor_u
+    (``costs``): orders only raise it, and demand and truncation lower it
+    no more than the floors, so the engine's one-period cost vector and
+    table cover every closing inventory. A rollout too large for memory
+    raises ``MemoryError`` (8 bytes a path, 8 (2T + 8) a path of a block,
+    the bucket tables and the largest one's build), and an overflowing
+    mean or half-width ``ValueError``.
     ``n_paths`` and ``seed`` are integers, Python or numpy; floats and
     booleans raise ``ValueError``.
     """
@@ -123,14 +123,14 @@ def simulate(
         raise ValueError(f"the seed must be an integer, not {seed!r}")
     ctx = _context(instance, context)
     analytic = expected_cost(instance, policy, context=ctx)
-    T, p, base, hold = instance.T, ctx.params, ctx.engine._base, ctx.engine._one_period
+    T, p, eng = instance.T, ctx.params, ctx.engine
+    base, hold, nxt = eng._base, eng._one_period, eng._next
     pmfs = [ctx.demand.period(t) for t in range(1, T + 1)]
     block = min(n_paths, _BLOCK, max(1, _BLOCK_DRAWS // T))
     buckets = [pmf._buckets for pmf in pmfs]
-    nbytes = 8 * (n_paths + block * (2 * T + 8) + sum(buckets) + 5 * hold.shape[0])
+    nbytes = 8 * (n_paths + block * (2 * T + 8) + sum(buckets))
     check_memory(nbytes + 24 * (max(buckets) + 1), f"a rollout of {n_paths} paths")
     draws = [pmf.sampler() for pmf in pmfs]
-    nxt = _truncate(np.arange(base, base + hold.shape[0]), instance.beta) - base
     reviews = {rv.period: rv for rv in policy.reviews}
     rng, cost = np.random.default_rng(seed), np.empty(n_paths)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below

@@ -114,7 +114,7 @@ def save_instance(instance: Instance, path: str | Path) -> None:
 def policy_to_dict(policy: Policy, expected_cost: Optional[float] = None) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "reviews": [
-            {"t": rv.period, "R": rv.cycle, "s": rv.reorder, "S": rv.order_up_to}
+            {"t": int(rv.period), "R": int(rv.cycle), "s": int(rv.reorder), "S": int(rv.order_up_to)}
             for rv in policy.reviews
         ]
     }

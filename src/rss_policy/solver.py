@@ -149,7 +149,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .costs import CycleCostEngine
-from .demand import CumulativeDemandCache, check_memory, cut_length, discretize
+from .demand import CumulativeDemandCache, cut_length, discretize
 from .model import Instance, Policy, PolicyReview
 
 QUANTILE_EPS = 1e-5  # total-demand mass above the grid's ceiling, before headroom
@@ -186,24 +186,19 @@ def build_grid(instance: Instance, demand: CumulativeDemandCache) -> InventoryGr
     The grid is the state space: the heuristic sweep and the exact search
     decide on certified windows of it (see the module docstring and
     ``exact``), and the evaluator prices on the policy's window at beta = 1
-    (``evaluate``); the cost engine's curves grow to the spans these read.
-    The ceiling is the (1 - ``QUANTILE_EPS``) quantile of total horizon
-    demand rounded up by 10%; the floor is its negative. Both are widened
-    if needed so the initial inventory lies on the grid. A grid whose cost
-    engine's widest span, the grid and every period's largest demand below
-    it, is too long for memory raises ``MemoryError``. The work on the
-    total demand's convolution is bounded before its pmfs are built, by
-    ``SolveContext``.
+    (``evaluate``); the cost engine's curves grow to the spans these read,
+    and the engine checks its widest span against memory. The ceiling is
+    the (1 - ``QUANTILE_EPS``) quantile of total horizon demand rounded up
+    by 10%; the floor is its negative. Both are widened if needed so the
+    initial inventory lies on the grid. The work on the total demand's
+    convolution is bounded before its pmfs are built, by ``SolveContext``.
     """
     total = demand.cumulative(1, instance.T + 1)
     m = total.quantile(1.0 - QUANTILE_EPS)
     max_inv = int(math.ceil(1.1 * m))
     max_inv = max(max_inv, instance.I0, 0)
     min_inv = min(-max_inv, instance.I0)
-    grid = InventoryGrid(min_inv=min_inv, max_inv=max_inv)
-    below = sum(demand.period(t).max_value for t in range(1, instance.T + 1))
-    check_memory(32 * (grid.size + below), "the inventory grid")
-    return grid
+    return InventoryGrid(min_inv=min_inv, max_inv=max_inv)
 
 
 @dataclass

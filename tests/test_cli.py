@@ -284,24 +284,67 @@ def test_factorial_campaign_writes_summary(tmp_path, monkeypatch):
             assert float(row["mean_gap_pct"]) == 0.0 and float(row["pct_non_optimal"]) == 0.0
 
 
+_GEN = ["gen", "scalability", "--t", "2", "--n", "1"]
 _WRITE_FAILURES = {
     "benchmark-out-is-file": (_BENCH, "file"),
-    "gen-out-is-file": (["gen", "scalability", "--t", "2", "--n", "1"], "file"),
+    "gen-out-is-file": (_GEN, "file"),
     "report-is-directory": (_BENCH, "report-dir"),
+    # these three ended in an OSError traceback (exit 1) on `> /dev/full`
+    "solve-stdout": (["solve", "inst.json"], "stdout"),
+    "evaluate-stdout": (["evaluate", "inst.json", "--policy", "policy.json"], "stdout"),
+    "gen-stdout": (_GEN, "stdout"),
 }
 
 
+class _FullStdout:
+    """An unbuffered stdout on a full disk: every write raises."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
 @pytest.mark.parametrize("case", sorted(_WRITE_FAILURES))
-def test_write_failure_exits_4(tmp_path, capsys, case):
+def test_write_failure_exits_4(tmp_path, capsys, monkeypatch, case):
     argv, kind = _WRITE_FAILURES[case]
     out = tmp_path / "out"
     if kind == "file":
         out.write_text("")
-    else:
+    elif kind == "report-dir":
         (out / "report.csv").mkdir(parents=True)
-    assert cli_main(argv + ["--out", str(out)]) == 4
+    else:
+        inst = deterministic_instance([4, 0, 7], K=30.0, W=5.0)
+        save_instance(inst, tmp_path / "inst.json")
+        policy = {"reviews": [{"t": 1, "R": 3, "s": 8, "S": 11}]}
+        (tmp_path / "policy.json").write_text(json.dumps(policy))
+        monkeypatch.setattr(sys, "stdout", _FullStdout())
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    if argv[0] in ("benchmark", "gen"):
+        argv += ["--out", str(out)]
+    assert cli_main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_solve_to_a_full_device_exits_4(tmp_path, unbuffered):
+    # a block-buffered stdout kept the bytes it failed to write, failed
+    # again at interpreter exit and turned the status into 120
+    path = tmp_path / "inst.json"
+    save_instance(deterministic_instance([4, 0, 7], K=30.0, W=5.0), path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(rss_policy.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    argv = [sys.executable, "-m", "rss_policy.cli", "solve", str(path)]
+    with open("/dev/full", "w") as full:
+        out = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                             timeout=60)
+    assert out.returncode == 4, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
 
 
 _SOLVE_KEYS = ("T", "K", "W", "h", "b", "I0", "beta")

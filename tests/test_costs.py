@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from rss_policy import costs, demand
 from rss_policy import (
     CostParams,
     CycleCostEngine,
@@ -18,6 +19,7 @@ from rss_policy import (
     solve_lost_sales,
 )
 from conftest import (
+    allocates_at_most,
     deterministic_instance,
     direct_cycle_cost,
     level_recursion_hp,
@@ -69,6 +71,15 @@ class TestBoundaries:
         assert eng._floors == floors
         lowest = min(f - d for f, d in zip(floors, (3, 4, 5)))
         assert eng._one_period.shape == (14 - lowest + 1,)
+
+    def test_refuses_a_span_too_long_for_memory(self, monkeypatch):
+        # the engine built its vectors over its span unchecked; with 5 MiB
+        # of memory a span of 10^6 positions (40 MB at the peak of building
+        # them) is refused before any is built
+        ctx = self._ctx()
+        monkeypatch.setattr(demand, "physical_memory", lambda: 5 * 2**20)
+        with allocates_at_most(5 * 2**20), pytest.raises(MemoryError, match="inventory grid"):
+            CycleCostEngine(ctx.params, ctx.demand, -500_000, 500_000, 1.0)
 
     def test_zero_demand_holding_accumulates(self):
         inst = deterministic_instance([0, 0, 0], K=50, W=0, h=1, b=10, I0=10)
@@ -270,6 +281,22 @@ class TestPartialBacklogPaths:
             below_grid |= min(ctx.engine._floors) < grid.min_inv
         # near-full backlogging drives next-review states below the grid floor
         assert below_grid == (beta == 0.9)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
+    def test_backlog_step_reads_the_truncated_states(self, rng, beta):
+        # the engine's transition table against a gather of the next values
+        # at trunc(x), for the closing inventories x of period u, on values
+        # spanning the grid and on values spanning period u + 1's floor
+        for ctx in self._contexts(beta):
+            eng, high = ctx.engine, ctx.grid.max_inv
+            for u in (1, 2, 3):
+                pmf, lo = ctx.demand.period(u), eng._floors[u - 1]
+                xs = np.arange(lo - pmf.max_value, high - pmf.offset + 1)
+                for n in {ctx.grid.size, high - eng._floors[min(u, 2)] + 1}:
+                    w = rng.uniform(0.0, 100.0, n)
+                    idx = np.clip(costs._truncate(xs, beta) - (high + 1 - n), 0, n - 1)
+                    want = eng.step(u, lo, high, w[idx])
+                    assert np.array_equal(eng.backlog_step(u, w), want), (u, n)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
     def test_lost_sales_policy_cost_matches_path_sums(self, beta):

@@ -163,6 +163,25 @@ class TestPolicyDocuments:
         path.write_text(json.dumps(doc))
         assert load_policy(path, horizon=4) == _POLICY
 
+    def test_random_round_trip_with_numpy_values(self, rng):
+        # numpy integers made json.dumps raise "Object of type int64 is not
+        # JSON serializable"
+        def pick(options):
+            return options[rng.integers(len(options))]
+
+        for _ in range(200):
+            T = int(rng.integers(1, 8))
+            later = rng.permutation(np.arange(2, T + 1))[: rng.integers(0, T)]
+            periods = [1, *sorted(int(t) for t in later)]
+            reviews = []
+            for t, end in zip(periods, periods[1:] + [T + 1]):
+                s, S = sorted(int(v) for v in rng.integers(-10**6, 10**6, 2))
+                cast = pick([np.int64, np.int32, int])
+                reviews.append(PolicyReview(*map(cast, (t, end - t, s, S))))
+            policy = Policy(horizon=pick([np.int64, np.int32, int])(T), reviews=tuple(reviews))
+            doc = json.loads(json.dumps(policy_to_dict(policy)))
+            assert policy_from_dict(doc, horizon=T) == policy
+
     @pytest.mark.parametrize(
         "doc",
         [

@@ -19,12 +19,14 @@ The instances are ``gen_scalability(T, 2, seed=T)`` for T = 1..40, every
 check. Each instance gets a fresh ``SolveContext`` and runs, in order,
 ``solve_kconvex``, ``solve_plain`` (T <= 12), ``scarf_fixed_R`` on the
 kconvex schedule, ``enumerate_optimal`` (T <= 14), ``expected_cost`` and
-``simulate`` (20 000 paths, seed 0) of the kconvex policy, and
-``solve_lost_sales`` at beta = 0.5 on a context of its own.
+``simulate`` (20 000 paths, seed 0) of the kconvex policy,
+``solve_lost_sales`` at beta = 0.5 on a context of its own, and
+``simulate`` of that policy on that context (20 000 paths, seed 0), the
+partial-backlog rollout.
 
 The bits depend on the host BLAS's summation order, so compare files
 made on one host; CI runs the script and checks only its line count,
-1583, which does not depend on the BLAS. It takes about 6 s on a 2-core
+1825, which does not depend on the BLAS. It takes about 6 s on a 2-core
 x86_64 host with ``OPENBLAS_NUM_THREADS=1``.
 """
 
@@ -104,7 +106,10 @@ def lines(inst):
     yield "simulate", f"{report.mc_mean.hex()} {report.mc_halfwidth_95.hex()}"
     half = dataclasses.replace(inst, beta=0.5)
     half_ctx = SolveContext(half)
-    yield "solve_lost_sales", _tables(solve_lost_sales(half, context=half_ctx), half, half_ctx)
+    lost_sales = solve_lost_sales(half, context=half_ctx)
+    yield "solve_lost_sales", _tables(lost_sales, half, half_ctx)
+    report = simulate(half, extract_policy(lost_sales, half), 20_000, seed=0, context=half_ctx)
+    yield "simulate_lost_sales", f"{report.mc_mean.hex()} {report.mc_halfwidth_95.hex()}"
 
 
 def main(argv: list[str]) -> int:
