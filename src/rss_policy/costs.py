@@ -5,9 +5,9 @@ cost over the post-order positions at period t: the expected
 holding/penalty of periods t..t+r-1 plus the expected cost-to-go
 ``future`` at period t + r, whose states below ``future``'s span take
 its floor value ``future[0]``. The solvers and the evaluator decide on
-``CycleCostEngine.cycle_curve``; the heuristic sweep and the exact
-search read its two parts, ``cycle_hp_fn`` and ``tail``, on their
-windows.
+``CycleCostEngine.cycle_curve``; the exact search reads hp with the
+curve from ``cycle_parts``, and the heuristic sweep reads the two parts,
+``cycle_hp_fn`` and ``tail``, on its window, to prune on hp first.
 
 Write hp(t, r) for the expected holding/penalty of a cycle of r periods,
 periods t..t+r-1, as a function of the post-order position y at period
@@ -226,15 +226,22 @@ class CycleCostEngine:
         padded = np.concatenate((np.full(cum.max_value, future[0]), future))
         return np.convolve(padded, cum.probs, "valid")[: future.shape[0]]
 
+    def cycle_parts(
+        self, t: int, r: int, future: np.ndarray, lo: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """hp(t, r) and the cycle curve hp + ``tail`` under full backlogging,
+        both over the positions ``future`` spans from ``lo``."""
+        hp = self.cycle_hp_fn(t, r)(range(lo, lo + future.shape[0]))
+        return hp, hp + self.tail(t, r, future)
+
     def cycle_curve(self, t: int, r: int, future: np.ndarray, lo: int | None = None) -> np.ndarray:
         """The cycle curve of a cycle of r periods at period t, excluding the
         review/order fixed costs, over the positions ``future`` spans from
-        ``lo`` (the grid floor by default): ``cycle_hp_fn`` plus ``tail`` under
+        ``lo`` (the grid floor by default): the curve of ``cycle_parts`` under
         full backlogging, and with beta < 1 a ``backlog_step`` per period, for
         which ``future`` must span the grid and ``lo`` be None or its floor."""
         if self._beta == 1.0:
-            lo = self._lo if lo is None else lo
-            return self.cycle_hp_fn(t, r)(range(lo, lo + future.shape[0])) + self.tail(t, r, future)
+            return self.cycle_parts(t, r, future, self._lo if lo is None else lo)[1]
         if lo not in (None, self._lo) or future.shape[0] != self._hi - self._lo + 1:
             raise ValueError(f"with beta < 1 a cycle curve spans the grid [{self._lo}, {self._hi}]")
         w = future

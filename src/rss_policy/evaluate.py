@@ -143,9 +143,9 @@ def simulate(
             for t in range(1, T + 1):
                 rv = reviews.get(t)
                 if rv is not None:
-                    order = inv < max(rv.reorder - base, 0)  # inv >= 0
+                    order = inv < max(rv.reorder - base, 0)  # inv >= 0: S >= s > base where order
                     c += p.W + p.K * order
-                    inv = np.where(order, rv.order_up_to - base, inv)
+                    inv = np.where(order, max(rv.order_up_to - base, 0), inv)
                 inv -= draws[t - 1](by_period[t - 1, :b])
                 c += hold[inv]
                 if instance.beta < 1.0:

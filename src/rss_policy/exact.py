@@ -12,7 +12,7 @@ measured against.
 Search. Schedules are searched depth-first over their suffixes. A
 suffix is a set of reviews in t..T with a review at t; its table F_t,
 the cost-to-go at period t, follows from the table of the suffix after
-it by one engine cycle curve (``cycle_hp_fn`` plus ``tail``, on the
+it by one engine cycle curve (``cycle_parts``, with its hp, on the
 window below) and one threshold decision. The children of a suffix
 prepend one review u < t, and a suffix with a review at period 1 is a
 full schedule, whose cost is F_1 at the opening inventory. Only the
@@ -193,34 +193,24 @@ class EnumerationResult:
 _INHERIT_SLACK = 1e-12
 
 
-def _window_curve(
-    ctx: SolveContext, window: InventoryGrid, t: int, r: int, future: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """hp(t, r) and the cycle curve of the cycle (t, r) on the window, with
-    ``future`` spanning it."""
-    hp = ctx.engine.cycle_hp_fn(t, r)(range(window.min_inv, window.max_inv + 1))
-    return hp, hp + ctx.engine.tail(t, r, future)
-
-
 def _prefix_bound(
     ctx: SolveContext, window: InventoryGrid, t: int, table: np.ndarray, i0_idx: int
 ) -> Union[tuple[float, dict[int, np.ndarray]], InventoryGrid]:
     """Lower bound on every schedule below the suffix at t > 1 with table
-    F_t on the window: W plus the every-period-review SDP of the module
-    docstring over periods 1..t-1, and the SDP's tables at periods
-    t-1..2, or ``_certify``'s wider window when one of them fails its
-    check."""
-    p = ctx.params
-    value, tables = table, {}
-    for u in range(t - 1, 1, -1):
-        hp, curve = _window_curve(ctx, window, u, 1, value)
+    F_t on the window, W plus the module docstring's SDP at the opening
+    inventory, by one ``cycle_parts`` step per period u = t-1..1; with the
+    SDP's tables at t-1..2, or ``_certify``'s wider window if one fails."""
+    p, value, tables = ctx.params, table, {}
+    for u in range(t - 1, 0, -1):
+        hp, curve = ctx.engine.cycle_parts(u, 1, value, window.min_inv)
+        if u == 1:
+            break
         sufmin = _suffix_min(curve)
         wider = _certify(ctx, window, hp, value.min(), curve, sufmin[0] + (p.W + p.K))
         if wider is not None:
             return wider
         np.minimum(curve[:-1], (p.W + p.K) + sufmin[1:], out=curve[:-1])
         value = tables[u] = curve
-    curve = _window_curve(ctx, window, 1, 1, value)[1]
     return p.W + min(float(curve[i0_idx]), p.K + float(curve[i0_idx:].min())), tables
 
 
@@ -251,7 +241,7 @@ def _search(
             )
         t, end, future, later, parent = stack.pop()
         explored += 1
-        hp, curve = _window_curve(ctx, window, t, end - t, future)
+        hp, curve = ctx.engine.cycle_parts(t, end - t, future, window.min_inv)
         res = _kconvex_table(ctx, curve, stats)
         periods = (t,) + later
         if t == 1:

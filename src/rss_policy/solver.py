@@ -143,7 +143,9 @@ rounding cannot certify a decision the exact values would not.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -193,10 +195,9 @@ def build_grid(instance: Instance, demand: CumulativeDemandCache) -> InventoryGr
     initial inventory lies on the grid. The work on the total demand's
     convolution is bounded before its pmfs are built, by ``SolveContext``.
     """
-    total = demand.cumulative(1, instance.T + 1)
-    m = total.quantile(1.0 - QUANTILE_EPS)
-    max_inv = int(math.ceil(1.1 * m))
-    max_inv = max(max_inv, instance.I0, 0)
+    # no grid held in memory nears 2^62 levels; the cap keeps 1.1 * m finite
+    m = min(demand.cumulative(1, instance.T + 1).quantile(1.0 - QUANTILE_EPS), 2**62)
+    max_inv = max(math.ceil(1.1 * m), instance.I0, 0)
     min_inv = min(-max_inv, instance.I0)
     return InventoryGrid(min_inv=min_inv, max_inv=max_inv)
 
@@ -249,8 +250,9 @@ class SolveContext:
         for n in lengths[1:]:
             macs, prefix = macs + prefix * n, prefix + n - 1
         if macs > MAX_TOTAL_MACS:
+            count = Decimal(macs) if macs > sys.float_info.max else macs  # beyond a float
             raise MemoryError(
-                f"the total demand's convolution needs {macs:.3g} multiply-adds, "
+                f"the total demand's convolution needs {count:.3g} multiply-adds, "
                 f"more than the bound of {MAX_TOTAL_MACS:.0e}"
             )
         self.demand = CumulativeDemandCache([discretize(spec) for spec in instance.demand])

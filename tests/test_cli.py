@@ -8,6 +8,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,61 @@ def test_out_of_memory_exits_3(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _normal_periods(mean, cv, T):
+    doc = _instance_doc()
+    doc.update(T=T, demand=[{"kind": "normal", "mean": mean, "cv": cv}] * T)
+    return doc
+
+
+# a convolution count of 10**600 and more, which {:.3g} could not format as
+# a float, must be stated, not understated
+_HUGE_COUNT = r"needs \d\.\d\de\+6\d\d multiply-adds"
+
+
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        # both ended in an OverflowError traceback (exit 1): the work bound's
+        # count was formatted as a float, and the grid ceiling 1.1 * m of a
+        # point mass overflowed as it was sized
+        (_normal_periods(1e300, 0.1, 2), _HUGE_COUNT),
+        (_normal_periods(1e300, 1.0, 2), _HUGE_COUNT),
+        (_normal_periods(1e300, 1e6, 2), _HUGE_COUNT),
+        (_normal_periods(1.7e308, 0.0, 1), "out of memory: the inventory grid"),
+        (_normal_periods(1.7e308, 0.0, 2), "out of memory: the inventory grid"),
+    ],
+    ids=["mean1e300-cv0.1", "mean1e300-cv1", "mean1e300-cv1e6", "mass1.7e308-T1",
+         "mass1.7e308-T2"],
+)
+def test_extreme_valid_demand_exits_3(tmp_path, capsys, doc, reason):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["solve", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert re.search(reason, captured.err), captured.err
+
+
+def test_policy_below_every_position_never_orders(tmp_path, capsys):
+    # s = S = -10**19 lies below int64 once shifted into the rollout's
+    # positions, and --simulate ended in an OverflowError traceback (exit 1);
+    # like s = S = -10**6 it never orders, so the two reports are equal
+    inst = tmp_path / "inst.json"
+    save_instance(rss_policy.gen_scalability(3, 1, seed=3)[0], inst)
+    policy = tmp_path / "policy.json"
+    for simulate in ([], ["--simulate", "100"]):
+        reports = []
+        for level in (-(10**19), -(10**6)):
+            policy.write_text(json.dumps({"reviews": [{"t": 1, "R": 3, "s": level, "S": level}]}))
+            assert cli_main(["evaluate", str(inst), "--policy", str(policy)] + simulate) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            reports.append(captured.out)
+        assert reports[0] == reports[1], simulate
+        assert json.loads(reports[0])["expected_cost"] == 3877.1547842457294
 
 
 def test_costs_that_overflow_exit_2(tmp_path, capsys):

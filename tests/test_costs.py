@@ -124,6 +124,35 @@ class TestStructure:
         x_range = ctx.grid.size + total_dmax
         assert eng.stored_states <= (ctx.instance.T + 1) ** 2 * x_range
 
+    def test_cycle_parts_is_the_one_sum_of_hp_and_tail(self, rng, monkeypatch):
+        # hp on the positions from lo, and its sum with the tail, bitwise; under
+        # full backlogging cycle_curve returns that very curve, from lo or
+        # from the grid floor
+        seen = []
+        parts = CycleCostEngine.cycle_parts
+
+        def recording(self, *args):
+            seen.append(parts(self, *args))
+            return seen[-1]
+
+        monkeypatch.setattr(CycleCostEngine, "cycle_parts", recording)
+        for _ in range(6):
+            ctx = SolveContext(random_desk_instance(rng, horizon=4))
+            eng, grid = ctx.engine, ctx.grid
+            t = int(rng.integers(1, 5))
+            r = int(rng.integers(1, 6 - t))
+            lo = int(rng.integers(grid.min_inv, 1))
+            hi = int(rng.integers(0, grid.max_inv + 1))
+            future = rng.uniform(0.0, 100.0, hi - lo + 1)
+            hp, curve = eng.cycle_parts(t, r, future, lo)
+            assert np.array_equal(hp, eng.cycle_hp_fn(t, r)(range(lo, hi + 1)))
+            assert np.array_equal(curve, hp + eng.tail(t, r, future))
+            assert eng.cycle_curve(t, r, future, lo) is seen[-1][1]
+            assert np.array_equal(seen[-1][1], curve)
+            whole = rng.uniform(0.0, 100.0, grid.size)
+            assert eng.cycle_curve(t, r, whole) is seen[-1][1]
+            assert seen[-1][0].shape == whole.shape
+
 
 def _all_cycles(T):
     return [(t, r) for t in range(1, T + 1) for r in range(1, T - t + 2)]
