@@ -4,8 +4,8 @@ stochastic lot-sizing problem with fixed review and ordering costs.
 Main entry points:
 
 * :func:`solve_kconvex` / :func:`solve_plain` -- the approximate-SDP
-  heuristic (accelerated and reference sweeps, identical output), and
-  :func:`solve_lost_sales` for partial backlogging (beta < 1);
+  heuristic (accelerated and reference sweeps, identical output); only
+  ``solve_plain``, also named :func:`solve_lost_sales`, takes beta < 1;
 * :func:`scarf_fixed_R` / :func:`enumerate_optimal` -- exact baseline for
   one review schedule, and over all of them by branch-and-bound within a
   node budget (full backlogging only);

@@ -24,13 +24,7 @@ from .evaluate import expected_cost, optimality_gap, simulate
 from .exact import DEFAULT_NODE_BUDGET, HorizonCapError, enumerate_optimal
 from .model import Instance
 from .serialize import SchemaError, load_instance, load_policy, policy_to_dict, save_instance
-from .solver import (
-    SolveContext,
-    extract_policy,
-    solve_kconvex,
-    solve_lost_sales,
-    solve_plain,
-)
+from .solver import SolveContext, extract_policy, solve_kconvex, solve_plain
 from .testbed import gen_analysis, gen_scalability
 
 EXIT_OK = 0
@@ -66,7 +60,7 @@ SUMMARY_COLUMNS = [
 _NON_OPTIMAL_GAP = 1e-8
 
 SOLVERS = ("plain", "kconvex", "exact", "lost_sales")
-_HEURISTICS = {"plain": solve_plain, "kconvex": solve_kconvex, "lost_sales": solve_lost_sales}
+_HEURISTICS = {"plain": solve_plain, "kconvex": solve_kconvex, "lost_sales": solve_plain}
 
 
 def _solve_with(name: str, instance: Instance, ctx: SolveContext, exact_budget: int):
@@ -330,14 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="node budget of the exact solver and the gap oracle")
     p_bench.add_argument("--skip-oracle", action="store_true",
                          help="do not run the exact oracle for gap columns")
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=int, default=0, help="scalability runs at horizon "
+                         "T the batch that `gen scalability --t T --seed SEED+T` writes")
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_gen = sub.add_parser("gen", help="write generated instance files")
     p_gen.add_argument("suite", choices=["scalability", "analysis"])
     p_gen.add_argument("--t", type=int, required=True)
     p_gen.add_argument("--n", type=int, default=100)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, default=0, help="scalability with --t T and "
+                       "--seed S+T writes what `benchmark scalability --seed S` runs at T")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
 

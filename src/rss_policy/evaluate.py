@@ -112,15 +112,15 @@ def simulate(
     no more than the floors, so the engine's one-period cost vector and
     table cover every closing inventory. A rollout too large for memory
     raises ``MemoryError`` (8 bytes a path, 8 (2T + 8) a path of a block,
-    the bucket tables and the largest one's build), and an overflowing
-    mean or half-width ``ValueError``.
-    ``n_paths`` and ``seed`` are integers, Python or numpy; floats and
-    booleans raise ``ValueError``.
+    the bucket tables and the largest one's build), and a path cost that
+    overflows float64 ``ValueError``; sums that overflow are taken scaled.
+    ``n_paths`` and ``seed`` are integers, Python or numpy, the seed at
+    least 0; floats, booleans and a negative seed raise ``ValueError``.
     """
     if not is_integer(n_paths) or n_paths < 1:
         raise ValueError(f"n_paths must be an integer of at least 1, not {n_paths!r}")
-    if not is_integer(seed):
-        raise ValueError(f"the seed must be an integer, not {seed!r}")
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"the seed must be an integer of at least 0, not {seed!r}")
     ctx = _context(instance, context)
     analytic = expected_cost(instance, policy, context=ctx)
     T, p, eng = instance.T, ctx.params, ctx.engine
@@ -153,6 +153,11 @@ def simulate(
             cost[start : start + b] = c
         mean = float(cost.mean())
         halfwidth = float(1.96 * cost.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+        scale = float(cost.max())  # costs are >= 0; inf or NaN if a path's cost is
+        if not (math.isfinite(mean) and math.isfinite(halfwidth)) and math.isfinite(scale):
+            cost /= scale  # only the sums overflow: take them on costs of at most 1
+            mean = scale * float(cost.mean())
+            halfwidth = scale * float(1.96 * cost.std(ddof=1) / math.sqrt(n_paths))
     if not (math.isfinite(mean) and math.isfinite(halfwidth)):
         raise ValueError(
             f"the Monte-Carlo mean is {mean} with half-width {halfwidth}: the costs overflow"

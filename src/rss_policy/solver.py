@@ -24,16 +24,16 @@ curve are array operations:
   of not ordering and ordering up to the best higher level (a suffix
   minimum), which is the exhaustive order-quantity search. It is the
   reference the threshold scan is checked against, and the two produce
-  identical results.
+  identical results under full backlogging.
 
-``solve_lost_sales`` is the plain sweep for any backlogged fraction
-beta. Below 1 a cycle's curve is one engine ``backlog_step`` per period,
-which owns the truncation and the floors (see ``costs``). Cycles (t, r)
-and (t - 1, r + 1) make the same steps over t..t+r-1, so the sweep keeps
-one level per next review and advances each by one step per period:
-T(T+1)/2 steps, not T(T+1)(T+2)/6, and each value one dot product, as
-in the engine's ``cycle_curve``. Without a holding/penalty part the
-bound below fails.
+The plain sweep decides every backlogged fraction beta, and
+``solve_lost_sales`` is the same function. Below 1 a cycle's curve is
+one engine ``backlog_step`` per period, which owns the truncation and
+the floors (see ``costs``). Cycles (t, r) and (t - 1, r + 1) make the
+same steps over t..t+r-1, so the sweep keeps one level per next review
+and advances each by one step per period: T(T+1)/2 steps, not
+T(T+1)(T+2)/6, and each value one dot product, as in the engine's
+``cycle_curve``. Without a holding/penalty part the bound below fails.
 
 Most candidate cycles cannot win, and under full backlogging the sweep
 skips them before building their tail convolution. Write hp(t, r) for
@@ -499,10 +499,10 @@ def _context(
     instance: Instance, context: Optional[SolveContext], *, full_backlog: bool = False
 ) -> SolveContext:
     """The context of a solver or evaluator call: the given one, checked
-    against the instance, or a new one. Callers that only handle full
-    backlogging refuse instances with beta < 1 first."""
+    against the instance, or a new one. Callers whose decision or pricing
+    assumes full backlogging refuse instances with beta < 1 first."""
     if full_backlog and instance.beta < 1.0:
-        raise ValueError("partial backlogging requires solve_lost_sales")
+        raise ValueError("partial backlogging requires solve_plain (--solver plain)")
     if context is None:
         return SolveContext(instance)
     if context.instance is not instance and context.instance != instance:
@@ -511,28 +511,25 @@ def _context(
 
 
 def solve_plain(instance: Instance, *, context: Optional[SolveContext] = None) -> ValueTables:
-    """Reference sweep: full order-quantity search at every state."""
-    ctx = _context(instance, context, full_backlog=True)
-    return _sweep(ctx, _plain_table)
+    """Reference sweep: full order-quantity search at every state, for any
+    backlogged fraction (0 <= beta <= 1).
+
+    For beta < 1 the sweep chains the levels of the module docstring. The
+    no-order cost curve is then not guaranteed K-convex, so the published
+    reorder level is the threshold of the descending scan and may only
+    approximate a non-interval ordering region.
+    """
+    return _sweep(_context(instance, context), _plain_table)
+
+
+solve_lost_sales = solve_plain  # the same sweep, under its partial-backlog name
 
 
 def solve_kconvex(instance: Instance, *, context: Optional[SolveContext] = None) -> ValueTables:
-    """Accelerated sweep using the K-convexity threshold scan. Produces
-    the same tables and policy as ``solve_plain``."""
+    """Accelerated sweep using the K-convexity threshold scan; beta < 1
+    raises ``ValueError``. Produces the same tables and policy as ``solve_plain``."""
     ctx = _context(instance, context, full_backlog=True)
     return _sweep(ctx, _kconvex_table)
-
-
-def solve_lost_sales(instance: Instance, *, context: Optional[SolveContext] = None) -> ValueTables:
-    """Plain sweep under partial backlogging (0 <= beta <= 1).
-
-    With beta = 1 the tables and policy are exactly those of
-    ``solve_plain``; for beta < 1 the sweep chains the levels of the
-    module docstring. The no-order cost curve is then not guaranteed
-    K-convex, so the published reorder level is the threshold of the
-    descending scan and may only approximate a non-interval ordering region.
-    """
-    return _sweep(_context(instance, context), _plain_table)
 
 
 # ----------------------------------------------------------------------

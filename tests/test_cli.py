@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import rss_policy
-from rss_policy import cli, evaluate, instance_to_dict, save_instance
+from rss_policy import cli, evaluate, instance_to_dict, load_instance, save_instance
 from rss_policy.cli import main as cli_main
 from conftest import (
     deterministic_instance,
@@ -161,15 +161,48 @@ def test_costs_that_overflow_exit_2(tmp_path, capsys):
     evaluate = ["evaluate", str(paths[1e308]), "--policy", str(policy)]
     refused(evaluate, "the costs overflow")
     refused(evaluate + ["--simulate", "1000"], "the costs overflow")
-    # costs that fit float64 whose sums do not: the root cost at I0 = 1000,
-    # and the Monte-Carlo mean of 1000 paths that cost about 3.5e307 each
+    # costs that fit float64 whose sums do not: the root cost at I0 = 1000
+    # is refused, and the Monte-Carlo mean of 1000 paths that cost about
+    # 3.5e307 each, refused too until it was taken on the scaled costs, is not
     high = tmp_path / "high.json"
     save_instance(overflow_instance(1e307, I0=1000), high)
     refused(["solve", str(high)], "the costs overflow")
-    refused(
-        ["evaluate", str(paths[1e307]), "--policy", str(policy), "--simulate", "1000"],
-        "the costs overflow",
+    argv = ["evaluate", str(paths[1e307]), "--policy", str(policy), "--simulate", "1000"]
+    assert cli_main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert abs(report["mc_mean"] - report["expected_cost"]) <= 3 * report["mc_halfwidth_95"]
+
+
+def test_negative_simulation_seed_exits_2(tmp_path, capsys):
+    # numpy refused it after pricing, as "expected non-negative integer"
+    inst = tmp_path / "inst.json"
+    save_instance(deterministic_instance([4, 0, 7], K=30.0, W=5.0), inst)
+    assert cli_main(["solve", str(inst)]) == 0
+    policy = tmp_path / "policy.json"
+    policy.write_text(capsys.readouterr().out)
+    argv = ["evaluate", str(inst), "--policy", str(policy), "--simulate", "10", "--seed", "-1"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == "error: the seed must be an integer of at least 0, not -1\n"
+
+
+def test_benchmark_runs_at_T_what_gen_writes_at_seed_plus_T(tmp_path, monkeypatch, capsys):
+    # gen scalability seeds its batch with --seed, and benchmark scalability
+    # seeds horizon T's batch with --seed + T, under the same labels
+    ran = []
+    monkeypatch.setattr(cli, "_benchmark_instance", lambda inst, *a, **k: ran.append(inst) or [])
+    argv = ["benchmark", "scalability", "--t-min", "3", "--t-max", "4", "--n", "2", "--seed", "5"]
+    assert cli_main(argv + ["--skip-oracle", "--out", str(tmp_path / "bench")]) == 0
+    for T in (3, 4):
+        for seed, out in ((5, "same"), (5 + T, "shifted")):
+            argv = ["gen", "scalability", "--t", str(T), "--n", "2", "--seed", str(seed)]
+            assert cli_main(argv + ["--out", str(tmp_path / out)]) == 0
+    capsys.readouterr()
+    shifted, same = (
+        [load_instance(p) for p in sorted((tmp_path / out).glob("*.json"))]
+        for out in ("shifted", "same")
     )
+    assert [inst.label for inst in ran] == [inst.label for inst in same]
+    assert ran == shifted and all(a != b for a, b in zip(ran, same))
 
 
 def test_costs_that_overflow_print_no_numpy_warnings(tmp_path):

@@ -26,7 +26,7 @@ from rss_policy import (
     solve_kconvex,
     solve_lost_sales,
 )
-from rss_policy import demand
+from rss_policy import demand, evaluate
 from rss_policy.cli import main as cli_main
 from rss_policy.evaluate import _BLOCK
 from conftest import (
@@ -94,15 +94,41 @@ class TestExpectedCost:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fits = overflow_instance(1e307)
-            assert math.isfinite(expected_cost(fits, policy, context=SolveContext(fits)))
-            with pytest.raises(ValueError, match="Monte-Carlo mean is inf .*: the costs overflow"):
-                simulate(fits, policy, n_paths=10, seed=0)
+            analytic = expected_cost(fits, policy, context=SolveContext(fits))
+            assert math.isfinite(analytic)
+            # every path cost fits float64 and their sum does not: the mean
+            # was refused as inf from 2 paths on, and is taken scaled now
+            report = simulate(fits, policy, n_paths=10, seed=0)
+            assert abs(report.mc_mean - analytic) <= 3 * report.mc_halfwidth_95
             inst = overflow_instance(1e308)
             with pytest.raises(ValueError, match="expected cost is inf: the costs overflow"):
                 expected_cost(inst, policy)
             monkeypatch.setattr(DemandPmf, "sampler", _no_rollout)
             with pytest.raises(ValueError, match="the costs overflow"):
                 simulate(inst, policy, n_paths=10, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_a_path_cost_that_overflows(self, monkeypatch):
+        # at the largest demand (19) each period costs 14 * 1.2e307, which
+        # fits float64, and the path's two periods together do not
+        inst = overflow_instance(1.2e307)
+        policy = _policy(2, (1, 1, 5, 5), (2, 1, 5, 5))
+        largest = [SolveContext(inst).demand.period(t).max_value for t in (1, 2)]
+        assert largest == [19, 19]
+        assert math.isfinite(expected_cost(inst, policy))
+        monkeypatch.setattr(DemandPmf, "sampler", lambda pmf: lambda u: np.full(u.shape, pmf.max_value))
+        with pytest.raises(ValueError, match="Monte-Carlo mean is inf .*: the costs overflow"):
+            simulate(inst, policy, n_paths=10, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_sums_that_overflow_are_taken_scaled(self):
+        # the half-width of paths costing about 3.5e200 squared their
+        # deviations past float64 and was refused as inf, from 2 paths on
+        policy = _policy(2, (1, 1, 5, 5), (2, 1, 5, 5))
+        low, high = (simulate(overflow_instance(hb), policy, 1000, seed=0) for hb in (1e100, 1e200))
+        assert high.mc_mean / 1e200 == pytest.approx(low.mc_mean / 1e100, rel=1e-12)
+        assert high.mc_halfwidth_95 / 1e200 == pytest.approx(low.mc_halfwidth_95 / 1e100, rel=1e-12)
+        assert abs(high.mc_mean - high.expected_cost) <= 3 * high.mc_halfwidth_95
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_partial_backlog_matches_solver_and_simulation(self, beta):
@@ -279,6 +305,16 @@ class TestSimulate:
         policy = extract_policy(solve_kconvex(inst), inst)
         with pytest.raises(ValueError, match="must be an integer"):
             simulate(inst, policy, n_paths=n_paths, seed=seed)
+
+    def test_refuses_a_negative_seed_before_pricing(self, rng, monkeypatch):
+        # numpy's default_rng raised "expected non-negative integer" after
+        # the policy was priced and the rollout's memory checked
+        inst = random_desk_instance(rng, horizon=2)
+        policy = extract_policy(solve_kconvex(inst), inst)
+        monkeypatch.setattr(evaluate, "expected_cost", _no_rollout)
+        for seed in (-1, np.int64(-7)):
+            with pytest.raises(ValueError, match="the seed must be an integer of at least 0"):
+                simulate(inst, policy, n_paths=10, seed=seed)
 
     def test_accepts_numpy_integers(self, rng):
         inst = random_desk_instance(rng, horizon=2)

@@ -4,6 +4,7 @@ partial lost sales."""
 import csv
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -664,11 +665,40 @@ class TestLostSales:
         # half is backlogged, period 2 closes at -5 (penalty 5).
         assert tables.value(1, 0) == pytest.approx(15.0)
 
+    def test_one_exhaustive_sweep_for_every_beta(self):
+        # solve_plain refused beta < 1 and sent callers to solve_lost_sales,
+        # whose body was the same sweep
+        assert solve_lost_sales is solve_plain
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_cli_plain_prints_lost_sales(self, beta, tmp_path, capsys):
+        # --solver plain exited 2 where --solver lost_sales printed the policy
+        path = tmp_path / "inst.json"
+        save_instance(dataclasses.replace(gen_scalability(4, 1, seed=4)[0], beta=beta), path)
+        printed = []
+        for solver in ("plain", "lost_sales"):
+            assert cli_main(["solve", str(path), "--solver", solver]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and printed[0]
+
+    def test_full_backlog_methods_name_solve_plain(self, rng, tmp_path, capsys):
+        base = random_desk_instance(rng, horizon=2)
+        partial = Instance(T=2, params=base.params, I0=0, demand=base.demand, beta=0.5)
+        refusal = "partial backlogging requires solve_plain (--solver plain)"
+        for solve in (solve_kconvex, enumerate_optimal):
+            with pytest.raises(ValueError, match=re.escape(refusal)):
+                solve(partial)
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            scarf_fixed_R(partial, ReviewSchedule((1,)))
+        path = tmp_path / "inst.json"
+        save_instance(partial, path)
+        for solver in ("kconvex", "exact"):
+            assert cli_main(["solve", str(path), "--solver", solver]) == 2
+            assert capsys.readouterr().err == f"error: {refusal}\n"
+
     def test_rejects_mismatched_variant(self, rng):
         base = random_desk_instance(rng, horizon=2)
         partial = Instance(T=2, params=base.params, I0=0, demand=base.demand, beta=0.5)
-        with pytest.raises(ValueError):
-            solve_plain(partial)
         with pytest.raises(ValueError):
             solve_kconvex(partial)
         # the exact solver ignored beta and returned the full-backlog optimum
@@ -686,7 +716,7 @@ class TestLostSales:
         base = random_desk_instance(rng, horizon=2)
         path = tmp_path / "inst.json"
         save_instance(Instance(T=2, params=base.params, I0=0, demand=base.demand, beta=0.0), path)
-        for solver in ("exact", "plain", "kconvex"):
+        for solver in ("exact", "kconvex"):
             assert cli_main(["solve", str(path), "--solver", solver]) == 2
             assert "partial backlogging" in capsys.readouterr().err
         assert cli_main(["solve", str(path), "--solver", "lost_sales"]) == 0
