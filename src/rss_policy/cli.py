@@ -217,6 +217,9 @@ def cmd_benchmark(args: argparse.Namespace) -> None:
     unknown = sorted(set(solvers) - set(SOLVERS))
     if unknown:
         raise SchemaError(f"unknown solvers {unknown}; expected some of {list(SOLVERS)}")
+    repeated = sorted({s for s in solvers if solvers.count(s) > 1})
+    if repeated:
+        raise SchemaError(f"--solvers names {repeated} more than once")
     horizons = list(range(args.t_min, args.t_max + 1))
     instances: list[Instance] = []
     for T in horizons:
@@ -314,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--t-min", type=int, required=True)
     p_bench.add_argument("--t-max", type=int, required=True)
     p_bench.add_argument("--out", required=True)
-    p_bench.add_argument("--solvers", default="plain,kconvex")
+    p_bench.add_argument("--solvers", default="plain,kconvex",
+                         help="comma-separated solver names, each at most once")
     p_bench.add_argument("--n", type=int, default=100,
                          help="instances per horizon (scalability suite)")
     p_bench.add_argument("--reps", type=int, default=1,

@@ -217,14 +217,17 @@ class CycleCostEngine:
 
         return read
 
-    def tail(self, t: int, r: int, future: np.ndarray) -> np.ndarray:
+    def tail(self, t: int, r: int, future: np.ndarray, start: int = 0) -> np.ndarray:
         """Expected cost-to-go ``future`` at the next review of a cycle of r
         periods at period t, over the post-order positions ``future`` spans
-        (the grid or a window of it): ``future`` padded with its floor
-        value and convolved with the cycle's cumulative-demand pmf."""
+        (the grid or a window of it) from its index ``start`` on: ``future``
+        padded with its floor value and convolved with the cycle's
+        cumulative-demand pmf. Each value is the same dot product whatever
+        ``start``, so a piece from ``start`` is the whole tail's there."""
         cum = self._demand.cumulative(t, t + r)
-        padded = np.concatenate((np.full(cum.max_value, future[0]), future))
-        return np.convolve(padded, cum.probs, "valid")[: future.shape[0]]
+        pad = max(cum.max_value - start, 0)  # the padded future, cut at start
+        padded = np.concatenate((np.full(pad, future[0]), future[start + pad - cum.max_value :]))
+        return np.convolve(padded, cum.probs, "valid")[: future.shape[0] - start]
 
     def cycle_parts(
         self, t: int, r: int, future: np.ndarray, lo: int

@@ -105,8 +105,10 @@ convolution reads the window's floor value:
 
 Both tables of an inherited bound are then constant on [g, f], so c on
 the window is c on the grid. On a failed check the search starts over
-on ``_certify``'s wider window [max(g, 2f - 1), G], as the sweep does,
-and ``window_widenings`` counts the restarts. Every window value is
+on ``_certify``'s wider window [max(g, 2f - 1), G], and
+``window_widenings`` counts the restarts. These are rare (none on the
+T = 10 factorial cells), so the search keeps the restart where the
+sweep extends its tables (see ``solver``, Extension). Every window value is
 computed by the grid's arithmetic on the same values (see ``solver``,
 Exactness), so until a check fails a pass makes the full-grid search's
 prune decisions in its order. The costs, schedules, policies and node

@@ -69,10 +69,12 @@ the engine grows as the reads need (see ``costs``). The window starts
 at plus and minus the largest period-demand support, widened to hold
 I0, and every candidate the sweep builds checks a certificate that its
 window decision is the grid's. When one fails, the failing end of the
-window about doubles and the sweep starts over on it, so the tables come
-from one pass on one window that certified every candidate. A window end
-at the grid's needs no check, so the window equal to the grid is the
-full-grid sweep.
+window about doubles, the sweep extends every table it has decided to
+the wider window (see Extension) and decides the failing period again
+there. It never returns to a later period, yet its tables are those of
+one pass on the final window, every candidate of which is certified. A
+window end at the grid's needs no check, so the window equal to the grid
+is the full-grid sweep.
 
 Certificate. For a candidate with holding/penalty hp, next table F,
 curve v = hp + E[F(max(y - D, f))] on [f, c], order-up-to level b and
@@ -119,6 +121,34 @@ flat ordering value; the plain table is W + K plus the minimum of v over
 (f, G], attained in the window. Either way the grid's table is constant
 on [g, f] and equals the window's at f, which carries the induction.
 
+Extension. A table certified on [f, c], with winning cycle r and next
+table F at t + r, is the grid's on any wider window [f', c'] too, and
+is built there from its own values and the new positions alone:
+
+* on [f', f) it is its floor value: by the floor condition the grid's
+  table is constant on [g, f] (a floor at g never widens);
+* on (c, c'] it is W + v(x), with v(x) = hp(x) + E[F(max(x - D, f'))]:
+  the ceiling condition makes hp nondecreasing on [m, G], so by 3 no
+  level x >= m is a stop of the grid's kconvex table, and a plain level
+  there takes W + v(x) (see Ceiling); F is the grid's on [f', c'],
+  being extended first, since the sweep extends from T + 1 down.
+
+Below c nothing changes: a position there reads F below c only, where
+the extension keeps F's values and repeats its floor value, which the
+floor padding read before. Each new value above c is the dot product
+that a tail convolution over the whole wider window makes there
+(``tail`` from an index), so the extended tables are bitwise a pass's on
+the wider window. And that pass decides the periods already decided as
+the sweep did: a certificate that holds on a window holds on every
+wider one, since hp is convex (it rises at every c' >= c once it rises
+at c, and hp(c') >= hp(c), hp(f') >= hp(f)) while min F, min v and v(b)
+are the grid's, and the prune decides on the grid's values whatever the
+window (see Prune). So the sweep, continuing at the failing period, is
+that pass. Its counters are that pass's too: a widening drops the prunes
+and scans of the period it interrupts, adds the ceiling's growth to
+each kconvex scan already made, which stops at or above the old floor
+(the floor is a stop), and counts each plain scan on the wider window.
+
 Prune. The bound needs min hp over the grid, which is its minimum over
 [f, G] since hp does not increase below f. The sweep reads hp on [f, c].
 If hp rises at c, then by 1 it is nondecreasing on [c - 1, G] and the
@@ -128,8 +158,10 @@ about doubling towards G as after a failed certificate, until hp rises
 at the top of the read or the read ends at G; that read attains the
 minimum. The bound's min F the window attains (levels above c cost
 more, levels below f the same), so the sweep skips, builds and compares
-the grid's candidates. A candidate built after an upward read fails
-its ceiling condition, and the sweep starts over on a wider window.
+the grid's candidates, whatever its window. A candidate built after an
+upward read fails its ceiling condition, and the sweep widens the
+window; the periods already decided keep their prunes, which a pass on
+the wider window would make too, and only their tables are extended.
 
 Exactness. Each window level is computed by the grid's own arithmetic
 on the same values: one dot product of the same pmf with the same
@@ -206,11 +238,12 @@ def build_grid(instance: Instance, demand: CumulativeDemandCache) -> InventoryGr
 class SolveStats:
     """Work counters, summed over the cycles a solve decides.
 
-    The counters are those of the pass that made the tables, on their
-    window (the grid for beta < 1), plus ``window_widenings``: the
-    passes a failed certificate started over on a wider window are not
-    counted. Only the candidate cycles the sweep scans are counted in
-    ``states_evaluated`` and ``q_iterations``.
+    The counters are those of one pass on the window the tables were
+    decided on (the grid for beta < 1), plus ``window_widenings``: a
+    failed certificate's period is counted on the wider window only, and
+    the scans made before it are counted as on that window (see the
+    module docstring, Extension). Only the candidate cycles the sweep
+    scans are counted in ``states_evaluated`` and ``q_iterations``.
     ``states_evaluated`` is the depth of the threshold scan for kconvex:
     the levels from the window ceiling down to and including the stop
     level, or the whole window when there is no stop. The exhaustive
@@ -220,7 +253,8 @@ class SolveStats:
     and 0 for kconvex. ``candidates_pruned`` is the number of candidate
     cycles the sweep skipped by its bound, without a tail convolution or
     a scan; it is the full-grid sweep's. ``window_widenings`` counts the
-    times a failed certificate started the sweep over on a wider window.
+    failed certificates that widened the window: the sweep extends its
+    tables to it, and the exact search starts over on it.
     """
 
     states_evaluated: int = 0
@@ -403,6 +437,31 @@ def _certify(
     return None if (lo, hi) == (window.min_inv, window.max_inv) else InventoryGrid(lo, hi)
 
 
+def _extend(
+    ctx: SolveContext,
+    cost_to_go: dict[int, np.ndarray],
+    reviews: dict[int, PolicyReview],
+    old: InventoryGrid,
+    new: InventoryGrid,
+) -> None:
+    """Extend the certified tables from the window ``old`` to the wider
+    ``new``, the terminal table and each decided period's from T down (see
+    the module docstring, Extension): below the old floor a table takes
+    its floor value, and above the old ceiling W + hp + ``tail`` of its
+    winning cycle, the tail convolved over the new positions only."""
+    T, W = ctx.instance.T, ctx.params.W
+    cost_to_go[T + 1] = np.zeros(new.size)
+    top = old.max_inv + 1  # the first position above the old window
+    for u, review in reviews.items():  # decided from T down
+        table, r = cost_to_go[u], review.cycle
+        pieces = [np.full(old.min_inv - new.min_inv, table[0]), table]
+        if top <= new.max_inv:
+            hp = ctx.engine.cycle_hp_fn(u, r)(range(top, new.max_inv + 1))
+            tail = ctx.engine.tail(u, r, cost_to_go[u + r], top - new.min_inv)
+            pieces.append(W + (hp + tail))
+        cost_to_go[u] = np.concatenate(pieces)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite cost is refused below
 def _sweep(
     ctx: SolveContext,
@@ -430,14 +489,15 @@ def _sweep(
     bound of the module docstring, a candidate that cannot beat the best
     so far is skipped, and once its holding/penalty alone cannot, the
     remaining candidates are dropped; neither gets a tail convolution.
-    Every other candidate is certified, and when a certificate fails the
-    sweep starts over on the wider window and returns that pass, with one
-    more widening. With beta < 1 the window is the grid (another given
-    window raises ``ValueError``) and every candidate is decided, cut
-    from the level of its next review e: period t adds e = t + 1's table
-    as a level and advances each by one engine ``backlog_step``. The
-    levels need the default lengths and depend on the tables, so the
-    engine never keeps them.
+    Every other candidate is certified. When a certificate fails, the
+    tables decided so far are extended to the wider window (``_extend``)
+    and the failing period is decided again on it, so the sweep never
+    returns to a later period. With beta < 1 the window is the grid
+    (another given window raises ``ValueError``) and every candidate is
+    decided, cut from the level of its next review e: period t adds
+    e = t + 1's table as a level and advances each by one engine
+    ``backlog_step``. The levels need the default lengths and depend on
+    the tables, so the engine never keeps them.
     """
     T, K = ctx.instance.T, ctx.params.K
     prune = ctx.instance.beta == 1.0
@@ -447,7 +507,8 @@ def _sweep(
         window = ctx.grid
     elif window is None:
         window = _initial_window(ctx)
-    stats = SolveStats()
+    stats = SolveStats()  # the decided periods' counters, and the widenings
+    scanned = 0  # candidates the decided periods scanned
     cost_to_go: dict[int, np.ndarray] = {T + 1: np.zeros(window.size)}
     reviews: dict[int, PolicyReview] = {}
     levels: dict[int, np.ndarray] = {}  # beta < 1: next review -> level at t
@@ -456,39 +517,58 @@ def _sweep(
             levels[t + 1] = cost_to_go[t + 1]
             levels = {e: ctx.engine.backlog_step(t, w) for e, w in levels.items()}
         candidates = list(range(1, T - t + 2) if lengths is None else lengths(t))
-        best: Optional[_CycleResult] = None
-        best_n = math.inf
-        for k, r in enumerate(candidates):
-            future = cost_to_go[t + r]
-            if not prune:
-                curve = levels[t + r][-window.size :]
-            else:
-                hp_fn, top = ctx.engine.cycle_hp_fn(t, r), window.max_inv
-                hp = hp_fn(range(window.min_inv, top + 1))
-                while top < ctx.grid.max_inv and hp[-1] < hp[-2]:  # min hp may lie above
-                    top = min(ctx.grid.max_inv, 2 * top + 1)
+        while True:  # once per window period t is decided on
+            here, scans = SolveStats(), 0  # period t's counters on this window
+            best: Optional[_CycleResult] = None
+            best_n, wider = math.inf, None
+            for k, r in enumerate(candidates):
+                future = cost_to_go[t + r]
+                if not prune:
+                    curve = levels[t + r][-window.size :]
+                else:
+                    hp_fn, top = ctx.engine.cycle_hp_fn(t, r), window.max_inv
                     hp = hp_fn(range(window.min_inv, top + 1))
-                hp_min = float(hp.min())
-                if _exceeds(hp_min, best_n):  # hp alone loses; so does every longer cycle's
-                    stats.candidates_pruned += len(candidates) - k
-                    break
-                future_min = float(future.min())
-                if _exceeds(hp_min + future_min, best_n):
-                    stats.candidates_pruned += 1
-                    continue
-                curve = hp[: window.size] + ctx.engine.tail(t, r, future)
-            res = table_fn(ctx, curve, stats)
-            wider = _certify(ctx, window, hp, future_min, curve, res.best_n + K) if prune else None
-            if wider is not None:
-                tables = _sweep(ctx, table_fn, lengths, wider)
-                tables.stats.window_widenings += 1
-                return tables
-            if res.best_n < best_n:
-                best, best_r, best_n = res, r, res.best_n
+                    while top < ctx.grid.max_inv and hp[-1] < hp[-2]:  # min hp may lie above
+                        top = min(ctx.grid.max_inv, 2 * top + 1)
+                        hp = hp_fn(range(window.min_inv, top + 1))
+                    hp_min = float(hp.min())
+                    if _exceeds(hp_min, best_n):  # hp alone loses; so does every longer cycle's
+                        here.candidates_pruned += len(candidates) - k
+                        break
+                    future_min = float(future.min())
+                    if _exceeds(hp_min + future_min, best_n):
+                        here.candidates_pruned += 1
+                        continue
+                    curve = hp[: window.size] + ctx.engine.tail(t, r, future)
+                res, scans = table_fn(ctx, curve, here), scans + 1
+                if prune:
+                    wider = _certify(ctx, window, hp, future_min, curve, res.best_n + K)
+                    if wider is not None:
+                        break
+                if res.best_n < best_n:
+                    best, best_r, best_n = res, r, res.best_n
+            if wider is None:
+                break
+            # the decided periods' tables and scans as on the wider window: a
+            # certified kconvex scan stops at or above the old floor, so it
+            # grows by the ceiling's growth; a plain scan spans the window
+            if table_fn is _plain_table:
+                grow = wider.size * (wider.size + 1) // 2 - window.size * (window.size + 1) // 2
+                stats.states_evaluated += scanned * (wider.size - window.size)
+                stats.q_iterations += scanned * grow
+            else:
+                stats.states_evaluated += scanned * (wider.max_inv - window.max_inv)
+            stats.window_widenings += 1
+            _extend(ctx, cost_to_go, reviews, window, wider)
+            window = wider
+        stats.states_evaluated += here.states_evaluated
+        stats.q_iterations += here.q_iterations
+        stats.candidates_pruned += here.candidates_pruned
         if best is None:
             if candidates:  # every candidate costs inf or NaN
                 raise ValueError(f"no cycle at period {t} has a finite cost: the costs overflow")
             continue
+        scanned += scans
         cost_to_go[t] = best.table
         lo = window.min_inv  # the curve indices as inventory levels
         reviews[t] = PolicyReview(t, best_r, lo + best.stop + 1, lo + best.best)

@@ -286,6 +286,9 @@ _BENCH = ["benchmark", "scalability", "--t-min", "2", "--t-max", "2", "--n", "1"
           "--skip-oracle"]
 _REFUSED_CAMPAIGNS = {
     "unknown-solver": _BENCH + ["--solvers", "kconvex,foo"],
+    # a repeated name solved twice, wrote two identical report rows and took
+    # its times file's median over the doubled sample
+    "repeated-solver": _BENCH + ["--solvers", "kconvex, plain,kconvex"],
     "no-solver": _BENCH + ["--solvers", " , "],
     "empty-solvers": _BENCH + ["--solvers", ""],
     "no-analysis-horizon": ["benchmark", "analysis", "--t-min", "5", "--t-max", "8"],
@@ -309,6 +312,9 @@ def test_campaign_refuses_before_writing(tmp_path, capsys, case):
 def test_campaign_writes_report(tmp_path):
     out = tmp_path / "out"
     assert cli_main(_BENCH + ["--solvers", "kconvex, plain", "--out", str(out)]) == 0
+    assert (out / "report.csv").read_text().count("\n") == 3
+    # two names of one sweep are two solvers, not a repeated one
+    assert cli_main(_BENCH + ["--solvers", "plain,lost_sales", "--out", str(out)]) == 0
     assert (out / "report.csv").read_text().count("\n") == 3
     assert cli_main(["gen", "scalability", "--t", "2", "--n", "2", "--out", str(out)]) == 0
     assert len(list(out.glob("scal-T2-*.json"))) == 2

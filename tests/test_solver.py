@@ -34,6 +34,7 @@ from rss_policy.solver import (
     QUANTILE_EPS,
     InventoryGrid,
     SolveStats,
+    _initial_window,
     _kconvex_table,
     _plain_table,
     _sweep,
@@ -463,17 +464,27 @@ class TestWindow:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_counters_are_one_pass_on_the_returned_window(self, seed):
-        # a failed certificate starts the sweep over on the wider window, so
-        # the tables and every counter but the widenings are those of the
-        # sweep on the returned window, which widens no more
+        # a failed certificate extends the tables decided so far to the wider
+        # window, so the tables and every counter but the widenings are those
+        # of the sweep on the returned window, which widens no more; also
+        # with a fixed schedule's lengths, which leave periods undecided
         rng = np.random.default_rng(100 + seed)
+        gaps = np.random.default_rng(seed)  # the schedules, apart from the instances
         widened = 0
+        grew_floor = grew_ceiling = False
         for _ in range(5):
             ctx = SolveContext(random_desk_instance(rng, mean_range=(10.0, 30.0)))
-            for table_fn in (_kconvex_table, _plain_table):
-                for start in (None, _tiny_window(ctx)):
-                    tables = _sweep(ctx, table_fn, window=start)
-                    again = _sweep(ctx, table_fn, window=tables.grid)
+            T = ctx.instance.T
+            later = gaps.random(T - 1) < 0.5
+            schedule = ReviewSchedule((1,) + tuple(int(u) for u in np.flatnonzero(later) + 2))
+            cycles = dict(zip(schedule.periods, schedule.cycles(T)))
+            scheduled = lambda t: (cycles[t],) if t in cycles else ()
+            tiny = _tiny_window(ctx)
+            for table_fn, lengths in ((_kconvex_table, None), (_plain_table, None),
+                                      (_kconvex_table, scheduled)):
+                for start in (None, tiny):
+                    tables = _sweep(ctx, table_fn, lengths, start)
+                    again = _sweep(ctx, table_fn, lengths, tables.grid)
                     assert again.stats.window_widenings == 0
                     assert tables.cost_to_go.keys() == again.cost_to_go.keys()
                     for t, table in tables.cost_to_go.items():
@@ -481,7 +492,30 @@ class TestWindow:
                     assert tables.reviews == again.reviews
                     assert dataclasses.replace(tables.stats, window_widenings=0) == again.stats
                     widened += tables.stats.window_widenings
+                    if lengths is not None:
+                        first = start or _initial_window(ctx)
+                        grew_floor |= tables.grid.min_inv < first.min_inv
+                        grew_ceiling |= tables.grid.max_inv > first.max_inv
         assert widened > 0
+        assert grew_floor and grew_ceiling
+
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_a_widening_never_sends_the_sweep_back_up(self, tiny):
+        # a failed certificate started the sweep over at period T, deciding
+        # every later period again; now each period is asked for once, from
+        # T down, however often the window widens
+        inst = gen_scalability(35, 1, seed=35)[0]
+        ctx = SolveContext(inst)
+        asked = []
+
+        def lengths(t):
+            asked.append(t)
+            return range(1, inst.T - t + 2)
+
+        tables = _sweep(ctx, _kconvex_table, lengths, _tiny_window(ctx) if tiny else None)
+        assert tables.stats.window_widenings >= 2
+        assert asked == list(range(inst.T, 0, -1))
+        assert tables.reviews == _sweep(ctx, _kconvex_table, window=tables.grid).reviews
 
     @pytest.mark.parametrize("means, tiny", [((20, 20), True), ((8, 8, 8), False)])
     def test_prune_reads_hp_up_past_a_falling_ceiling(self, means, tiny):
