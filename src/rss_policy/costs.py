@@ -37,6 +37,17 @@ same dot product as in one convolution over the whole span, and
 joined: every value is computed once and has the same bits whatever
 the order of the reads.
 
+Lifetime. A curve is memoised until a sweep releases it (``release``).
+Having decided period t under full backlogging, the sweep drops the
+curves of the periods beyond t + reach, reach the longest cycle read so
+far, but keeps each decided period's winning cycle. A cycle of at most
+reach periods at a period below t ends before t + reach, and the winning
+cycles are read again to extend the tables and to price the policy. A
+released curve that is read again is built again with the same bits, so
+what the engine holds moves its work, never a result. Kept for every
+period and length, the curves grow about as T^3, since a curve at
+period u spans the largest demands of periods 1..u-1 below the window.
+
 Under full backlogging a cycle curve is hp(t, r) plus one ``tail``
 convolution of ``future`` with the pmf of the cycle's cumulative demand;
 the hp curves assume it. With a backlogged fraction beta < 1 a cycle is
@@ -53,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -90,7 +101,8 @@ class CycleCostEngine:
     """Cycle curves of one instance, with memoised holding/penalty curves.
 
     Each curve is memoised over one span of post-order positions, grown
-    by the reads (``cycle_hp_fn``). The engine owns the states below the
+    by the reads (``cycle_hp_fn``), until a sweep releases it (``release``;
+    module docstring, Lifetime). The engine owns the states below the
     grid: the floors, and over [min_u(floor_u - dmax_u), high] each closing
     inventory's one-period cost and next state, which ``simulate`` reads
     too; building them peaks at five 8-byte arrays, 40 bytes a position.
@@ -128,8 +140,11 @@ class CycleCostEngine:
         with np.errstate(over="ignore"):  # an overflowing cost is refused where it is read
             self._one_period = params.h * np.maximum(xs, 0.0) + params.b * np.maximum(-xs, 0.0)
         self._next = _truncate(xs, beta) - self._base
-        # (t, r) -> (first position, hp(t, r) from there on)
-        self._curves: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+        # _curves[t][r] = (first position, hp(t, r) from there on)
+        self._curves: list[dict[int, tuple[int, np.ndarray]]] = [
+            {} for _ in range(demand.horizon + 1)
+        ]
+        self._reach = 0  # the longest cycle read so far
 
     def _cover(self, t: int, r: int, lo: int, hi: int) -> tuple[int, np.ndarray]:
         """hp(t, r) grown to span at least [lo + floor_t - low, hi], with its
@@ -144,13 +159,13 @@ class CycleCostEngine:
         lacking = []
         for u in range(t, t + r):
             a = lo + self._floors[u - 1] - self._lo
-            first, curve = self._curves.get((u, t + r - u), (a, _EMPTY))
+            first, curve = self._curves[u].get(t + r - u, (a, _EMPTY))
             if first <= a and hi < first + curve.shape[0]:
                 break
             lacking.append((u, a))
         for u, a in reversed(lacking):
             self._grow(u, t + r - u, a, hi)
-        return self._curves[(t, r)]
+        return self._curves[t][r]
 
     def _grow(self, u: int, k: int, a: int, b: int) -> None:
         """Extend hp(u, k) to its span joined with [a, b]: the positions below
@@ -163,17 +178,17 @@ class CycleCostEngine:
                 return _EMPTY
             if k == 1:
                 return self.step(u, lo, hi, 0.0)
-            start, nxt = self._curves[(u + 1, k - 1)]
+            start, nxt = self._curves[u + 1][k - 1]
             closing = nxt[lo - pmf.max_value - start : hi - pmf.offset - start + 1]
             return self.step(u, lo, hi, closing)
 
-        first, old = self._curves.get((u, k), (a, _EMPTY))
+        first, old = self._curves[u].get(k, (a, _EMPTY))
         a, b = min(a, first), max(b, first + old.shape[0] - 1)
         pieces = (piece(a, first - 1), old, piece(first + old.shape[0], b))
         parts = [p for p in pieces if p.shape[0]]
         curve = parts[0] if len(parts) == 1 else np.concatenate(parts)
         curve.setflags(write=False)
-        self._curves[(u, k)] = (a, curve)
+        self._curves[u][k] = (a, curve)
 
     def step(self, u: int, lo: int, hi: int, nxt: np.ndarray | float) -> np.ndarray:
         """E[L(y - d_u) + nxt(y - d_u)] for y in [lo, hi], one period of any
@@ -207,6 +222,7 @@ class CycleCostEngine:
             raise ValueError("holding/penalty curves assume full backlogging (beta = 1)")
         if not 1 <= t <= t + r - 1 <= self._demand.horizon:
             raise ValueError(f"cycle (t={t}, r={r}) outside the horizon 1..{self._demand.horizon}")
+        self._reach = max(self._reach, r)
 
         def read(ys: Sequence[int]) -> np.ndarray:
             lo, hi = int(ys[0]), int(ys[-1])
@@ -252,7 +268,17 @@ class CycleCostEngine:
             w = self.backlog_step(u, w)
         return w[-future.shape[0] :]
 
+    def release(self, t: int, keep: Mapping[int, int]) -> None:
+        """Drop the hp curves of every period u beyond t + reach, reach the
+        longest cycle read so far, except hp(u, keep[u]): ``keep`` maps each
+        period the sweep has decided to its winning cycle length (module
+        docstring, Lifetime)."""
+        for u in range(t + self._reach + 1, len(self._curves)):
+            held, r = self._curves[u], keep.get(u)
+            if held.keys() - {r}:
+                self._curves[u] = {r: held[r]} if r in held else {}
+
     @property
     def stored_states(self) -> int:
-        """Number of memoised (period, length, post-order position) values."""
-        return sum(curve.shape[0] for _, curve in self._curves.values())
+        """Number of (period, length, post-order position) values held now."""
+        return sum(curve.shape[0] for held in self._curves for _, curve in held.values())

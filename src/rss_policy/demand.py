@@ -140,16 +140,20 @@ class DemandPmf:
         """A function that maps each u in [0, 1) to ``quantile(u)``,
         elementwise and exactly, by a bucket table built once for many draws.
 
-        M is a power of two of at least 32 * len(self) and 1024, so j / M
-        and u * M are exact, and G[j] is the support index of
-        quantile(j / M) for j = 0..M. For j = floor(u * M),
-        j / M <= u < (j + 1) / M and quantile is monotone, so
-        G[j] <= answer <= G[j + 1]. Where the two agree, bucket j holds
-        the demand; only the draws in buckets that hold a cdf step (about
-        1 % of them, marked -1) are searched.
+        M is a power of two of at least 32 * len(self) and 1024, so j / M,
+        u * M and cdf * M are exact, and G[j] is the support index of
+        quantile(j / M) for j = 0..M: the first k with j <= floor(cdf[k] M),
+        or the last index, so k fills the j after floor(cdf[k - 1] M) up to
+        floor(cdf[k] M), and the last index every j up to M. For
+        j = floor(u * M), j / M <= u < (j + 1) / M and quantile is
+        monotone, so G[j] <= answer <= G[j + 1]. Where the two agree,
+        bucket j holds the demand; only the draws in buckets that hold a
+        cdf step (about 1 % of them, marked -1) are searched.
         """
         cdf, last, m = self.cdf(), len(self) - 1, self._buckets
-        table = self.offset + np.minimum(np.searchsorted(cdf, np.arange(m + 1) / m), last)
+        steps = np.floor(cdf * m).astype(np.intp)
+        steps[-1] = m
+        table = self.offset + np.repeat(np.arange(last + 1), np.diff(steps, prepend=-1))
         buckets = np.where(table[:-1] == table[1:], table[:-1], -1)
 
         def draw(u: np.ndarray) -> np.ndarray:

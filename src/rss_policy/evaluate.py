@@ -19,10 +19,12 @@ same numbers.
 The Monte-Carlo route samples the same pmfs by ``DemandPmf.sampler``
 in blocks of ``_BLOCK`` paths and at most ``_BLOCK_DRAWS`` draws, each
 the next rows of the one stream of uniforms, so path i keeps its draws
-whatever the number of paths and the block size. A block is transposed
-in cache and rolled out on integer positions, charged by lookup into the
-engine's one-period cost vector: the same expression of the same
-numbers, so each path's cost keeps its bits.
+whatever the number of paths and the block size. A block's rows are
+drawn ``_ROWS`` at a time into one small buffer, from which each piece is
+transposed in cache into the block's per-period rows, so the block's
+uniforms are held once. It is rolled out on integer positions, charged
+by lookup into the engine's one-period cost vector: the same expression
+of the same numbers, so each path's cost keeps its bits.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .solver import SolveContext, _context
 
 _BLOCK = 1 << 14  # paths per block of the rollout
 _BLOCK_DRAWS = 1 << 20  # uniforms per block: fewer paths when T > 64
+_ROWS = 1 << 10  # paths per draw into the buffer a block is transposed from
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,10 @@ def simulate(
     (``costs``): orders only raise it, and demand and truncation lower it
     no more than the floors, so the engine's one-period cost vector and
     table cover every closing inventory. A rollout too large for memory
-    raises ``MemoryError`` (8 bytes a path, 8 (2T + 8) a path of a block,
-    the bucket tables and the largest one's build), and a path cost that
-    overflows float64 ``ValueError``; sums that overflow are taken scaled.
+    raises ``MemoryError`` (8 bytes a path, 8 (T + 8) a path of a block,
+    8T a row of the draw buffer, the bucket tables and the largest one's
+    build), and a path cost that overflows float64 ``ValueError``; sums
+    that overflow are taken scaled.
     ``n_paths`` and ``seed`` are integers, Python or numpy, the seed at
     least 0; floats, booleans and a negative seed raise ``ValueError``.
     """
@@ -128,17 +132,20 @@ def simulate(
     pmfs = [ctx.demand.period(t) for t in range(1, T + 1)]
     block = min(n_paths, _BLOCK, max(1, _BLOCK_DRAWS // T))
     buckets = [pmf._buckets for pmf in pmfs]
-    nbytes = 8 * (n_paths + block * (2 * T + 8) + sum(buckets))
+    rows = min(block, _ROWS)
+    nbytes = 8 * (n_paths + block * (T + 8) + rows * T + sum(buckets))
     check_memory(nbytes + 24 * (max(buckets) + 1), f"a rollout of {n_paths} paths")
     draws = [pmf.sampler() for pmf in pmfs]
     reviews = {rv.period: rv for rv in policy.reviews}
     rng, cost = np.random.default_rng(seed), np.empty(n_paths)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        u, by_period = np.empty((block, T)), np.empty((T, block))
+        u, by_period = np.empty((rows, T)), np.empty((T, block))
         for start in range(0, n_paths, block):
             b = min(block, n_paths - start)
-            rng.random(out=u[:b])
-            by_period[:, :b] = u[:b].T
+            for i in range(0, b, rows):
+                n = min(rows, b - i)
+                rng.random(out=u[:n])
+                by_period[:, i : i + n] = u[:n].T
             inv, c = np.full(b, instance.I0 - base), np.zeros(b)
             for t in range(1, T + 1):
                 rv = reviews.get(t)

@@ -492,7 +492,9 @@ def _sweep(
     Every other candidate is certified. When a certificate fails, the
     tables decided so far are extended to the wider window (``_extend``)
     and the failing period is decided again on it, so the sweep never
-    returns to a later period. With beta < 1 the window is the grid
+    returns to a later period. A decided period releases the engine's
+    curves beyond the sweep's reach but the winning cycles
+    (``CycleCostEngine.release``). With beta < 1 the window is the grid
     (another given window raises ``ValueError``) and every candidate is
     decided, cut from the level of its next review e: period t adds
     e = t + 1's table as a level and advances each by one engine
@@ -572,6 +574,8 @@ def _sweep(
         cost_to_go[t] = best.table
         lo = window.min_inv  # the curve indices as inventory levels
         reviews[t] = PolicyReview(t, best_r, lo + best.stop + 1, lo + best.best)
+        if prune:
+            ctx.engine.release(t, {u: rv.cycle for u, rv in reviews.items()})
     return ValueTables(window, T, cost_to_go, reviews, stats)
 
 

@@ -25,7 +25,7 @@ from rss_policy import (
     solve_kconvex,
 )
 from rss_policy.exact import DEFAULT_NODE_BUDGET
-from rss_policy.solver import _exceeds, _kconvex_table, _suffix_min, _sweep
+from rss_policy.solver import InventoryGrid, _exceeds, _kconvex_table, _suffix_min, _sweep
 
 
 def direct_cycle_cost(ctx: SolveContext, t: int, i: int, q: int, r: int) -> float:
@@ -312,6 +312,13 @@ def full_grid_scarf(ctx: SolveContext, schedule: ReviewSchedule):
     cycles = zip(schedule.periods, schedule.cycles(ctx.instance.T))
     lengths = {t: (r,) for t, r in cycles}
     return full_grid_sweep(ctx, _kconvex_table, lambda t: lengths.get(t, ()))
+
+
+def tiny_window(ctx: SolveContext) -> InventoryGrid:
+    """A first window of the sweep that must grow at both ends: [-1, 1],
+    widened to hold I0 and cut to the grid."""
+    grid, i0 = ctx.grid, ctx.instance.I0
+    return InventoryGrid(max(grid.min_inv, min(-1, i0)), min(grid.max_inv, max(1, i0)))
 
 
 def window_slice(ctx: SolveContext, window, table: np.ndarray) -> np.ndarray:

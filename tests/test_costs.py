@@ -1,6 +1,7 @@
 """Cycle-cost engine: boundaries, memoisation transparency, structure."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,13 +12,17 @@ from rss_policy import (
     CycleCostEngine,
     DemandSpec,
     Instance,
+    ReviewSchedule,
     SolveContext,
+    enumerate_optimal,
     expected_cost,
     extract_policy,
     gen_scalability,
+    scarf_fixed_R,
     solve_kconvex,
     solve_lost_sales,
 )
+from rss_policy.solver import _kconvex_table, _sweep
 from conftest import (
     allocates_at_most,
     deterministic_instance,
@@ -26,6 +31,7 @@ from conftest import (
     path_sum_cycle_cost,
     path_sum_policy_cost,
     random_desk_instance,
+    tiny_window,
 )
 
 
@@ -170,6 +176,38 @@ def _count_convolutions(monkeypatch):
     return calls
 
 
+def _record_pieces(monkeypatch):
+    """(period, length, lo, hi) of every hp piece the engines convolve."""
+    pieces = []
+    grow, step = CycleCostEngine._grow, CycleCostEngine.step
+
+    def growing(engine, u, k, a, b):
+        growing.length = k
+        grow(engine, u, k, a, b)
+
+    def recording(engine, u, lo, hi, nxt):
+        pieces.append((u, growing.length, lo, hi))
+        return step(engine, u, lo, hi, nxt)
+
+    monkeypatch.setattr(CycleCostEngine, "_grow", growing)
+    monkeypatch.setattr(CycleCostEngine, "step", recording)
+    return pieces
+
+
+def _convolved_twice(pieces) -> int:
+    """Number of (period, length, position) values in more than one piece."""
+    spans = {}
+    for u, k, lo, hi in pieces:
+        spans.setdefault((u, k), []).append((lo, hi))
+    twice = 0
+    for runs in spans.values():
+        top = -math.inf
+        for lo, hi in sorted(runs):
+            twice += max(0, min(hi, top) - lo + 1)
+            top = max(top, hi)
+    return twice
+
+
 class TestCurveRecursion:
     """The memoised curve recursion against the level recursion it replaced."""
 
@@ -242,32 +280,22 @@ class TestConvolvesOnce:
         assert len(calls) == inst.T
 
     def test_solve_then_price_convolves_each_value_once(self, monkeypatch):
-        # the sweep reads its window and reads up where hp falls; pricing the
-        # policy reads its own window, here inside what the sweep read, and
-        # grows nothing; reading the policy's cycles on the grid grows their
-        # curves at both ends
+        # the sweep reads its window and reads up where hp falls, and releases
+        # the curves beyond its reach; pricing the policy reads its own
+        # window, here inside what the sweep read and kept, and grows
+        # nothing; the engine holds less than it convolved, yet no value was
+        # convolved twice
         inst = gen_scalability(20, 1, seed=20)[0]
         ctx = SolveContext(inst)
-        lengths = []
-        step = CycleCostEngine.step
-
-        def recording(engine, *args):
-            out = step(engine, *args)
-            lengths.append(out.shape[0])
-            return out
-
-        monkeypatch.setattr(CycleCostEngine, "step", recording)
+        pieces = _record_pieces(monkeypatch)
         tables = solve_kconvex(inst, context=ctx)
         assert tables.grid != ctx.grid
-        in_sweep = len(lengths)
-        policy = extract_policy(tables, inst)
-        expected_cost(inst, policy, context=ctx)
-        assert len(lengths) == in_sweep  # the pricing grew no curve
-        for rv in policy.reviews:
-            ctx.engine.cycle_hp_fn(rv.period, rv.cycle)(ctx.grid.levels())
-        assert len(lengths) > in_sweep  # the grid reads grew curves
-        assert len(lengths) > len(ctx.engine._curves)  # some curve grew by pieces
-        assert sum(lengths) == ctx.engine.stored_states
+        in_sweep = len(pieces)
+        expected_cost(inst, extract_policy(tables, inst), context=ctx)
+        assert len(pieces) == in_sweep  # the pricing grew no curve
+        assert _convolved_twice(pieces) == 0
+        assert len({(u, k) for u, k, _, _ in pieces}) < len(pieces)  # some curve grew by pieces
+        assert ctx.engine.stored_states < sum(hi - lo + 1 for _, _, lo, hi in pieces)
 
     def test_partial_backlog_steps_once_per_period_and_review(self, monkeypatch):
         inst = dataclasses.replace(gen_scalability(10, 1, seed=10)[0], beta=0.5)
@@ -280,6 +308,86 @@ class TestConvolvesOnce:
         calls.clear()
         expected_cost(inst, extract_policy(tables, inst), context=ctx)
         assert len(calls) == inst.T  # one step per period of the policy's cycles
+
+
+def _cheap_reviews(rng):
+    """A T = 8 desk draw with demand of 10 to 40 a period and K and W cut
+    twentyfold: short cycles win, so the sweep reads no cycle as long as
+    the horizon and releases curves."""
+    inst = random_desk_instance(rng, horizon=8, mean_range=(10.0, 40.0))
+    p = inst.params
+    return dataclasses.replace(inst, params=dataclasses.replace(p, K=p.K / 20, W=p.W / 20))
+
+
+def _keep_every_curve(monkeypatch):
+    monkeypatch.setattr(CycleCostEngine, "release", lambda engine, t, keep: None)
+
+
+class TestRelease:
+    """The sweep releases the hp curves of the periods beyond its reach;
+    whatever the context computes after it is bitwise what an engine that
+    keeps every curve computes."""
+
+    @staticmethod
+    def _results(inst, window):
+        ctx = SolveContext(inst)
+        tables = _sweep(ctx, _kconvex_table, window=window and window(ctx))
+        held = ctx.engine.stored_states
+        cost = expected_cost(inst, extract_policy(tables, inst), context=ctx)
+        res = enumerate_optimal(inst, context=ctx)
+        return held, (
+            tables.grid,
+            tables.reviews,
+            tables.stats,
+            {t: table.tobytes() for t, table in tables.cost_to_go.items()},
+            cost.hex(),
+            res.cost.hex(),
+            res.schedule,
+            res.policy,
+            res.stats,
+            (res.n_schedules, res.nodes_explored, res.nodes_pruned),
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_results_match_an_engine_that_keeps_every_curve(self, seed, monkeypatch):
+        # every other draw starts from a tiny window, which must widen
+        rng = np.random.default_rng(700 + seed)
+        released = widened = 0
+        for k in range(6):
+            inst = _cheap_reviews(rng)
+            window = tiny_window if k % 2 else None
+            held, got = self._results(inst, window)
+            with monkeypatch.context() as m:
+                _keep_every_curve(m)
+                kept, want = self._results(inst, window)
+            assert got == want, k
+            released += held < kept
+            widened += got[2].window_widenings > 0
+        assert released >= 3 and widened >= 3
+
+    def test_a_released_curve_is_rebuilt_with_its_bits(self, monkeypatch):
+        # after the sweep, a schedule reviewing every period reads one-period
+        # curves the sweep released beyond its reach: they are convolved
+        # again, and the tables and the policy's price keep every bit
+        inst = gen_scalability(20, 1, seed=20)[0]
+        schedule = ReviewSchedule(tuple(range(1, inst.T + 1)))
+        pieces = _record_pieces(monkeypatch)
+
+        def run():
+            ctx = SolveContext(inst)
+            solve_kconvex(inst, context=ctx)
+            tables = scarf_fixed_R(inst, schedule, context=ctx)
+            cost = expected_cost(inst, extract_policy(tables, inst), context=ctx)
+            return {t: v.tobytes() for t, v in tables.cost_to_go.items()}, tables.stats, cost.hex()
+
+        got = run()
+        assert _convolved_twice(pieces) > 0  # a released curve was built again
+        pieces.clear()
+        with monkeypatch.context() as m:
+            _keep_every_curve(m)
+            want = run()
+        assert _convolved_twice(pieces) == 0
+        assert got == want
 
 
 class TestPartialBacklogPaths:

@@ -350,3 +350,41 @@ def test_sample_equals_quantile(name):
     ])
     keys = keys[(keys >= 0.0) & (keys < 1.0)]
     assert pmf.sampler()(keys).tolist() == [pmf.quantile(x) for x in keys]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampler_matches_searchsorted_on_random_pmfs(seed):
+    # the sampler counts its bucket table from floor(cdf * M); on random
+    # pmfs every bucket edge j / M, every cdf value and its neighbours map
+    # to the searchsorted quantile: point masses, sparse weights, dyadic
+    # weights whose cdf values fall on bucket edges, and uniform weights
+    # whose last cdf value may lie below 1
+    rng = np.random.default_rng(900 + seed)
+    below_one = 0
+    for k in range(40):
+        n = int(rng.integers(1, 300))
+        if k % 4 == 0:
+            probs = np.zeros(n)
+            probs[rng.integers(n)] = 1.0
+        elif k % 4 == 1:
+            probs = rng.random(n) * (rng.random(n) < 0.6)
+            probs[-1] += 0.1
+        elif k % 4 == 2:
+            probs = rng.integers(0, 9, n).astype(float)
+            probs = np.append(probs, 2 ** int(np.ceil(np.log2(probs.sum() + 1))) - probs.sum())
+        else:
+            probs = np.ones(n)
+        pmf = DemandPmf(offset=int(rng.integers(0, 40)), probs=probs)
+        cdf, m = pmf.cdf(), pmf._buckets
+        below_one += bool(cdf[-1] < 1.0)
+        keys = np.concatenate([
+            np.arange(m) / m,
+            cdf,
+            np.nextafter(cdf, 0.0),
+            np.nextafter(cdf, 1.0),
+            rng.random(1_000),
+        ])
+        keys = keys[(keys >= 0.0) & (keys < 1.0)]
+        want = pmf.offset + np.minimum(np.searchsorted(cdf, keys), len(pmf) - 1)
+        assert np.array_equal(pmf.sampler()(keys), want), k
+    assert below_one

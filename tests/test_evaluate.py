@@ -412,15 +412,29 @@ class TestSimulate:
                 ctx, policy, n_paths, n_paths
             ), n_paths
 
+    @pytest.mark.parametrize("rows", [7, 2 * _BLOCK + 3])
+    def test_draw_buffer_keeps_the_paths_draws(self, rng, monkeypatch, rows):
+        # a block's uniforms drawn 7 rows at a time, or all at once, give
+        # the estimate of one matrix of draws
+        monkeypatch.setattr("rss_policy.evaluate._ROWS", rows)
+        inst = random_desk_instance(rng, horizon=4)
+        ctx = SolveContext(inst)
+        policy = extract_policy(solve_kconvex(inst, context=ctx), inst)
+        for n_paths in (5, _BLOCK + 10):
+            report = simulate(inst, policy, n_paths, seed=3, context=ctx)
+            assert (report.mc_mean, report.mc_halfwidth_95) == demand_matrix_rollout(
+                ctx, policy, n_paths, 3
+            ), n_paths
+
     def test_long_horizons_roll_out_in_blocks_of_fewer_paths(self, monkeypatch):
-        # at T = 100 a block holds 10 485 paths, not 2^14: its two buffers
-        # take 16.8 MB, not 26.2 (a 20.8 MB traced peak, not 30.4), and the
-        # paths keep their draws, so lifting the cap keeps every bit
+        # at T = 100 a block holds 10 485 paths, not 2^14: its uniforms take
+        # 8.4 MB, not 13.1 (a 13.1 MB traced peak, not 18.0), and the paths
+        # keep their draws, so lifting the cap keeps every bit
         inst = gen_scalability(100, 1, seed=100)[0]
         ctx = SolveContext(inst)
         policy = extract_policy(solve_kconvex(inst, context=ctx), inst)
         expected_cost(inst, policy, context=ctx)
-        with allocates_at_most(24 * 2**20):
+        with allocates_at_most(16 * 2**20):
             capped = simulate(inst, policy, 20_000, seed=5, context=ctx)
         monkeypatch.setattr("rss_policy.evaluate._BLOCK_DRAWS", 1 << 40)
         lifted = simulate(inst, policy, 20_000, seed=5, context=ctx)

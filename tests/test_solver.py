@@ -50,6 +50,7 @@ from conftest import (
     q_loop_oracle,
     random_desk_instance,
     scan_oracle,
+    tiny_window,
     two_branch_lost_sales_curve,
     unpruned_sweep,
 )
@@ -428,13 +429,6 @@ class TestSweepBound:
         assert stats.states_evaluated == 55 * ctx.grid.size
 
 
-def _tiny_window(ctx):
-    """A first window of the sweep that must grow at both ends: [-1, 1],
-    widened to hold I0 and cut to the grid."""
-    grid, i0 = ctx.grid, ctx.instance.I0
-    return InventoryGrid(max(grid.min_inv, min(-1, i0)), min(grid.max_inv, max(1, i0)))
-
-
 class TestWindow:
     """Under full backlogging the sweep decides on a certified window of
     the grid: its tables are the full-grid sweep's on the window, bitwise,
@@ -448,7 +442,7 @@ class TestWindow:
             inst = random_desk_instance(rng, mean_range=(10.0, 30.0))
             ctx = SolveContext(inst)
             # the default first window, and a tiny one that must grow at both ends
-            tiny = _tiny_window(ctx)
+            tiny = tiny_window(ctx)
             for table_fn in (_kconvex_table, _plain_table):
                 full = full_grid_sweep(ctx, table_fn)
                 for start in (None, tiny):
@@ -479,7 +473,7 @@ class TestWindow:
             schedule = ReviewSchedule((1,) + tuple(int(u) for u in np.flatnonzero(later) + 2))
             cycles = dict(zip(schedule.periods, schedule.cycles(T)))
             scheduled = lambda t: (cycles[t],) if t in cycles else ()
-            tiny = _tiny_window(ctx)
+            tiny = tiny_window(ctx)
             for table_fn, lengths in ((_kconvex_table, None), (_plain_table, None),
                                       (_kconvex_table, scheduled)):
                 for start in (None, tiny):
@@ -512,7 +506,7 @@ class TestWindow:
             asked.append(t)
             return range(1, inst.T - t + 2)
 
-        tables = _sweep(ctx, _kconvex_table, lengths, _tiny_window(ctx) if tiny else None)
+        tables = _sweep(ctx, _kconvex_table, lengths, tiny_window(ctx) if tiny else None)
         assert tables.stats.window_widenings >= 2
         assert asked == list(range(inst.T, 0, -1))
         assert tables.reviews == _sweep(ctx, _kconvex_table, window=tables.grid).reviews
@@ -526,7 +520,7 @@ class TestWindow:
         ctx = SolveContext(inst)
         full = full_grid_sweep(ctx, _kconvex_table)
         assert full.reviews[1].cycle == inst.T
-        start = _tiny_window(ctx) if tiny else None
+        start = tiny_window(ctx) if tiny else None
         windowed = _sweep(ctx, _kconvex_table, window=start)
         assert_window_matches_full_grid(ctx, windowed, full)
 

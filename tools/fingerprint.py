@@ -11,9 +11,9 @@ after the call. Two trees compute the same numbers exactly when their
 files are identical, so a refactor that claims to change no output is
 checked by running this on both with each tree's ``src`` on
 ``PYTHONPATH`` and comparing the files with ``cmp``. ``stored=`` is the
-size of the engine's memo, not an output: a change to which curves are
-read moves it alone, and such a change is checked by comparing the files
-with that field cut out.
+size of the engine's memo after the call, not an output: a change to
+which curves are read or kept moves it alone, and such a change is
+checked by comparing the files with that field cut out.
 
 The instances are ``gen_scalability(T, 2, seed=T)`` for T = 1..40, every
 5th T = 10 ``gen_analysis(seed=0)`` cell, and the second instance of
