@@ -57,7 +57,9 @@ orders of magnitude above the rounding of the convolutions (about 1e-13
 relative), so no rounding error can turn a skipped candidate into a
 winner. The sweep replaces ``best`` only with a strictly smaller value,
 so the tables, thresholds and cycle lengths are exactly those of the
-sweep that builds every candidate.
+sweep that builds every candidate. The same two tests run first on a
+lower bound of min hp from the mean demands alone, before hp is read
+(see Prune).
 
 The window. The grid [g, G] is the state space, sized from total horizon
 demand, but the decisions live at cycle scale: on the T = 35 scalability
@@ -162,6 +164,40 @@ the grid's candidates, whatever its window. A candidate built after an
 upward read fails its ceiling condition, and the sweep widens the
 window; the periods already decided keep their prunes, which a pass on
 the wider window would make too, and only their tables are extended.
+min F is recorded once, when its period is decided: an extension adds
+levels above c that cost more and levels below f at the floor value, so
+it keeps the minimum.
+
+The mean-demand bound comes first. Let c_k, k = 1..r, be the mean
+demand of periods t..t+k-1, summed from the discretized pmfs' means, so
+c_1 <= ... <= c_r. L is convex, so by Jensen's inequality
+
+    hp(t, r)(y) = sum_k E[L(y - D_{t..t+k-1})] >= sum_k L(y - c_k)
+
+at every position y. The right side is convex and piecewise linear in
+y, with slope h i - b (r - i) between c_i and c_{i+1}, so it is least at
+c_j, j = ceil(b r / (h + b)) clipped to 1..r:
+
+    J(t, r) = h (j c_j - P_j) + b (P_r - P_j - (r - j) c_j),
+
+P the prefix sums of c (``CycleCostEngine.mean_bound``), and
+J(t, r) <= min hp(t, r) over the grid. J is nondecreasing in r, since
+J(t, r + 1) minimises the same sum plus L(y - c_{r+1}) >= 0. So before
+reading hp the sweep drops the candidate and every longer one once J
+exceeds ``best``, and skips it when J + min F does. Each candidate so
+dropped or skipped the min hp tests above would also drop or skip, as
+min hp >= J and min hp is nondecreasing in r; so the tables, windows and
+every counter stay those of the min hp tests, and only the reach, the
+longest cycle whose hp the sweep reads, falls: 8 instead of 16 on the
+T = 35 scalability instance of seed 35, and 9 instead of 43 at T = 200.
+J costs O(1) scalar operations a candidate once the means are summed,
+and reads no curve. Its rounding is a few ulps of r (h + b) c_r,
+far below the margin of 1e-9 relative, and a rounded j off by one moves
+J only where the slope at c_j is within rounding of 0. For point masses
+J is exact where hp attains it, at the integer c_j, and each side is
+computed to a few ulps, so the margin keeps J from dropping a candidate
+the min hp tests would build, unless min hp lies within that rounding
+of best + 1e-9 |best|.
 
 Exactness. Each window level is computed by the grid's own arithmetic
 on the same values: one dot product of the same pmf with the same
@@ -251,10 +287,11 @@ class SolveStats:
     order-quantity candidates the exhaustive search covers, q = 0
     included: size * (size + 1) / 2 per cycle on a window of that size,
     and 0 for kconvex. ``candidates_pruned`` is the number of candidate
-    cycles the sweep skipped by its bound, without a tail convolution or
-    a scan; it is the full-grid sweep's. ``window_widenings`` counts the
-    failed certificates that widened the window: the sweep extends its
-    tables to it, and the exact search starts over on it.
+    cycles the sweep skipped by its bounds, the mean-demand J or min hp,
+    without a tail convolution or a scan; it is the full-grid sweep's,
+    and the same as with the min hp bound alone. ``window_widenings``
+    counts the failed certificates that widened the window: the sweep
+    extends its tables to it, and the exact search starts over on it.
     """
 
     states_evaluated: int = 0
@@ -484,16 +521,18 @@ def _sweep(
     Under full backlogging the sweep decides on a window of the grid,
     ``_initial_window`` unless given (the whole grid makes it the
     full-grid sweep; a given window's floor is the grid's or at most -1).
-    The holding/penalty curve of each candidate comes first, read on the
-    window and further up while it falls at the top of the read: by the
-    bound of the module docstring, a candidate that cannot beat the best
-    so far is skipped, and once its holding/penalty alone cannot, the
-    remaining candidates are dropped; neither gets a tail convolution.
-    Every other candidate is certified. When a certificate fails, the
-    tables decided so far are extended to the wider window (``_extend``)
-    and the failing period is decided again on it, so the sweep never
-    returns to a later period. A decided period releases the engine's
-    curves beyond the sweep's reach but the winning cycles
+    The mean-demand bound J of each candidate comes first, and then its
+    holding/penalty curve, read on the window and further up while it
+    falls at the top of the read: by the bounds of the module docstring
+    (Prune), a candidate that cannot beat the best so far is skipped, and
+    once J or its holding/penalty alone cannot, the remaining candidates
+    are dropped; neither gets a tail convolution, and a candidate J drops
+    or skips gets no hp read either. Every other candidate is certified.
+    When a certificate fails, the tables decided so far are extended to
+    the wider window (``_extend``) and the failing period is decided
+    again on it, so the sweep never returns to a later period. A decided
+    period records its table's minimum and releases the engine's curves
+    beyond the sweep's reach but the winning cycles
     (``CycleCostEngine.release``). With beta < 1 the window is the grid
     (another given window raises ``ValueError``) and every candidate is
     decided, cut from the level of its next review e: period t adds
@@ -512,6 +551,7 @@ def _sweep(
     stats = SolveStats()  # the decided periods' counters, and the widenings
     scanned = 0  # candidates the decided periods scanned
     cost_to_go: dict[int, np.ndarray] = {T + 1: np.zeros(window.size)}
+    table_min = {T + 1: 0.0}  # min F of each decided table, which extensions keep
     reviews: dict[int, PolicyReview] = {}
     levels: dict[int, np.ndarray] = {}  # beta < 1: next review -> level at t
     for t in range(T, 0, -1):
@@ -519,15 +559,22 @@ def _sweep(
             levels[t + 1] = cost_to_go[t + 1]
             levels = {e: ctx.engine.backlog_step(t, w) for e, w in levels.items()}
         candidates = list(range(1, T - t + 2) if lengths is None else lengths(t))
+        mean_bound = ctx.engine.mean_bound(t)
         while True:  # once per window period t is decided on
             here, scans = SolveStats(), 0  # period t's counters on this window
             best: Optional[_CycleResult] = None
             best_n, wider = math.inf, None
             for k, r in enumerate(candidates):
-                future = cost_to_go[t + r]
                 if not prune:
                     curve = levels[t + r][-window.size :]
                 else:
+                    least, future_min = mean_bound(r), table_min[t + r]
+                    if _exceeds(least, best_n):  # and so does J, below hp, of every longer cycle
+                        here.candidates_pruned += len(candidates) - k
+                        break
+                    if _exceeds(least + future_min, best_n):
+                        here.candidates_pruned += 1
+                        continue
                     hp_fn, top = ctx.engine.cycle_hp_fn(t, r), window.max_inv
                     hp = hp_fn(range(window.min_inv, top + 1))
                     while top < ctx.grid.max_inv and hp[-1] < hp[-2]:  # min hp may lie above
@@ -537,11 +584,10 @@ def _sweep(
                     if _exceeds(hp_min, best_n):  # hp alone loses; so does every longer cycle's
                         here.candidates_pruned += len(candidates) - k
                         break
-                    future_min = float(future.min())
                     if _exceeds(hp_min + future_min, best_n):
                         here.candidates_pruned += 1
                         continue
-                    curve = hp[: window.size] + ctx.engine.tail(t, r, future)
+                    curve = hp[: window.size] + ctx.engine.tail(t, r, cost_to_go[t + r])
                 res, scans = table_fn(ctx, curve, here), scans + 1
                 if prune:
                     wider = _certify(ctx, window, hp, future_min, curve, res.best_n + K)
@@ -575,6 +621,7 @@ def _sweep(
         lo = window.min_inv  # the curve indices as inventory levels
         reviews[t] = PolicyReview(t, best_r, lo + best.stop + 1, lo + best.best)
         if prune:
+            table_min[t] = float(best.table.min())
             ctx.engine.release(t, {u: rv.cycle for u, rv in reviews.items()})
     return ValueTables(window, T, cost_to_go, reviews, stats)
 

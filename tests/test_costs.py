@@ -390,6 +390,53 @@ class TestRelease:
         assert got == want
 
 
+class TestMeanBound:
+    """J(t, r) of ``mean_bound`` is the least of sum_k L(y - c_k) over y,
+    c_k the cumulative means, and at most hp(t, r) at every grid position;
+    with point masses hp attains it."""
+
+    @staticmethod
+    def _check(inst, tight=False):
+        ctx = SolveContext(inst)
+        p, T = inst.params, inst.T
+        L = lambda x: p.h * max(x, 0.0) + p.b * max(-x, 0.0)
+        means = [ctx.demand.period(u).mean() for u in range(1, T + 1)]
+        levels = ctx.grid.levels()
+        for t in range(1, T + 1):
+            bound, last = ctx.engine.mean_bound(t), 0.0
+            for r in range(1, T - t + 2):
+                c = np.cumsum(means[t - 1 : t + r - 1])
+                J = bound(r)
+                # the piecewise linear sum is least at one of its breakpoints
+                brute = min(sum(L(y - ck) for ck in c) for y in c)
+                assert math.isclose(J, brute, rel_tol=1e-12, abs_tol=1e-9), (t, r)
+                hp_min = float(ctx.engine.cycle_hp_fn(t, r)(levels).min())
+                assert J <= hp_min + 1e-12 * hp_min, (t, r, J, hp_min)
+                if tight:  # the cumulative means are integers on the grid
+                    assert math.isclose(J, hp_min, rel_tol=1e-12, abs_tol=1e-9), (t, r)
+                assert J >= last * (1 - 1e-12)  # nondecreasing in r
+                last = J
+
+    def test_random_desk_instances(self, rng):
+        for _ in range(10):
+            self._check(random_desk_instance(rng))
+        self._check(random_desk_instance(rng, horizon=12, mean_range=(10.0, 40.0)))
+
+    def test_point_masses_attain_the_bound(self, rng):
+        for _ in range(10):
+            self._check(random_desk_instance(rng, point_masses=True), tight=True)
+        self._check(deterministic_instance([0, 3, 0, 7, 5], b=2.0), tight=True)
+
+    @pytest.mark.parametrize("h, b", [(0.0, 5.0), (1.0, 0.0)])
+    def test_one_sided_costs(self, rng, h, b):
+        # h = 0 puts the minimum at c_r, b = 0 at c_1, where J is 0
+        for point_masses in (False, True):
+            for _ in range(4):
+                inst = random_desk_instance(rng, point_masses=point_masses)
+                params = dataclasses.replace(inst.params, h=h, b=b)
+                self._check(dataclasses.replace(inst, params=params), tight=point_masses)
+
+
 class TestPartialBacklogPaths:
     """Partial-backlog cycle curves and policy costs against direct
     summation over demand paths, on tiny pmfs (T = 3, so r <= 3)."""

@@ -12,6 +12,7 @@ import pytest
 
 from rss_policy import (
     CostParams,
+    CycleCostEngine,
     DemandSpec,
     Instance,
     Policy,
@@ -29,11 +30,13 @@ from rss_policy import (
     solve_lost_sales,
     solve_plain,
 )
+from rss_policy import solver
 from rss_policy.cli import main as cli_main
 from rss_policy.solver import (
     QUANTILE_EPS,
     InventoryGrid,
     SolveStats,
+    _extend,
     _initial_window,
     _kconvex_table,
     _plain_table,
@@ -429,6 +432,85 @@ class TestSweepBound:
         assert stats.states_evaluated == 55 * ctx.grid.size
 
 
+def _no_mean_bound(monkeypatch):
+    """The sweep with the min hp bound alone: J = -inf prunes nothing."""
+    monkeypatch.setattr(CycleCostEngine, "mean_bound", lambda engine, t: lambda r: -math.inf)
+
+
+class TestMeanDemandBound:
+    """The mean-demand bound drops only candidates that the min hp bound
+    skips or drops: every table, window, review and counter, and the exact
+    search's nodes, are the sweep's without it, bitwise, and it reads no
+    longer cycle."""
+
+    @staticmethod
+    def _runs(inst, tiny):
+        """Each solve on its own context, from a tiny first window or the
+        default one: its results and the longest cycle it read."""
+        schedule = ReviewSchedule(tuple(range(1, inst.T + 1, 2)))
+        cycles = dict(zip(schedule.periods, schedule.cycles(inst.T)))
+        scheduled = lambda t: (cycles[t],) if t in cycles else ()
+        if tiny:
+            solves = {
+                "kconvex": lambda ctx: _sweep(ctx, _kconvex_table, window=tiny_window(ctx)),
+                "plain": lambda ctx: _sweep(ctx, _plain_table, window=tiny_window(ctx)),
+                "scarf": lambda ctx: _sweep(ctx, _kconvex_table, scheduled, tiny_window(ctx)),
+            }
+        else:
+            solves = {
+                "kconvex": lambda ctx: solve_kconvex(inst, context=ctx),
+                "plain": lambda ctx: solve_plain(inst, context=ctx),
+                "scarf": lambda ctx: scarf_fixed_R(inst, schedule, context=ctx),
+            }
+        runs = {}
+        for name, solve in solves.items():
+            ctx = SolveContext(inst)
+            tables = solve(ctx)
+            runs[name] = ctx.engine._reach, (
+                tables.grid,
+                tables.reviews,
+                tables.stats,
+                {t: table.tobytes() for t, table in tables.cost_to_go.items()},
+            )
+        ctx = SolveContext(inst)
+        res = enumerate_optimal(inst, context=ctx)
+        runs["exact"] = ctx.engine._reach, (
+            res.cost.hex(),
+            res.schedule,
+            res.policy,
+            res.stats,
+            (res.n_schedules, res.nodes_explored, res.nodes_pruned),
+        )
+        return runs
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_desk_instances_match_the_sweep_without_it(self, seed, monkeypatch):
+        # half the draws with K and W cut fivefold, so short cycles win and
+        # the bound ends the candidate loop early; the others skip cycles by
+        # J + min F and build longer ones after them; every other draw
+        # starts from a tiny window, which must widen
+        rng = np.random.default_rng(900 + seed)
+        shorter = widened = 0
+        for k in range(8):
+            inst = random_desk_instance(
+                rng, int(rng.integers(6, 11)), (20.0, 40.0), point_masses=k in (2, 5)
+            )
+            if k < 4:
+                p = inst.params
+                cheap = dataclasses.replace(p, K=p.K / 5, W=p.W / 5)
+                inst = dataclasses.replace(inst, params=cheap)
+            got = self._runs(inst, tiny=k % 2 == 1)
+            with monkeypatch.context() as m:
+                _no_mean_bound(m)
+                want = self._runs(inst, tiny=k % 2 == 1)
+            for name in got:
+                assert got[name][1] == want[name][1], (k, name)
+                assert got[name][0] <= want[name][0], (k, name)
+            shorter += got["kconvex"][0] < want["kconvex"][0]
+            widened += got["kconvex"][1][2].window_widenings > 0
+        assert shorter >= 2 and widened >= 4
+
+
 class TestWindow:
     """Under full backlogging the sweep decides on a certified window of
     the grid: its tables are the full-grid sweep's on the window, bitwise,
@@ -523,6 +605,28 @@ class TestWindow:
         start = tiny_window(ctx) if tiny else None
         windowed = _sweep(ctx, _kconvex_table, window=start)
         assert_window_matches_full_grid(ctx, windowed, full)
+
+    def test_an_extension_keeps_each_tables_minimum(self, monkeypatch):
+        # the sweep records min F when it decides a period and prunes on it
+        # after later widenings: _extend adds levels above the old ceiling
+        # that cost more, and levels below the old floor at the floor value
+        extended = []
+
+        def recording(ctx, cost_to_go, reviews, old, new):
+            before = {t: float(table.min()) for t, table in cost_to_go.items()}
+            _extend(ctx, cost_to_go, reviews, old, new)
+            extended.append((before, {t: float(cost_to_go[t].min()) for t in before}))
+
+        monkeypatch.setattr(solver, "_extend", recording)
+        rng = np.random.default_rng(31)
+        instances = [random_desk_instance(rng, mean_range=(10.0, 30.0)) for _ in range(8)]
+        for inst in instances + [gen_scalability(35, 1, seed=35)[0]]:
+            ctx = SolveContext(inst)
+            for table_fn in (_kconvex_table, _plain_table):
+                _sweep(ctx, table_fn, window=tiny_window(ctx))
+        assert sum(len(before) for before, _ in extended) >= 100
+        for before, after in extended:
+            assert before == after
 
     def test_tables_live_on_the_window(self):
         inst = gen_scalability(35, 1, seed=35)[0]
