@@ -25,32 +25,31 @@ order quantity, only on the post-order position, which lets the solvers
 share it across every decision at a cycle.
 
 Spans. A curve is memoised over one span of positions, grown by the
-reads. With floor_1 the grid floor and floor_{u+1} = floor_u - dmax_u,
-dmax_u the largest demand of period u, a read of hp(t, r) on [lo, hi]
-makes it span [lo + floor_t - floor_1, hi]. Over that span it reads
-hp(t+1, r-1) on [lo + floor_{t+1} - floor_1, hi], the span a read of
-that curve at lo gives, so reads at one lo ask each curve for one span
-whether they reach it directly or through a longer cycle. A read of the
-whole grid spans [floor_t, high]. The positions a curve lacks, below
-and above its span, are convolved as two pieces, each value by the
-same dot product as in one convolution over the whole span, and
-joined: every value is computed once and has the same bits whatever
-the order of the reads.
-
-Lifetime. A curve is memoised until a sweep releases it (``release``).
-Having decided period t under full backlogging, the sweep drops the
-curves of the periods beyond t + reach, reach the longest cycle read so
-far, but keeps each decided period's winning cycle. A cycle of at most
-reach periods at a period below t ends before t + reach, and the winning
-cycles are read again to extend the tables and to price the policy. A
-released curve that is read again is built again with the same bits, so
-what the engine holds moves its work, never a result. The sweep reads
-no hp of a cycle its mean-demand bound (``mean_bound``) rules out, so
-the reach stays near the longest winning cycle: 8 or 9 periods on the
-scalability instances from T = 35 to 1000, whose winning cycles are at
-most 7 long. Kept for every period and length, the curves grow about as
-T^3, since a curve at period u spans the largest demands of periods
-1..u-1 below the window.
+reads, and kept. With floor_1 the grid floor and floor_{u+1} = floor_u -
+dmax_u, dmax_u the largest demand of period u, a chain read from period
+v on [lo, hi] reads each curve (u, k) of it on [lo + floor_u - floor_v,
+hi], below the read by the largest demands of periods v..u-1. With R the
+reach (the longest cycle read so far) rounded up to a power of two, the
+chains through (u, k) start at v >= u - (R - k), so a curve that lacks
+its span grows to [lo + floor_u - floor_v, hi] for v = max(1, u - (R -
+k)), what the longest of them reads. Over that span it reads hp(u+1,
+k-1) on [lo + floor_{u+1} - floor_v, hi], and v is the same for (u+1,
+k-1): the floors telescope, so reads at one lo and one R ask each curve
+for one span whether they reach it directly or through a longer cycle.
+The head of a chain is checked only against the read, [lo, hi]. A head
+checked against its span would grow again each time R doubles, by
+positions that only a longer chain through it reads, and such a chain
+grows it when it is read. Each doubling asks for at most one more piece
+of a curve, so under reads on one [lo, hi] a curve is convolved at most
+ceil(log2 T) + 1 times. The positions a curve lacks, below and above its
+span, are convolved as two pieces, each value by the same dot product as
+in one convolution over the whole span, and joined: every value is
+computed once and has the same bits whatever the order of the reads.
+The sweep reads no hp of a cycle its mean-demand bound (``mean_bound``)
+rules out, so its reach stays near the longest winning cycle, 8 or 9
+periods on the scalability instances from T = 35 to 1000, and what the
+engine holds grows about linearly in T; the exact search reads cycles of
+every length, so its R is T rounded up to a power of two.
 
 Under full backlogging a cycle curve is hp(t, r) plus one ``tail``
 convolution of ``future`` with the pmf of the cycle's cumulative demand;
@@ -68,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -105,11 +104,12 @@ class CycleCostEngine:
     """Cycle curves of one instance, with memoised holding/penalty curves.
 
     Each curve is memoised over one span of post-order positions, grown
-    by the reads (``cycle_hp_fn``), until a sweep releases it (``release``;
-    module docstring, Lifetime). The engine owns the states below the
-    grid: the floors, and over [min_u(floor_u - dmax_u), high] each closing
-    inventory's one-period cost and next state, which ``simulate`` reads
-    too; building them peaks at five 8-byte arrays, 40 bytes a position.
+    by the reads (``cycle_hp_fn``) and kept; the longest cycle read so far
+    bounds the spans (module docstring, Spans). The engine owns the states
+    below the grid: the floors, and over [min_u(floor_u - dmax_u), high]
+    each closing inventory's one-period cost and next state, which
+    ``simulate`` reads too; building them peaks at five 8-byte arrays, 40
+    bytes a position.
     A span too long for memory (the grid and every period's largest demand
     below it) raises ``MemoryError`` before anything is built. One engine
     serves one solver run (or a family of runs); it is not thread-safe.
@@ -153,20 +153,23 @@ class CycleCostEngine:
         self._reach = 0  # the longest cycle read so far
 
     def _cover(self, t: int, r: int, lo: int, hi: int) -> tuple[int, np.ndarray]:
-        """hp(t, r) grown to span at least [lo + floor_t - low, hi], with its
-        first position.
+        """hp(t, r) grown to span at least [lo, hi], with its first position.
 
-        Each curve (u, t + r - u) of the chain is asked for its span of the
-        module docstring, [lo + floor_u - low, hi]. A curve grown to [A, B]
-        has a child spanning [A - dmax_u, B], so below the first curve that
-        spans its own the chain does too; the curves above it grow from the
-        deepest up, and long cycles do not recurse.
+        A curve (u, k) of the chain that lacks its span grows to the span of
+        the module docstring, [lo + floor_u - floor_v, hi] with v = max(1,
+        u - (R - k)); the curves below the head are checked against that
+        span, the head against [lo, hi] alone. A curve grown to [A, B] has a
+        child spanning [A - dmax_u, B], so below the first curve that spans
+        what it is checked against the chain does too; the curves above it
+        grow from the deepest up, and long cycles do not recurse.
         """
+        reach = 1 << (self._reach - 1).bit_length()  # R
         lacking = []
         for u in range(t, t + r):
-            a = lo + self._floors[u - 1] - self._lo
-            first, curve = self._curves[u].get(t + r - u, (a, _EMPTY))
-            if first <= a and hi < first + curve.shape[0]:
+            k = t + r - u
+            a = lo + self._floors[u - 1] - self._floors[max(1, u - (reach - k)) - 1]
+            first, curve = self._curves[u].get(k, (a, _EMPTY))
+            if first <= (lo if u == t else a) and hi < first + curve.shape[0]:
                 break
             lacking.append((u, a))
         for u, a in reversed(lacking):
@@ -293,16 +296,6 @@ class CycleCostEngine:
         for u in range(t + r - 1, t - 1, -1):
             w = self.backlog_step(u, w)
         return w[-future.shape[0] :]
-
-    def release(self, t: int, keep: Mapping[int, int]) -> None:
-        """Drop the hp curves of every period u beyond t + reach, reach the
-        longest cycle read so far, except hp(u, keep[u]): ``keep`` maps each
-        period the sweep has decided to its winning cycle length (module
-        docstring, Lifetime)."""
-        for u in range(t + self._reach + 1, len(self._curves)):
-            held, r = self._curves[u], keep.get(u)
-            if held.keys() - {r}:
-                self._curves[u] = {r: held[r]} if r in held else {}
 
     @property
     def stored_states(self) -> int:

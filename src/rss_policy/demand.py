@@ -157,7 +157,7 @@ class DemandPmf:
         buckets = np.where(table[:-1] == table[1:], table[:-1], -1)
 
         def draw(u: np.ndarray) -> np.ndarray:
-            d = buckets[(u * m).astype(np.intp)]
+            d = buckets.take((u * m).astype(np.intp))
             step = np.flatnonzero(d < 0)
             d[step] = self.offset + np.minimum(np.searchsorted(cdf, u[step]), last)
             return d

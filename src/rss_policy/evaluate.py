@@ -154,9 +154,9 @@ def simulate(
                     c += p.W + p.K * order
                     inv = np.where(order, max(rv.order_up_to - base, 0), inv)
                 inv -= draws[t - 1](by_period[t - 1, :b])
-                c += hold[inv]
+                c += hold.take(inv)
                 if instance.beta < 1.0:
-                    inv = nxt[inv]
+                    inv = nxt.take(inv)
             cost[start : start + b] = c
         mean = float(cost.mean())
         halfwidth = float(1.96 * cost.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0

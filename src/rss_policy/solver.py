@@ -531,9 +531,9 @@ def _sweep(
     When a certificate fails, the tables decided so far are extended to
     the wider window (``_extend``) and the failing period is decided
     again on it, so the sweep never returns to a later period. A decided
-    period records its table's minimum and releases the engine's curves
-    beyond the sweep's reach but the winning cycles
-    (``CycleCostEngine.release``). With beta < 1 the window is the grid
+    period records its table's minimum; the engine keeps every curve it
+    grew, over spans bounded by the sweep's reach (``costs`` module
+    docstring, Spans). With beta < 1 the window is the grid
     (another given window raises ``ValueError``) and every candidate is
     decided, cut from the level of its next review e: period t adds
     e = t + 1's table as a level and advances each by one engine
@@ -622,7 +622,6 @@ def _sweep(
         reviews[t] = PolicyReview(t, best_r, lo + best.stop + 1, lo + best.best)
         if prune:
             table_min[t] = float(best.table.min())
-            ctx.engine.release(t, {u: rv.cycle for u, rv in reviews.items()})
     return ValueTables(window, T, cost_to_go, reviews, stats)
 
 

@@ -1,5 +1,6 @@
 """Cycle-cost engine: boundaries, memoisation transparency, structure."""
 
+import collections
 import dataclasses
 import math
 
@@ -262,29 +263,38 @@ class TestCurveRecursion:
 
 class TestConvolvesOnce:
     def test_each_curve_is_convolved_once_per_context(self, rng, monkeypatch):
+        # reads of the whole grid convolve no value twice; a curve read
+        # before the reach's power of two rose grows again by one piece
+        # below, at most once per value of R: in random order, and by
+        # increasing length, which raises the reach one at a time
         inst = random_desk_instance(rng, horizon=6)
         cycles = _all_cycles(inst.T)
-        ctx = SolveContext(inst)
-        calls = _count_convolutions(monkeypatch)
-        for k in rng.permutation(len(cycles)):
-            ctx.engine.cycle_hp_fn(*cycles[k])(ctx.grid.levels())
-        assert len(calls) == len(cycles)
-        # a repeated query only reads the memo
-        for t, r in cycles:
-            ctx.engine.cycle_hp_fn(t, r)(ctx.grid.levels())
-        assert len(calls) == len(cycles)
+        pieces = _record_pieces(monkeypatch)
+        for order in (rng.permutation(cycles), sorted(cycles, key=lambda c: c[1])):
+            ctx = SolveContext(inst)
+            pieces.clear()
+            for t, r in order:
+                ctx.engine.cycle_hp_fn(int(t), int(r))(ctx.grid.levels())
+            assert _convolved_twice(pieces) == 0
+            per_curve = collections.Counter((u, k) for u, k, _, _ in pieces)
+            assert len(per_curve) == len(cycles)
+            assert max(per_curve.values()) <= math.ceil(math.log2(inst.T)) + 1
+            # a repeated query only reads the memo
+            built = len(pieces)
+            for t, r in cycles:
+                ctx.engine.cycle_hp_fn(t, r)(ctx.grid.levels())
+            assert len(pieces) == built
         # a long cycle builds its whole chain at once, one convolution each
         ctx = SolveContext(inst)
-        calls.clear()
+        calls = _count_convolutions(monkeypatch)
         ctx.engine.cycle_hp_fn(1, inst.T)(ctx.grid.levels())
         assert len(calls) == inst.T
 
     def test_solve_then_price_convolves_each_value_once(self, monkeypatch):
-        # the sweep reads its window and reads up where hp falls, and releases
-        # the curves beyond its reach; pricing the policy reads its own
-        # window, here inside what the sweep read and kept, and grows
-        # nothing; the engine holds less than it convolved, yet no value was
-        # convolved twice
+        # the sweep reads its window and reads up where hp falls; pricing the
+        # policy reads its own window, here inside what the sweep read, and
+        # grows nothing; the engine holds exactly what it convolved, and no
+        # value was convolved twice
         inst = gen_scalability(20, 1, seed=20)[0]
         ctx = SolveContext(inst)
         pieces = _record_pieces(monkeypatch)
@@ -295,7 +305,7 @@ class TestConvolvesOnce:
         assert len(pieces) == in_sweep  # the pricing grew no curve
         assert _convolved_twice(pieces) == 0
         assert len({(u, k) for u, k, _, _ in pieces}) < len(pieces)  # some curve grew by pieces
-        assert ctx.engine.stored_states < sum(hi - lo + 1 for _, _, lo, hi in pieces)
+        assert ctx.engine.stored_states == sum(hi - lo + 1 for _, _, lo, hi in pieces)
 
     def test_partial_backlog_steps_once_per_period_and_review(self, monkeypatch):
         inst = dataclasses.replace(gen_scalability(10, 1, seed=10)[0], beta=0.5)
@@ -313,81 +323,158 @@ class TestConvolvesOnce:
 def _cheap_reviews(rng):
     """A T = 8 desk draw with demand of 10 to 40 a period and K and W cut
     twentyfold: short cycles win, so the sweep reads no cycle as long as
-    the horizon and releases curves."""
+    the horizon."""
     inst = random_desk_instance(rng, horizon=8, mean_range=(10.0, 40.0))
     p = inst.params
     return dataclasses.replace(inst, params=dataclasses.replace(p, K=p.K / 20, W=p.W / 20))
 
 
-def _keep_every_curve(monkeypatch):
-    monkeypatch.setattr(CycleCostEngine, "release", lambda engine, t, keep: None)
+def _tables_bits(tables):
+    return (
+        tables.grid,
+        tables.reviews,
+        tables.stats,
+        {t: table.tobytes() for t, table in tables.cost_to_go.items()},
+    )
 
 
-class TestRelease:
-    """The sweep releases the hp curves of the periods beyond its reach;
-    whatever the context computes after it is bitwise what an engine that
-    keeps every curve computes."""
+def _search_bits(res):
+    return (
+        res.cost.hex(),
+        res.schedule,
+        res.policy,
+        res.stats,
+        (res.n_schedules, res.nodes_explored, res.nodes_pruned),
+    )
 
-    @staticmethod
-    def _results(inst, window):
+
+class TestKeptCurves:
+    """The engine keeps every curve it grows: what a context computes
+    after a sweep convolves none of the sweep's values again, and is
+    bitwise what a fresh context computes."""
+
+    def test_a_second_sweep_convolves_nothing(self, monkeypatch):
+        inst = gen_scalability(35, 1, seed=35)[0]
         ctx = SolveContext(inst)
-        tables = _sweep(ctx, _kconvex_table, window=window and window(ctx))
-        held = ctx.engine.stored_states
-        cost = expected_cost(inst, extract_policy(tables, inst), context=ctx)
-        res = enumerate_optimal(inst, context=ctx)
-        return held, (
-            tables.grid,
-            tables.reviews,
-            tables.stats,
-            {t: table.tobytes() for t, table in tables.cost_to_go.items()},
-            cost.hex(),
-            res.cost.hex(),
-            res.schedule,
-            res.policy,
-            res.stats,
-            (res.n_schedules, res.nodes_explored, res.nodes_pruned),
-        )
+        pieces = _record_pieces(monkeypatch)
+        first = _tables_bits(solve_kconvex(inst, context=ctx))
+        built = len(pieces)
+        assert _tables_bits(solve_kconvex(inst, context=ctx)) == first
+        assert len(pieces) == built
+        assert _tables_bits(solve_kconvex(inst, context=SolveContext(inst))) == first
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_results_match_an_engine_that_keeps_every_curve(self, seed, monkeypatch):
-        # every other draw starts from a tiny window, which must widen
+    def test_results_match_fresh_contexts(self, seed, monkeypatch):
+        # on one context a sweep (every other draw from a tiny window, which
+        # must widen), the price of its policy, and the exact search, whose
+        # incumbent sweeps again before the search reads cycles of every
+        # length: no value is convolved twice, and each result is bitwise
+        # that of a fresh context
         rng = np.random.default_rng(700 + seed)
-        released = widened = 0
+        pieces = _record_pieces(monkeypatch)
+        widened = 0
         for k in range(6):
             inst = _cheap_reviews(rng)
-            window = tiny_window if k % 2 else None
-            held, got = self._results(inst, window)
-            with monkeypatch.context() as m:
-                _keep_every_curve(m)
-                kept, want = self._results(inst, window)
-            assert got == want, k
-            released += held < kept
-            widened += got[2].window_widenings > 0
-        assert released >= 3 and widened >= 3
+            window = tiny_window if k % 2 else (lambda ctx: None)
+            ctx = SolveContext(inst)
+            pieces.clear()
+            tables = _sweep(ctx, _kconvex_table, window=window(ctx))
+            policy = extract_policy(tables, inst)
+            cost = expected_cost(inst, policy, context=ctx)
+            res = enumerate_optimal(inst, context=ctx)
+            assert _convolved_twice(pieces) == 0, k
+            fresh = SolveContext(inst)
+            want = _sweep(fresh, _kconvex_table, window=window(fresh))
+            assert _tables_bits(tables) == _tables_bits(want), k
+            assert cost.hex() == expected_cost(inst, policy, context=SolveContext(inst)).hex()
+            want = enumerate_optimal(inst, context=SolveContext(inst))
+            assert _search_bits(res) == _search_bits(want), k
+            widened += tables.stats.window_widenings > 0
+        assert widened >= 3
 
-    def test_a_released_curve_is_rebuilt_with_its_bits(self, monkeypatch):
+    def test_the_sweep_after_the_exact_search_convolves_nothing(self, monkeypatch):
+        # the oracle's order: the exact search (its incumbent sweep first),
+        # then the sweep, which reads what the incumbent read
+        pieces = _record_pieces(monkeypatch)
+        for seed in range(4):
+            inst = _cheap_reviews(np.random.default_rng(900 + seed))
+            ctx = SolveContext(inst)
+            enumerate_optimal(inst, context=ctx)
+            assert _convolved_twice(pieces) == 0, seed
+            built = len(pieces)
+            tables = solve_kconvex(inst, context=ctx)
+            assert len(pieces) == built, seed
+            want = solve_kconvex(inst, context=SolveContext(inst))
+            assert _tables_bits(tables) == _tables_bits(want), seed
+            pieces.clear()
+
+    def test_scarf_after_a_sweep_convolves_no_value_twice(self, monkeypatch):
         # after the sweep, a schedule reviewing every period reads one-period
-        # curves the sweep released beyond its reach: they are convolved
-        # again, and the tables and the policy's price keep every bit
+        # curves at every period; they grow from what the sweep built, and
+        # the tables and the policy's price are bitwise a fresh context's
         inst = gen_scalability(20, 1, seed=20)[0]
         schedule = ReviewSchedule(tuple(range(1, inst.T + 1)))
         pieces = _record_pieces(monkeypatch)
 
-        def run():
-            ctx = SolveContext(inst)
-            solve_kconvex(inst, context=ctx)
+        def run(ctx):
             tables = scarf_fixed_R(inst, schedule, context=ctx)
             cost = expected_cost(inst, extract_policy(tables, inst), context=ctx)
-            return {t: v.tobytes() for t, v in tables.cost_to_go.items()}, tables.stats, cost.hex()
+            return _tables_bits(tables), cost.hex()
 
-        got = run()
-        assert _convolved_twice(pieces) > 0  # a released curve was built again
-        pieces.clear()
-        with monkeypatch.context() as m:
-            _keep_every_curve(m)
-            want = run()
+        ctx = SolveContext(inst)
+        solve_kconvex(inst, context=ctx)
+        got = run(ctx)
         assert _convolved_twice(pieces) == 0
-        assert got == want
+        assert got == run(SolveContext(inst))
+
+
+class TestReachSpans:
+    """Reads at random (t, r, lo, hi) on one engine, as the reach grows,
+    and sweeps from a tiny window that widens: every value the engine holds
+    is bitwise the value of its curve read whole from a fresh engine, and
+    no curve spans more than the reach rule asks for."""
+
+    @staticmethod
+    def _whole(inst):
+        # (1, T) first makes R at least T, so every curve (u, k) spans
+        # [floor_u, high], the most any read asks of it
+        eng = SolveContext(inst).engine
+        for t, r in [(1, inst.T)] + _all_cycles(inst.T):
+            eng.cycle_hp_fn(t, r)(range(eng._lo, eng._hi + 1))
+        for u, held in enumerate(eng._curves[1:], 1):
+            for first, curve in held.values():
+                assert first == eng._floors[u - 1] and first + curve.shape[0] == eng._hi + 1
+        return eng._curves
+
+    def test_random_reads_match_whole_curves(self, rng):
+        sweeps = widened = 0
+        for n in range(12):
+            inst = _cheap_reviews(rng)
+            want, ctx = self._whole(inst), SolveContext(inst)
+            eng, grid, T = ctx.engine, ctx.grid, inst.T
+            longest = [1, 2, 3, T][n % 4]  # the reach grows slowly or at once
+            lowest = grid.max_inv
+            for m in range(40):
+                if n % 2 and m in (10, 30):
+                    tables = _sweep(ctx, _kconvex_table, window=tiny_window(ctx))
+                    sweeps, widened = sweeps + 1, widened + (tables.stats.window_widenings > 0)
+                    lowest = min(lowest, tables.grid.min_inv)
+                    continue
+                t = int(rng.integers(1, T + 1))
+                r = int(rng.integers(1, min(longest, T - t + 1) + 1))
+                lo, hi = sorted(int(y) for y in rng.integers(grid.min_inv, grid.max_inv + 1, 2))
+                lowest = min(lowest, lo)
+                first, curve = want[t][r]
+                got = eng.cycle_hp_fn(t, r)(range(lo, hi + 1))
+                assert np.array_equal(got, curve[lo - first : hi - first + 1]), (n, t, r, lo, hi)
+            reach = 1 << (eng._reach - 1).bit_length()
+            for u, held in enumerate(eng._curves[1:], 1):
+                for k, (first, curve) in held.items():
+                    start = first - want[u][k][0]
+                    assert np.array_equal(curve, want[u][k][1][start : start + curve.shape[0]])
+                    v = max(1, u - (reach - k))
+                    assert first >= lowest + eng._floors[u - 1] - eng._floors[v - 1], (n, u, k)
+        assert sweeps == 12 and widened >= 3
 
 
 class TestMeanBound:
