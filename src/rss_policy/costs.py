@@ -7,7 +7,8 @@ holding/penalty of periods t..t+r-1 plus the expected cost-to-go
 its floor value ``future[0]``. The solvers and the evaluator decide on
 ``CycleCostEngine.cycle_curve``; the exact search reads hp with the
 curve from ``cycle_parts``, and the heuristic sweep reads the two parts,
-``cycle_hp_fn`` and ``tail``, on its window, to prune on hp first.
+``cycle_hp_fn`` and ``tail``, on its window, to prune on hp first (and
+``cycle_parts`` when it decides its winners again on a wider window).
 
 Write hp(t, r) for the expected holding/penalty of a cycle of r periods,
 periods t..t+r-1, as a function of the post-order position y at period
@@ -262,17 +263,14 @@ class CycleCostEngine:
 
         return bound
 
-    def tail(self, t: int, r: int, future: np.ndarray, start: int = 0) -> np.ndarray:
+    def tail(self, t: int, r: int, future: np.ndarray) -> np.ndarray:
         """Expected cost-to-go ``future`` at the next review of a cycle of r
         periods at period t, over the post-order positions ``future`` spans
-        (the grid or a window of it) from its index ``start`` on: ``future``
-        padded with its floor value and convolved with the cycle's
-        cumulative-demand pmf. Each value is the same dot product whatever
-        ``start``, so a piece from ``start`` is the whole tail's there."""
+        (the grid or a window of it): ``future`` padded with its floor
+        value and convolved with the cycle's cumulative-demand pmf."""
         cum = self._demand.cumulative(t, t + r)
-        pad = max(cum.max_value - start, 0)  # the padded future, cut at start
-        padded = np.concatenate((np.full(pad, future[0]), future[start + pad - cum.max_value :]))
-        return np.convolve(padded, cum.probs, "valid")[: future.shape[0] - start]
+        padded = np.concatenate((np.full(cum.max_value, future[0]), future))
+        return np.convolve(padded, cum.probs, "valid")[: future.shape[0]]
 
     def cycle_parts(
         self, t: int, r: int, future: np.ndarray, lo: int

@@ -279,3 +279,13 @@ class CumulativeDemandCache:
             pmf = convolve(self._cum[(t, j - 1)], self.period(j - 1))
         self._cum[key] = pmf
         return pmf
+
+    def total(self) -> DemandPmf:
+        """Pmf of the demand over the whole horizon, ``cumulative(1, T+1)``
+        convolved in its order, so bitwise equal to it, but with no prefix
+        (1, j) stored: at long horizons those prefixes would be most of a
+        solve's memory."""
+        pmf = self.period(1)
+        for u in range(2, self.horizon + 1):
+            pmf = convolve(pmf, self.period(u))
+        return pmf

@@ -108,9 +108,10 @@ the window is c on the grid. On a failed check the search starts over
 on ``_certify``'s wider window [max(g, 2f - 1), G], and
 ``window_widenings`` counts the restarts. These are rare (none on the
 T = 10 factorial cells), so the search keeps the restart where the
-sweep extends its tables (see ``solver``, Extension). Every window value is
-computed by the grid's arithmetic on the same values (see ``solver``,
-Exactness), so until a check fails a pass makes the full-grid search's
+sweep decides its decided periods again on their winners (see
+``solver``, Widening). Every window value is computed by the grid's
+arithmetic on the same values (see ``solver``, Exactness), so until a
+check fails a pass makes the full-grid search's
 prune decisions in its order. The costs, schedules, policies and node
 counts are the full-grid search's bitwise, and a pass runs over the
 node budget exactly when that search does. The window keeps the grid's

@@ -71,12 +71,13 @@ the engine grows as the reads need (see ``costs``). The window starts
 at plus and minus the largest period-demand support, widened to hold
 I0, and every candidate the sweep builds checks a certificate that its
 window decision is the grid's. When one fails, the failing end of the
-window about doubles, the sweep extends every table it has decided to
-the wider window (see Extension) and decides the failing period again
-there. It never returns to a later period, yet its tables are those of
-one pass on the final window, every candidate of which is certified. A
-window end at the grid's needs no check, so the window equal to the grid
-is the full-grid sweep.
+window about doubles, the sweep decides every period it has decided
+again on the wider window, each on its winning cycle alone (see
+Widening), and then the failing period. It never weighs a later
+period's candidates again, yet its tables are those of one pass on the
+final window, every candidate of which is certified. A window end at
+the grid's needs no check, so the window equal to the grid is the
+full-grid sweep.
 
 Certificate. For a candidate with holding/penalty hp, next table F,
 curve v = hp + E[F(max(y - D, f))] on [f, c], order-up-to level b and
@@ -123,33 +124,23 @@ flat ordering value; the plain table is W + K plus the minimum of v over
 (f, G], attained in the window. Either way the grid's table is constant
 on [g, f] and equals the window's at f, which carries the induction.
 
-Extension. A table certified on [f, c], with winning cycle r and next
-table F at t + r, is the grid's on any wider window [f', c'] too, and
-is built there from its own values and the new positions alone:
-
-* on [f', f) it is its floor value: by the floor condition the grid's
-  table is constant on [g, f] (a floor at g never widens);
-* on (c, c'] it is W + v(x), with v(x) = hp(x) + E[F(max(x - D, f'))]:
-  the ceiling condition makes hp nondecreasing on [m, G], so by 3 no
-  level x >= m is a stop of the grid's kconvex table, and a plain level
-  there takes W + v(x) (see Ceiling); F is the grid's on [f', c'],
-  being extended first, since the sweep extends from T + 1 down.
-
-Below c nothing changes: a position there reads F below c only, where
-the extension keeps F's values and repeats its floor value, which the
-floor padding read before. Each new value above c is the dot product
-that a tail convolution over the whole wider window makes there
-(``tail`` from an index), so the extended tables are bitwise a pass's on
-the wider window. And that pass decides the periods already decided as
-the sweep did: a certificate that holds on a window holds on every
-wider one, since hp is convex (it rises at every c' >= c once it rises
-at c, and hp(c') >= hp(c), hp(f') >= hp(f)) while min F, min v and v(b)
-are the grid's, and the prune decides on the grid's values whatever the
-window (see Prune). So the sweep, continuing at the failing period, is
-that pass. Its counters are that pass's too: a widening drops the prunes
-and scans of the period it interrupts, adds the ceiling's growth to
-each kconvex scan already made, which stops at or above the old floor
-(the floor is a stop), and counts each plain scan on the wider window.
+Widening. A certificate that holds on a window holds on every wider
+one, since hp is convex (it rises at every c' >= c once it rises at c,
+and hp(c') >= hp(c), hp(f') >= hp(f)) while min F, min v and v(b) are
+the grid's, and the prune decides on the grid's values whatever the
+window (see Prune). So a pass on the wider window builds the candidates
+the sweep built at the periods already decided, certifies each and
+picks the same winners, with the same reviews, and its table at each of
+those periods is its winner's decision on the wider window: from T
+down, the winner's curve over the wider window, read on the next table
+so decided (the terminal table is 0), and the table function on it.
+That is what the sweep computes after a widening, so the sweep,
+continuing at the failing period, is that pass, and its tables are
+bitwise the pass's. Its counters are that pass's too: a widening drops
+the prunes and scans of the period it interrupts, adds the ceiling's
+growth to each kconvex scan already made, which stops at or above the
+old floor (the floor is a stop), and counts each plain scan on the
+wider window.
 
 Prune. The bound needs min hp over the grid, which is its minimum over
 [f, G] since hp does not increase below f. The sweep reads hp on [f, c].
@@ -163,10 +154,10 @@ more, levels below f the same), so the sweep skips, builds and compares
 the grid's candidates, whatever its window. A candidate built after an
 upward read fails its ceiling condition, and the sweep widens the
 window; the periods already decided keep their prunes, which a pass on
-the wider window would make too, and only their tables are extended.
-min F is recorded once, when its period is decided: an extension adds
-levels above c that cost more and levels below f at the floor value, so
-it keeps the minimum.
+the wider window would make too, and only their winners are decided
+again. min F is recorded once, when its period is first decided: a
+table decided again on a wider window adds levels above c that cost
+more and levels below f at the floor value, so it keeps the minimum.
 
 The mean-demand bound comes first. Let c_k, k = 1..r, be the mean
 demand of periods t..t+k-1, summed from the discretized pmfs' means, so
@@ -258,13 +249,14 @@ def build_grid(instance: Instance, demand: CumulativeDemandCache) -> InventoryGr
     ``exact``), and the evaluator prices on the policy's window at beta = 1
     (``evaluate``); the cost engine's curves grow to the spans these read,
     and the engine checks its widest span against memory. The ceiling is
-    the (1 - ``QUANTILE_EPS``) quantile of total horizon demand rounded up
-    by 10%; the floor is its negative. Both are widened if needed so the
+    the (1 - ``QUANTILE_EPS``) quantile of total horizon demand
+    (``CumulativeDemandCache.total``, which keeps no prefix) rounded up by
+    10%; the floor is its negative. Both are widened if needed so the
     initial inventory lies on the grid. The work on the total demand's
     convolution is bounded before its pmfs are built, by ``SolveContext``.
     """
     # no grid held in memory nears 2^62 levels; the cap keeps 1.1 * m finite
-    m = min(demand.cumulative(1, instance.T + 1).quantile(1.0 - QUANTILE_EPS), 2**62)
+    m = min(demand.total().quantile(1.0 - QUANTILE_EPS), 2**62)
     max_inv = max(math.ceil(1.1 * m), instance.I0, 0)
     min_inv = min(-max_inv, instance.I0)
     return InventoryGrid(min_inv=min_inv, max_inv=max_inv)
@@ -278,7 +270,7 @@ class SolveStats:
     decided on (the grid for beta < 1), plus ``window_widenings``: a
     failed certificate's period is counted on the wider window only, and
     the scans made before it are counted as on that window (see the
-    module docstring, Extension). Only the candidate cycles the sweep
+    module docstring, Widening). Only the candidate cycles the sweep
     scans are counted in ``states_evaluated`` and ``q_iterations``.
     ``states_evaluated`` is the depth of the threshold scan for kconvex:
     the levels from the window ceiling down to and including the stop
@@ -291,7 +283,8 @@ class SolveStats:
     without a tail convolution or a scan; it is the full-grid sweep's,
     and the same as with the min hp bound alone. ``window_widenings``
     counts the failed certificates that widened the window: the sweep
-    extends its tables to it, and the exact search starts over on it.
+    decides its decided periods again on it, each on its winning cycle,
+    and the exact search starts over on it.
     """
 
     states_evaluated: int = 0
@@ -474,31 +467,6 @@ def _certify(
     return None if (lo, hi) == (window.min_inv, window.max_inv) else InventoryGrid(lo, hi)
 
 
-def _extend(
-    ctx: SolveContext,
-    cost_to_go: dict[int, np.ndarray],
-    reviews: dict[int, PolicyReview],
-    old: InventoryGrid,
-    new: InventoryGrid,
-) -> None:
-    """Extend the certified tables from the window ``old`` to the wider
-    ``new``, the terminal table and each decided period's from T down (see
-    the module docstring, Extension): below the old floor a table takes
-    its floor value, and above the old ceiling W + hp + ``tail`` of its
-    winning cycle, the tail convolved over the new positions only."""
-    T, W = ctx.instance.T, ctx.params.W
-    cost_to_go[T + 1] = np.zeros(new.size)
-    top = old.max_inv + 1  # the first position above the old window
-    for u, review in reviews.items():  # decided from T down
-        table, r = cost_to_go[u], review.cycle
-        pieces = [np.full(old.min_inv - new.min_inv, table[0]), table]
-        if top <= new.max_inv:
-            hp = ctx.engine.cycle_hp_fn(u, r)(range(top, new.max_inv + 1))
-            tail = ctx.engine.tail(u, r, cost_to_go[u + r], top - new.min_inv)
-            pieces.append(W + (hp + tail))
-        cost_to_go[u] = np.concatenate(pieces)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite cost is refused below
 def _sweep(
     ctx: SolveContext,
@@ -528,12 +496,13 @@ def _sweep(
     once J or its holding/penalty alone cannot, the remaining candidates
     are dropped; neither gets a tail convolution, and a candidate J drops
     or skips gets no hp read either. Every other candidate is certified.
-    When a certificate fails, the tables decided so far are extended to
-    the wider window (``_extend``) and the failing period is decided
-    again on it, so the sweep never returns to a later period. A decided
-    period records its table's minimum; the engine keeps every curve it
-    grew, over spans bounded by the sweep's reach (``costs`` module
-    docstring, Spans). With beta < 1 the window is the grid
+    When a certificate fails, each period decided so far is decided
+    again on the wider window, from T down, on its winning cycle alone
+    (``cycle_parts``), and then the failing period, so the sweep never
+    weighs a later period's candidates again. A decided period records
+    its table's minimum; the engine keeps every curve it grew, over
+    spans bounded by the sweep's reach (``costs`` module docstring,
+    Spans). With beta < 1 the window is the grid
     (another given window raises ``ValueError``) and every candidate is
     decided, cut from the level of its next review e: period t adds
     e = t + 1's table as a level and advances each by one engine
@@ -551,7 +520,7 @@ def _sweep(
     stats = SolveStats()  # the decided periods' counters, and the widenings
     scanned = 0  # candidates the decided periods scanned
     cost_to_go: dict[int, np.ndarray] = {T + 1: np.zeros(window.size)}
-    table_min = {T + 1: 0.0}  # min F of each decided table, which extensions keep
+    table_min = {T + 1: 0.0}  # min F of each decided table, which a re-decision keeps
     reviews: dict[int, PolicyReview] = {}
     levels: dict[int, np.ndarray] = {}  # beta < 1: next review -> level at t
     for t in range(T, 0, -1):
@@ -607,7 +576,11 @@ def _sweep(
             else:
                 stats.states_evaluated += scanned * (wider.max_inv - window.max_inv)
             stats.window_widenings += 1
-            _extend(ctx, cost_to_go, reviews, window, wider)
+            cost_to_go[T + 1] = np.zeros(wider.size)
+            for u, review in reviews.items():  # from T down; the scans are counted above
+                r = review.cycle
+                curve = ctx.engine.cycle_parts(u, r, cost_to_go[u + r], wider.min_inv)[1]
+                cost_to_go[u] = table_fn(ctx, curve, SolveStats()).table
             window = wider
         stats.states_evaluated += here.states_evaluated
         stats.q_iterations += here.q_iterations

@@ -36,7 +36,6 @@ from rss_policy.solver import (
     QUANTILE_EPS,
     InventoryGrid,
     SolveStats,
-    _extend,
     _initial_window,
     _kconvex_table,
     _plain_table,
@@ -80,6 +79,19 @@ class TestBuildGrid:
         # roughly 1.1 x (500 + 4.3 * sqrt(500))
         assert 600 <= ctx.grid.max_inv <= 700
         assert ctx.grid.min_inv == -ctx.grid.max_inv
+
+    def test_the_total_demand_leaves_no_prefix_in_the_cache(self):
+        # the prefixes (1, j) of the total would be most of a long solve's
+        # memory, 95 MB at T = 520, and only period 1's tails read a few
+        inst = gen_scalability(30, 1, seed=30)[0]
+        ctx = SolveContext(inst)
+        assert ctx.demand._cum == {}
+        total = ctx.demand.cumulative(1, inst.T + 1)
+        again = ctx.demand.total()
+        assert (again.offset, again.probs.tobytes()) == (total.offset, total.probs.tobytes())
+        m = min(total.quantile(1.0 - QUANTILE_EPS), 2**62)
+        max_inv = max(math.ceil(1.1 * m), inst.I0, 0)
+        assert ctx.grid == InventoryGrid(min(-max_inv, inst.I0), max_inv)
 
     def test_initial_inventory_clamped_in(self):
         inst = Instance(
@@ -606,27 +618,59 @@ class TestWindow:
         windowed = _sweep(ctx, _kconvex_table, window=start)
         assert_window_matches_full_grid(ctx, windowed, full)
 
-    def test_an_extension_keeps_each_tables_minimum(self, monkeypatch):
-        # the sweep records min F when it decides a period and prunes on it
-        # after later widenings: _extend adds levels above the old ceiling
-        # that cost more, and levels below the old floor at the floor value
-        extended = []
+    def test_a_redecision_keeps_each_tables_minimum_and_review(self, monkeypatch):
+        # after a widening the sweep decides each decided period again on
+        # its winning cycle, over the wider window (``cycle_parts``); it
+        # prunes on the min F it recorded when it first decided the period,
+        # and keeps the review it recorded then, so the table decided again
+        # must keep both
+        cycle = {}  # the cycle whose curve the table function gets next
+        built, redecided = {}, []  # (t, r) -> min of its last candidate table
 
-        def recording(ctx, cost_to_go, reviews, old, new):
-            before = {t: float(table.min()) for t, table in cost_to_go.items()}
-            _extend(ctx, cost_to_go, reviews, old, new)
-            extended.append((before, {t: float(cost_to_go[t].min()) for t in before}))
+        def recording(table_fn):
+            def decide(ctx, curve, stats):
+                res = table_fn(ctx, curve, stats)
+                t, r, lo = cycle.pop("next")
+                if lo is None:  # a candidate: the last one built at t is t's winner
+                    built[t, r] = float(res.table.min())
+                else:
+                    redecided.append((t, r, lo, res, built[t, r]))
+                return res
 
-        monkeypatch.setattr(solver, "_extend", recording)
+            return decide
+
+        # patched in the module, so the sweep still tells plain from kconvex
+        originals = {name: getattr(solver, name) for name in ("_kconvex_table", "_plain_table")}
+        for name, table_fn in originals.items():
+            monkeypatch.setattr(solver, name, recording(table_fn))
         rng = np.random.default_rng(31)
-        instances = [random_desk_instance(rng, mean_range=(10.0, 30.0)) for _ in range(8)]
+        # 8 draws and T = 35 re-decide 88 tables, 12 draws and T = 35 re-decide 108
+        instances = [random_desk_instance(rng, mean_range=(10.0, 30.0)) for _ in range(12)]
+        count = 0
         for inst in instances + [gen_scalability(35, 1, seed=35)[0]]:
             ctx = SolveContext(inst)
-            for table_fn in (_kconvex_table, _plain_table):
-                _sweep(ctx, table_fn, window=tiny_window(ctx))
-        assert sum(len(before) for before, _ in extended) >= 100
-        for before, after in extended:
-            assert before == after
+            tail, parts = ctx.engine.tail, ctx.engine.cycle_parts
+
+            def candidate_tail(t, r, future):
+                cycle["next"] = (t, r, None)
+                return tail(t, r, future)
+
+            def winner_parts(t, r, future, lo):
+                both = parts(t, r, future, lo)  # through candidate_tail
+                cycle["next"] = (t, r, lo)
+                return both
+
+            monkeypatch.setattr(ctx.engine, "tail", candidate_tail)
+            monkeypatch.setattr(ctx.engine, "cycle_parts", winner_parts)
+            for name, table_fn in originals.items():
+                built.clear()
+                redecided.clear()
+                tables = _sweep(ctx, getattr(solver, name), window=tiny_window(ctx))
+                for t, r, lo, res, first_min in redecided:
+                    assert float(res.table.min()) == first_min, t
+                    assert tables.reviews[t] == PolicyReview(t, r, lo + res.stop + 1, lo + res.best)
+                count += len(redecided)
+        assert count >= 100
 
     def test_tables_live_on_the_window(self):
         inst = gen_scalability(35, 1, seed=35)[0]
