@@ -7,7 +7,7 @@ holding/penalty of periods t..t+r-1 plus the expected cost-to-go
 its floor value ``future[0]``. The solvers and the evaluator decide on
 ``CycleCostEngine.cycle_curve``; the exact search reads hp with the
 curve from ``cycle_parts``, and the heuristic sweep reads the two parts,
-``cycle_hp_fn`` and ``tail``, on its window, to prune on hp first (and
+``cycle_hp_fn`` and ``tail``, on its window, to prune before it builds (and
 ``cycle_parts`` when it decides its winners again on a wider window).
 
 Write hp(t, r) for the expected holding/penalty of a cycle of r periods,
@@ -263,14 +263,18 @@ class CycleCostEngine:
 
         return bound
 
-    def tail(self, t: int, r: int, future: np.ndarray) -> np.ndarray:
+    def tail(self, t: int, r: int, future: np.ndarray, span: tuple | None = None) -> np.ndarray:
         """Expected cost-to-go ``future`` at the next review of a cycle of r
         periods at period t, over the post-order positions ``future`` spans
         (the grid or a window of it): ``future`` padded with its floor
-        value and convolved with the cycle's cumulative-demand pmf."""
+        value and convolved with the cycle's cumulative-demand pmf; ``span``
+        (a, b) gives indices a..b alone, each the whole call's dot product."""
         cum = self._demand.cumulative(t, t + r)
-        padded = np.concatenate((np.full(cum.max_value, future[0]), future))
-        return np.convolve(padded, cum.probs, "valid")[: future.shape[0]]
+        a, b = (0, future.shape[0] - 1) if span is None else span
+        end, m = b + cum.probs.shape[0], cum.max_value  # padded values a..end - 1 are read
+        reads = future[max(a - m, 0) : max(end - m, 0)]  # after the floor values
+        padded = np.concatenate((np.full(max(min(m, end) - a, 0), future[0]), reads))
+        return np.convolve(padded, cum.probs, "valid")
 
     def cycle_parts(
         self, t: int, r: int, future: np.ndarray, lo: int

@@ -89,10 +89,10 @@ class DemandPmf:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a nonempty 1-D array")
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
+        if probs.min() < 0:
             raise ValueError("probabilities must be finite and nonnegative")
         total = float(probs.sum())
-        if not 0 < total < np.inf:
+        if not 0 < total < np.inf:  # also an inf or NaN weight
             raise ValueError(f"pmf mass {total} must be positive and finite")
         if not is_integer(self.offset):
             raise ValueError(f"the offset must be an integer, not {self.offset!r}")

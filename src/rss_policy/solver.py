@@ -50,16 +50,19 @@ that holds for longer cycles too:
   min hp(t, r) bounds the curve of every cycle at t of length r or more.
 
 Let ``best`` be the smallest such value found so far at period t.
-A candidate is skipped when min hp + min F exceeds ``best``, and it and
-every longer cycle are dropped once min hp alone does, since their
-tails are >= 0. Both compare against best + 1e-9 |best|: that margin is
-orders of magnitude above the rounding of the convolutions (about 1e-13
-relative), so no rounding error can turn a skipped candidate into a
-winner. The sweep replaces ``best`` only with a strictly smaller value,
-so the tables, thresholds and cycle lengths are exactly those of the
-sweep that builds every candidate. The same two tests run first on a
-lower bound of min hp from the mean demands alone, before hp is read
-(see Prune).
+A candidate is skipped when min hp + min F exceeds ``best`` (the empty
+case of the zone test, see Prune), and it and every longer cycle are
+dropped once min hp alone does, since their tails are >= 0. All tests
+compare against best + 1e-9 |best|: that margin is orders of magnitude
+above the rounding of the convolutions (about 1e-13 relative), so no
+rounding error can turn a skipped candidate into a winner. The sweep
+first builds the probe, the cycle that ends at the next review of
+period t + 1's winner, which most often wins, and then the others in
+increasing order; a later one replaces ``best`` only if strictly
+smaller, or equal and shorter, so the tables, thresholds and cycle
+lengths are exactly those of the sweep that builds every candidate in
+increasing order. The same tests run first on a lower bound of min hp
+from the mean demands alone, before hp is read (see Prune).
 
 The window. The grid [g, G] is the state space, sized from total horizon
 demand, but the decisions live at cycle scale: on the T = 35 scalability
@@ -140,7 +143,8 @@ bitwise the pass's. Its counters are that pass's too: a widening drops
 the prunes and scans of the period it interrupts, adds the ceiling's
 growth to each kconvex scan already made, which stops at or above the
 old floor (the floor is a stop), and counts each plain scan on the
-wider window.
+wider window. A candidate the zone test drops is never certified: only
+a built loser, the probe or one whose zone reaches c, can widen it.
 
 Prune. The bound needs min hp over the grid, which is its minimum over
 [f, G] since hp does not increase below f. The sweep reads hp on [f, c].
@@ -158,6 +162,21 @@ the wider window would make too, and only their winners are decided
 again. min F is recorded once, when its period is first decided: a
 table decided again on a wider window adds levels above c that cost
 more and levels below f at the floor value, so it keeps the minimum.
+
+The zone. A candidate that passes those tests is priced on its zone Z,
+the hull of the read positions where hp + min F <= best + 1e-9 |best|,
+the threshold. If Z lies below c, the tail is computed at Z alone
+(``tail`` with a span, each value the whole call's dot product), and
+the candidate is skipped when every curve value there exceeds the
+threshold. It cannot win on the grid: its curve is at least hp + min F,
+up to a rounding of a few ulps of min F <= best, inside the margin, so
+it exceeds the threshold on the read outside Z and above the read,
+where hp does not fall; below f the grid curve is hp(x) >= hp(f) plus
+the tail at f, bitwise, so it exceeds the threshold if v(f) or hp(f) +
+min F does. Otherwise, or when Z reaches c, above which the window has
+no tail, the candidate is built and certified. The test decides as on
+the grid on each window on which it is certified, since a certified Z
+that reaches c holds [m, c], where min v[m..c] < hp(c) + min F.
 
 The mean-demand bound comes first. Let c_k, k = 1..r, be the mean
 demand of periods t..t+k-1, summed from the discretized pmfs' means, so
@@ -279,9 +298,10 @@ class SolveStats:
     order-quantity candidates the exhaustive search covers, q = 0
     included: size * (size + 1) / 2 per cycle on a window of that size,
     and 0 for kconvex. ``candidates_pruned`` is the number of candidate
-    cycles the sweep skipped by its bounds, the mean-demand J or min hp,
-    without a tail convolution or a scan; it is the full-grid sweep's,
-    and the same as with the min hp bound alone. ``window_widenings``
+    cycles the sweep skipped unscanned by its bounds, J, min hp or the
+    zone (module docstring, Prune), never the probe; with the scanned ones
+    it counts each candidate once, and it is the full-grid sweep's, J or
+    not. ``window_widenings``
     counts the failed certificates that widened the window: the sweep
     decides its decided periods again on it, each on its winning cycle,
     and the exact search starts over on it.
@@ -425,8 +445,8 @@ def _plain_table(ctx: SolveContext, curve: np.ndarray, stats: SolveStats) -> _Cy
 _BOUND_MARGIN = 1e-9
 
 
-def _exceeds(a: float, b: float) -> bool:
-    """a > b by more than the rounding margin."""
+def _exceeds(a: float | np.ndarray, b: float) -> bool | np.ndarray:
+    """a > b by more than the rounding margin, for a number or an array a."""
     return a > b + _BOUND_MARGIN * abs(b)
 
 
@@ -489,13 +509,11 @@ def _sweep(
     Under full backlogging the sweep decides on a window of the grid,
     ``_initial_window`` unless given (the whole grid makes it the
     full-grid sweep; a given window's floor is the grid's or at most -1).
-    The mean-demand bound J of each candidate comes first, and then its
-    holding/penalty curve, read on the window and further up while it
-    falls at the top of the read: by the bounds of the module docstring
-    (Prune), a candidate that cannot beat the best so far is skipped, and
-    once J or its holding/penalty alone cannot, the remaining candidates
-    are dropped; neither gets a tail convolution, and a candidate J drops
-    or skips gets no hp read either. Every other candidate is certified.
+    The cycle that ends at period t + 1's next review comes first, and the
+    bounds of the module docstring (Prune) skip or drop each candidate
+    that cannot beat the best so far: by J before any hp read, by its hp
+    read on the window and up while it falls at the read's top, or by
+    its zone's tail. Every candidate built is certified.
     When a certificate fails, each period decided so far is decided
     again on the wider window, from T down, on its winning cycle alone
     (``cycle_parts``), and then the failing period, so the sweep never
@@ -528,11 +546,13 @@ def _sweep(
             levels[t + 1] = cost_to_go[t + 1]
             levels = {e: ctx.engine.backlog_step(t, w) for e, w in levels.items()}
         candidates = list(range(1, T - t + 2) if lengths is None else lengths(t))
+        probe = reviews[t + 1].cycle + 1 if prune and t + 1 in reviews else None
+        candidates.sort(key=lambda r: r != probe)  # the probe first, the others in order
         mean_bound = ctx.engine.mean_bound(t)
         while True:  # once per window period t is decided on
             here, scans = SolveStats(), 0  # period t's counters on this window
             best: Optional[_CycleResult] = None
-            best_n, wider = math.inf, None
+            best_n, best_r, wider = math.inf, 0, None  # r > 0: a cost of inf never wins
             for k, r in enumerate(candidates):
                 if not prune:
                     curve = levels[t + r][-window.size :]
@@ -549,11 +569,15 @@ def _sweep(
                     while top < ctx.grid.max_inv and hp[-1] < hp[-2]:  # min hp may lie above
                         top = min(ctx.grid.max_inv, 2 * top + 1)
                         hp = hp_fn(range(window.min_inv, top + 1))
-                    hp_min = float(hp.min())
-                    if _exceeds(hp_min, best_n):  # hp alone loses; so does every longer cycle's
+                    if _exceeds(float(hp.min()), best_n):  # hp alone loses, and every longer cycle
                         here.candidates_pruned += len(candidates) - k
                         break
-                    if _exceeds(hp_min + future_min, best_n):
+                    zone = np.flatnonzero(~_exceeds(hp + future_min, best_n))  # Z; NaN stays in
+                    if zone.size and zone[-1] < window.size - 1:  # Z below c: price it alone
+                        a, b = int(zone[0]), int(zone[-1])
+                        part = ctx.engine.tail(t, r, cost_to_go[t + r], (a, b))
+                        zone = np.flatnonzero(~_exceeds(hp[a : b + 1] + part, best_n))
+                    if not zone.size:  # no level on the grid reaches the best
                         here.candidates_pruned += 1
                         continue
                     curve = hp[: window.size] + ctx.engine.tail(t, r, cost_to_go[t + r])
@@ -562,7 +586,7 @@ def _sweep(
                     wider = _certify(ctx, window, hp, future_min, curve, res.best_n + K)
                     if wider is not None:
                         break
-                if res.best_n < best_n:
+                if (res.best_n, r) < (best_n, best_r):  # ties go to the shorter cycle
                     best, best_r, best_n = res, r, res.best_n
             if wider is None:
                 break

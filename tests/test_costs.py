@@ -160,6 +160,26 @@ class TestStructure:
             assert eng.cycle_curve(t, r, whole) is seen[-1][1]
             assert seen[-1][0].shape == whole.shape
 
+    def test_tail_on_a_span_is_that_part_of_the_whole_tail(self, rng):
+        # the whole tail is the floor-padded convolution, and a span gives its
+        # values there bitwise, also where every demand reaches below future[0]
+        point = deterministic_instance([6, 0, 9, 3], K=20.0, W=5.0, b=8.0)
+        for inst in [random_desk_instance(rng, horizon=4) for _ in range(4)] + [point]:
+            ctx = SolveContext(inst)
+            eng = ctx.engine
+            for t, r in _all_cycles(inst.T):
+                cum = ctx.demand.cumulative(t, t + r)
+                for n in (1, 3, ctx.grid.size):
+                    future = rng.uniform(0.0, 100.0, n)
+                    padded = np.concatenate((np.full(cum.max_value, future[0]), future))
+                    whole = eng.tail(t, r, future)
+                    assert np.array_equal(whole, np.convolve(padded, cum.probs, "valid")[:n])
+                    a = int(rng.integers(0, n))
+                    b = int(rng.integers(a, n))
+                    for span in ((a, b), (0, 0), (n - 1, n - 1), (0, n - 1)):
+                        part = eng.tail(t, r, future, span)
+                        assert np.array_equal(part, whole[span[0] : span[1] + 1]), (t, r, span)
+
 
 def _all_cycles(T):
     return [(t, r) for t in range(1, T + 1) for r in range(1, T - t + 2)]

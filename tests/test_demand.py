@@ -284,6 +284,14 @@ class TestDemandPmf:
         with pytest.raises(ValueError):
             DemandPmf(offset=0, probs=np.array([0.5, -0.1, 0.6]))
 
+    @pytest.mark.parametrize(
+        "probs", [[0.5, np.nan], [np.inf, 1.0], [-np.inf, 1.0], [np.inf, -np.inf], [np.nan, -1.0]]
+    )
+    def test_rejects_non_finite_weights(self, probs):
+        # the least weight and the total catch them, with no warning
+        with pytest.raises(ValueError, match="finite"):
+            DemandPmf(offset=0, probs=np.array(probs))
+
     def test_rejects_negative_offset(self):
         with pytest.raises(ValueError):
             DemandPmf(offset=-1, probs=np.array([1.0]))

@@ -55,6 +55,7 @@ from conftest import (
     tiny_window,
     two_branch_lost_sales_curve,
     unpruned_sweep,
+    window_slice,
 )
 
 
@@ -408,7 +409,7 @@ class TestSweepBound:
         inst = gen_scalability(40, 1, seed=40)[0]
         ctx = SolveContext(inst)
         tables = solve_kconvex(inst, context=ctx)
-        # of the 820 candidates, 269 are built
+        # of the 820 candidates, 60 are built
         assert tables.stats.candidates_pruned >= 820 // 2
         schedule = ReviewSchedule(extract_policy(tables, inst).review_periods)
         scarf = scarf_fixed_R(inst, schedule, context=ctx)
@@ -442,6 +443,102 @@ class TestSweepBound:
         stats = solve_lost_sales(inst, context=ctx).stats
         assert stats.candidates_pruned == 0
         assert stats.states_evaluated == 55 * ctx.grid.size
+
+
+class TestProbeAndZone:
+    """Under full backlogging the sweep builds first the cycle that ends at
+    period t + 1's next review, and prices each later candidate on its
+    zone Z alone before building it. Its tables, reviews and root costs
+    are those of the sweep that builds every candidate in ascending order,
+    bitwise; each candidate is counted once, built or pruned, and ties
+    still go to the shorter cycle."""
+
+    @staticmethod
+    def _full_grid_builds(monkeypatch, ctx, table_fn):
+        """The full-grid sweep, the candidates it builds in order, as
+        (t, r, value at the order-up-to level), and the (t, r) it prices on
+        a zone alone."""
+        built, zoned = [], []
+        tail = ctx.engine.tail
+
+        def recording_tail(t, r, future, span=None):
+            (built if span is None else zoned).append((t, r))
+            return tail(t, r, future, span)
+
+        def recording(ctx, curve, stats):
+            res = table_fn(ctx, curve, stats)
+            built[-1] += (res.best_n,)
+            return res
+
+        with monkeypatch.context() as m:
+            m.setattr(ctx.engine, "tail", recording_tail)
+            tables = full_grid_sweep(ctx, recording)
+        return built, zoned, tables
+
+    @staticmethod
+    def _assert_unpruned(ctx, tables, unpruned):
+        cost_to_go, reviews, _ = unpruned
+        assert tables.cost_to_go.keys() == cost_to_go.keys()
+        for t, table in tables.cost_to_go.items():
+            assert np.array_equal(table, window_slice(ctx, tables.grid, cost_to_go[t])), t
+        assert tables.reviews == reviews
+        root = float(cost_to_go[1][ctx.grid.index(ctx.instance.I0)])
+        assert tables.root_cost(ctx.instance.I0).hex() == root.hex()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_desk_instances_match_the_unpruned_sweep(self, seed, monkeypatch):
+        rng = np.random.default_rng(700 + seed)
+        dropped = 0
+        for k in range(6):
+            inst = random_desk_instance(rng, int(rng.integers(5, 10)), (10.0, 30.0))
+            ctx = SolveContext(inst)
+            T = inst.T
+            for table_fn in (_kconvex_table, _plain_table):
+                unpruned = unpruned_sweep(ctx, table_fn)
+                for start in (None, tiny_window(ctx)):
+                    self._assert_unpruned(ctx, _sweep(ctx, table_fn, window=start), unpruned)
+                # the probe is built first at every t < T, and so never pruned
+                built, zoned, full = self._full_grid_builds(monkeypatch, ctx, table_fn)
+                for t in range(1, T):
+                    first = next(r for u, r, _ in built if u == t)
+                    assert first == full.reviews[t + 1].cycle + 1, (k, t)
+                cycles = [(t, r) for t, r, _ in built]
+                assert len(set(cycles)) == len(cycles)
+                assert len(cycles) + full.stats.candidates_pruned == T * (T + 1) // 2
+                dropped += len(set(zoned) - set(cycles))
+        assert dropped > 0
+
+    def test_ties_go_to_the_shorter_cycle_after_the_probe(self, monkeypatch):
+        # with K = W = 0 every table is 0, so at a period whose next demand
+        # is 0 the probe and a shorter cycle built after it cost the same
+        inst = _tie_prone_instances()["K=W=0"]
+        ctx = SolveContext(inst)
+        built, _, tables = self._full_grid_builds(monkeypatch, ctx, _kconvex_table)
+        ties = []
+        for t in range(1, inst.T):
+            here = [(r, value) for u, r, value in built if u == t]
+            probe, value = here[0]
+            ties += [(t, r) for r, v in here[1:] if r < probe and v == value]
+        assert ties
+        for t, r in ties:
+            assert tables.reviews[t].cycle <= r
+        self._assert_unpruned(ctx, tables, unpruned_sweep(ctx, _kconvex_table))
+
+    @pytest.mark.parametrize("I0", [0, -1])
+    def test_windows_of_one_or_two_positions(self, I0, rng):
+        # zero demand: the grid and the window are [0, 0] or [-1, 0]; then a
+        # first window of two positions on a grid that is wider
+        inst = dataclasses.replace(_tie_prone_instances()["zero-demand"], I0=I0)
+        ctx = SolveContext(inst)
+        assert ctx.grid.size == 1 - I0
+        for table_fn in (_kconvex_table, _plain_table):
+            self._assert_unpruned(ctx, _sweep(ctx, table_fn), unpruned_sweep(ctx, table_fn))
+        inst = dataclasses.replace(random_desk_instance(rng, 6, (10.0, 30.0)), I0=I0)
+        ctx = SolveContext(inst)
+        for table_fn in (_kconvex_table, _plain_table):
+            tables = _sweep(ctx, table_fn, window=InventoryGrid(-1, 0))
+            assert tables.stats.window_widenings > 0
+            self._assert_unpruned(ctx, tables, unpruned_sweep(ctx, table_fn))
 
 
 def _no_mean_bound(monkeypatch):
@@ -644,16 +741,16 @@ class TestWindow:
         for name, table_fn in originals.items():
             monkeypatch.setattr(solver, name, recording(table_fn))
         rng = np.random.default_rng(31)
-        # 8 draws and T = 35 re-decide 88 tables, 12 draws and T = 35 re-decide 108
-        instances = [random_desk_instance(rng, mean_range=(10.0, 30.0)) for _ in range(12)]
+        # 16 draws and T = 35 re-decide 106 tables, 12 draws and T = 35 only 76
+        instances = [random_desk_instance(rng, mean_range=(10.0, 30.0)) for _ in range(16)]
         count = 0
         for inst in instances + [gen_scalability(35, 1, seed=35)[0]]:
             ctx = SolveContext(inst)
             tail, parts = ctx.engine.tail, ctx.engine.cycle_parts
 
-            def candidate_tail(t, r, future):
+            def candidate_tail(t, r, future, span=None):  # a span prices a zone alone
                 cycle["next"] = (t, r, None)
-                return tail(t, r, future)
+                return tail(t, r, future, span)
 
             def winner_parts(t, r, future, lo):
                 both = parts(t, r, future, lo)  # through candidate_tail
