@@ -7,8 +7,7 @@ holding/penalty of periods t..t+r-1 plus the expected cost-to-go
 its floor value ``future[0]``. The solvers and the evaluator decide on
 ``CycleCostEngine.cycle_curve``; the exact search reads hp with the
 curve from ``cycle_parts``, and the heuristic sweep reads the two parts,
-``cycle_hp_fn`` and ``tail``, on its window, to prune before it builds (and
-``cycle_parts`` when it decides its winners again on a wider window).
+``cycle_hp_fn`` and ``tail``, on its window, to prune before it builds.
 
 Write hp(t, r) for the expected holding/penalty of a cycle of r periods,
 periods t..t+r-1, as a function of the post-order position y at period

@@ -104,19 +104,17 @@ convolution reads the window's floor value:
   so neither is checked.
 
 Both tables of an inherited bound are then constant on [g, f], so c on
-the window is c on the grid. On a failed check the search starts over
-on ``_certify``'s wider window [max(g, 2f - 1), G], and
-``window_widenings`` counts the restarts. These are rare (none on the
-T = 10 factorial cells), so the search keeps the restart where the
-sweep decides its decided periods again on their winners (see
-``solver``, Widening). Every window value is computed by the grid's
-arithmetic on the same values (see ``solver``, Exactness), so until a
-check fails a pass makes the full-grid search's
-prune decisions in its order. The costs, schedules, policies and node
-counts are the full-grid search's bitwise, and a pass runs over the
-node budget exactly when that search does. The window keeps the grid's
-ceiling: one taken from the incumbent as well failed its check on nodes
-with long cycles often enough to cancel the gain.
+the window is c on the grid. A failed check starts the search over on
+``_certify``'s wider window [max(g, 2f - 1), G], as it does the sweep
+(see ``solver``, Widening), and ``window_widenings`` counts the
+restarts. Every window value is computed by the grid's arithmetic on
+the same values (see ``solver``, Exactness), so until a check fails a
+pass makes the full-grid search's prune decisions in its order. The
+costs, schedules, policies and node counts are the full-grid search's
+bitwise, and a pass runs over the node budget exactly when that search
+does. The window keeps the grid's ceiling: one taken from the
+incumbent as well failed its check on nodes with long cycles often
+enough to cancel the gain.
 
 Node budget. The search builds at most ``budget`` suffixes and
 raises ``HorizonCapError`` when it needs more. The default, 2^14 - 1, is

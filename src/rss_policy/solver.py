@@ -41,28 +41,23 @@ the holding/penalty curve ``cycle_hp_fn`` of a candidate and F for the
 cost-to-go table of period t + r. The candidate's curve is hp plus an
 expectation of values of F, so each of its levels, among
 them the value at the order-up-to level by which the sweep compares
-candidates, is at least min hp + min F. Two facts make this a bound
-that holds for longer cycles too:
+candidates, is at least hp + min F at that level. K, W, h and b are
+nonnegative, so hp and every table are >= 0.
 
-* K, W, h and b are nonnegative, so hp and every table are >= 0;
-* hp(t, r + 1) is hp(t, r) plus the expected holding/penalty of period
-  t + r, a nonnegative term, so hp is pointwise nondecreasing in r and
-  min hp(t, r) bounds the curve of every cycle at t of length r or more.
-
-Let ``best`` be the smallest such value found so far at period t.
-A candidate is skipped when min hp + min F exceeds ``best`` (the empty
-case of the zone test, see Prune), and it and every longer cycle are
-dropped once min hp alone does, since their tails are >= 0. All tests
-compare against best + 1e-9 |best|: that margin is orders of magnitude
-above the rounding of the convolutions (about 1e-13 relative), so no
-rounding error can turn a skipped candidate into a winner. The sweep
+Let ``best`` be the smallest such value found so far at period t. A
+candidate is skipped when hp + min F exceeds ``best`` at every level
+(the empty case of the zone test, see Prune). All tests compare against
+best + 1e-9 |best|: that margin is orders of magnitude above the
+rounding of the convolutions (about 1e-13 relative), so no rounding
+error can turn a skipped candidate into a winner. The sweep
 first builds the probe, the cycle that ends at the next review of
 period t + 1's winner, which most often wins, and then the others in
 increasing order; a later one replaces ``best`` only if strictly
 smaller, or equal and shorter, so the tables, thresholds and cycle
 lengths are exactly those of the sweep that builds every candidate in
-increasing order. The same tests run first on a lower bound of min hp
-from the mean demands alone, before hp is read (see Prune).
+increasing order. Before hp is read, a lower bound of min hp from the
+mean demands alone skips the candidate, or drops it and every longer
+one (see Prune).
 
 The window. The grid [g, G] is the state space, sized from total horizon
 demand, but the decisions live at cycle scale: on the T = 35 scalability
@@ -74,13 +69,9 @@ the engine grows as the reads need (see ``costs``). The window starts
 at plus and minus the largest period-demand support, widened to hold
 I0, and every candidate the sweep builds checks a certificate that its
 window decision is the grid's. When one fails, the failing end of the
-window about doubles, the sweep decides every period it has decided
-again on the wider window, each on its winning cycle alone (see
-Widening), and then the failing period. It never weighs a later
-period's candidates again, yet its tables are those of one pass on the
-final window, every candidate of which is certified. A window end at
-the grid's needs no check, so the window equal to the grid is the
-full-grid sweep.
+window about doubles and the sweep starts over on the wider window (see
+Widening). A window end at the grid's needs no check, so the window
+equal to the grid is the full-grid sweep.
 
 Certificate. For a candidate with holding/penalty hp, next table F,
 curve v = hp + E[F(max(y - D, f))] on [f, c], order-up-to level b and
@@ -127,41 +118,23 @@ flat ordering value; the plain table is W + K plus the minimum of v over
 (f, G], attained in the window. Either way the grid's table is constant
 on [g, f] and equals the window's at f, which carries the induction.
 
-Widening. A certificate that holds on a window holds on every wider
-one, since hp is convex (it rises at every c' >= c once it rises at c,
-and hp(c') >= hp(c), hp(f') >= hp(f)) while min F, min v and v(b) are
-the grid's, and the prune decides on the grid's values whatever the
-window (see Prune). So a pass on the wider window builds the candidates
-the sweep built at the periods already decided, certifies each and
-picks the same winners, with the same reviews, and its table at each of
-those periods is its winner's decision on the wider window: from T
-down, the winner's curve over the wider window, read on the next table
-so decided (the terminal table is 0), and the table function on it.
-That is what the sweep computes after a widening, so the sweep,
-continuing at the failing period, is that pass, and its tables are
-bitwise the pass's. Its counters are that pass's too: a widening drops
-the prunes and scans of the period it interrupts, adds the ceiling's
-growth to each kconvex scan already made, which stops at or above the
-old floor (the floor is a stop), and counts each plain scan on the
-wider window. A candidate the zone test drops is never certified: only
-a built loser, the probe or one whose zone reaches c, can widen it.
+Widening. A failed certificate starts the sweep over on the wider
+window, as the exact search does, so the tables, reviews and every
+counter but ``window_widenings`` are those of one pass on the returned
+window, every candidate of which is certified. A candidate the zone
+test drops is never certified: only a built one, the probe or one whose
+zone reaches c, can widen the window.
 
-Prune. The bound needs min hp over the grid, which is its minimum over
-[f, G] since hp does not increase below f. The sweep reads hp on [f, c].
-If hp rises at c, then by 1 it is nondecreasing on [c - 1, G] and the
-window attains that minimum. Otherwise, as for a long cycle whose hp
+Prune. The zone test below needs hp not to fall above its read. The
+sweep reads hp on [f, c]. If hp rises at c, then by 1 it is
+nondecreasing on [c - 1, G]. Otherwise, as for a long cycle whose hp
 is least above the window, the sweep reads hp further up, the top
 about doubling towards G as after a failed certificate, until hp rises
-at the top of the read or the read ends at G; that read attains the
-minimum. The bound's min F the window attains (levels above c cost
-more, levels below f the same), so the sweep skips, builds and compares
-the grid's candidates, whatever its window. A candidate built after an
-upward read fails its ceiling condition, and the sweep widens the
-window; the periods already decided keep their prunes, which a pass on
-the wider window would make too, and only their winners are decided
-again. min F is recorded once, when its period is first decided: a
-table decided again on a wider window adds levels above c that cost
-more and levels below f at the floor value, so it keeps the minimum.
+at the top of the read or the read ends at G. The window attains the
+grid's min F (levels above c cost more, levels below f the same), so
+the sweep skips, builds and compares the grid's candidates, whatever
+its window. A candidate built after an upward read fails its ceiling
+condition, and the sweep starts over on a wider window.
 
 The zone. A candidate that passes those tests is priced on its zone Z,
 the hull of the read positions where hp + min F <= best + 1e-9 |best|,
@@ -194,19 +167,20 @@ P the prefix sums of c (``CycleCostEngine.mean_bound``), and
 J(t, r) <= min hp(t, r) over the grid. J is nondecreasing in r, since
 J(t, r + 1) minimises the same sum plus L(y - c_{r+1}) >= 0. So before
 reading hp the sweep drops the candidate and every longer one once J
-exceeds ``best``, and skips it when J + min F does. Each candidate so
-dropped or skipped the min hp tests above would also drop or skip, as
-min hp >= J and min hp is nondecreasing in r; so the tables, windows and
-every counter stay those of the min hp tests, and only the reach, the
-longest cycle whose hp the sweep reads, falls: 8 instead of 16 on the
-T = 35 scalability instance of seed 35, and 9 instead of 43 at T = 200.
+exceeds ``best``, and skips it when J + min F does. The zone test would
+skip each candidate so dropped or skipped, as hp >= J at every level
+and J is nondecreasing in r; so the tables, windows and every counter
+stay those of the zone test alone, and only the reach, the longest
+cycle whose hp the sweep reads, falls: 8 instead of 35 on the T = 35
+scalability instance of seed 35, and 9 instead of 200 at T = 200, where
+the zone test alone reads every length.
 J costs O(1) scalar operations a candidate once the means are summed,
 and reads no curve. Its rounding is a few ulps of r (h + b) c_r,
 far below the margin of 1e-9 relative, and a rounded j off by one moves
 J only where the slope at c_j is within rounding of 0. For point masses
 J is exact where hp attains it, at the integer c_j, and each side is
 computed to a few ulps, so the margin keeps J from dropping a candidate
-the min hp tests would build, unless min hp lies within that rounding
+the zone test would build, unless min hp lies within that rounding
 of best + 1e-9 |best|.
 
 Exactness. Each window level is computed by the grid's own arithmetic
@@ -286,11 +260,9 @@ class SolveStats:
     """Work counters, summed over the cycles a solve decides.
 
     The counters are those of one pass on the window the tables were
-    decided on (the grid for beta < 1), plus ``window_widenings``: a
-    failed certificate's period is counted on the wider window only, and
-    the scans made before it are counted as on that window (see the
-    module docstring, Widening). Only the candidate cycles the sweep
-    scans are counted in ``states_evaluated`` and ``q_iterations``.
+    decided on (the grid for beta < 1), plus ``window_widenings``. Only
+    the candidate cycles the sweep scans are counted in
+    ``states_evaluated`` and ``q_iterations``.
     ``states_evaluated`` is the depth of the threshold scan for kconvex:
     the levels from the window ceiling down to and including the stop
     level, or the whole window when there is no stop. The exhaustive
@@ -298,13 +270,11 @@ class SolveStats:
     order-quantity candidates the exhaustive search covers, q = 0
     included: size * (size + 1) / 2 per cycle on a window of that size,
     and 0 for kconvex. ``candidates_pruned`` is the number of candidate
-    cycles the sweep skipped unscanned by its bounds, J, min hp or the
-    zone (module docstring, Prune), never the probe; with the scanned ones
-    it counts each candidate once, and it is the full-grid sweep's, J or
-    not. ``window_widenings``
-    counts the failed certificates that widened the window: the sweep
-    decides its decided periods again on it, each on its winning cycle,
-    and the exact search starts over on it.
+    cycles the sweep skipped unscanned by its bounds, J or the zone
+    (module docstring, Prune), never the probe; with the scanned ones it
+    counts each candidate once, and it is the full-grid sweep's, J or
+    not. ``window_widenings`` counts the failed certificates: each starts
+    the sweep (or the search) over on the wider window.
     """
 
     states_evaluated: int = 0
@@ -511,16 +481,13 @@ def _sweep(
     full-grid sweep; a given window's floor is the grid's or at most -1).
     The cycle that ends at period t + 1's next review comes first, and the
     bounds of the module docstring (Prune) skip or drop each candidate
-    that cannot beat the best so far: by J before any hp read, by its hp
-    read on the window and up while it falls at the read's top, or by
-    its zone's tail. Every candidate built is certified.
-    When a certificate fails, each period decided so far is decided
-    again on the wider window, from T down, on its winning cycle alone
-    (``cycle_parts``), and then the failing period, so the sweep never
-    weighs a later period's candidates again. A decided period records
-    its table's minimum; the engine keeps every curve it grew, over
-    spans bounded by the sweep's reach (``costs`` module docstring,
-    Spans). With beta < 1 the window is the grid
+    that cannot beat the best so far: by J before any hp read, then by
+    its zone, on hp read on the window and up while it falls at the
+    read's top and on the zone's tail. Every candidate built is
+    certified, and a failed certificate starts the sweep over on the
+    wider window; the engine keeps every curve it grew, over spans
+    bounded by the sweep's reach (``costs`` module docstring, Spans).
+    With beta < 1 the window is the grid
     (another given window raises ``ValueError``) and every candidate is
     decided, cut from the level of its next review e: period t adds
     e = t + 1's table as a level and advances each by one engine
@@ -535,10 +502,9 @@ def _sweep(
         window = ctx.grid
     elif window is None:
         window = _initial_window(ctx)
-    stats = SolveStats()  # the decided periods' counters, and the widenings
-    scanned = 0  # candidates the decided periods scanned
+    stats = SolveStats()
     cost_to_go: dict[int, np.ndarray] = {T + 1: np.zeros(window.size)}
-    table_min = {T + 1: 0.0}  # min F of each decided table, which a re-decision keeps
+    table_min = {T + 1: 0.0}  # min F of each decided table
     reviews: dict[int, PolicyReview] = {}
     levels: dict[int, np.ndarray] = {}  # beta < 1: next review -> level at t
     for t in range(T, 0, -1):
@@ -549,71 +515,46 @@ def _sweep(
         probe = reviews[t + 1].cycle + 1 if prune and t + 1 in reviews else None
         candidates.sort(key=lambda r: r != probe)  # the probe first, the others in order
         mean_bound = ctx.engine.mean_bound(t)
-        while True:  # once per window period t is decided on
-            here, scans = SolveStats(), 0  # period t's counters on this window
-            best: Optional[_CycleResult] = None
-            best_n, best_r, wider = math.inf, 0, None  # r > 0: a cost of inf never wins
-            for k, r in enumerate(candidates):
-                if not prune:
-                    curve = levels[t + r][-window.size :]
-                else:
-                    least, future_min = mean_bound(r), table_min[t + r]
-                    if _exceeds(least, best_n):  # and so does J, below hp, of every longer cycle
-                        here.candidates_pruned += len(candidates) - k
-                        break
-                    if _exceeds(least + future_min, best_n):
-                        here.candidates_pruned += 1
-                        continue
-                    hp_fn, top = ctx.engine.cycle_hp_fn(t, r), window.max_inv
-                    hp = hp_fn(range(window.min_inv, top + 1))
-                    while top < ctx.grid.max_inv and hp[-1] < hp[-2]:  # min hp may lie above
-                        top = min(ctx.grid.max_inv, 2 * top + 1)
-                        hp = hp_fn(range(window.min_inv, top + 1))
-                    if _exceeds(float(hp.min()), best_n):  # hp alone loses, and every longer cycle
-                        here.candidates_pruned += len(candidates) - k
-                        break
-                    zone = np.flatnonzero(~_exceeds(hp + future_min, best_n))  # Z; NaN stays in
-                    if zone.size and zone[-1] < window.size - 1:  # Z below c: price it alone
-                        a, b = int(zone[0]), int(zone[-1])
-                        part = ctx.engine.tail(t, r, cost_to_go[t + r], (a, b))
-                        zone = np.flatnonzero(~_exceeds(hp[a : b + 1] + part, best_n))
-                    if not zone.size:  # no level on the grid reaches the best
-                        here.candidates_pruned += 1
-                        continue
-                    curve = hp[: window.size] + ctx.engine.tail(t, r, cost_to_go[t + r])
-                res, scans = table_fn(ctx, curve, here), scans + 1
-                if prune:
-                    wider = _certify(ctx, window, hp, future_min, curve, res.best_n + K)
-                    if wider is not None:
-                        break
-                if (res.best_n, r) < (best_n, best_r):  # ties go to the shorter cycle
-                    best, best_r, best_n = res, r, res.best_n
-            if wider is None:
-                break
-            # the decided periods' tables and scans as on the wider window: a
-            # certified kconvex scan stops at or above the old floor, so it
-            # grows by the ceiling's growth; a plain scan spans the window
-            if table_fn is _plain_table:
-                grow = wider.size * (wider.size + 1) // 2 - window.size * (window.size + 1) // 2
-                stats.states_evaluated += scanned * (wider.size - window.size)
-                stats.q_iterations += scanned * grow
+        best: Optional[_CycleResult] = None
+        best_n, best_r = math.inf, 0  # r > 0: a cost of inf never wins
+        for k, r in enumerate(candidates):
+            if not prune:
+                curve = levels[t + r][-window.size :]
             else:
-                stats.states_evaluated += scanned * (wider.max_inv - window.max_inv)
-            stats.window_widenings += 1
-            cost_to_go[T + 1] = np.zeros(wider.size)
-            for u, review in reviews.items():  # from T down; the scans are counted above
-                r = review.cycle
-                curve = ctx.engine.cycle_parts(u, r, cost_to_go[u + r], wider.min_inv)[1]
-                cost_to_go[u] = table_fn(ctx, curve, SolveStats()).table
-            window = wider
-        stats.states_evaluated += here.states_evaluated
-        stats.q_iterations += here.q_iterations
-        stats.candidates_pruned += here.candidates_pruned
+                least, future_min = mean_bound(r), table_min[t + r]
+                if _exceeds(least, best_n):  # and so does J of every longer cycle
+                    stats.candidates_pruned += len(candidates) - k
+                    break
+                if _exceeds(least + future_min, best_n):
+                    stats.candidates_pruned += 1
+                    continue
+                hp_fn, top = ctx.engine.cycle_hp_fn(t, r), window.max_inv
+                hp = hp_fn(range(window.min_inv, top + 1))
+                while top < ctx.grid.max_inv and hp[-1] < hp[-2]:  # min hp may lie above
+                    top = min(ctx.grid.max_inv, 2 * top + 1)
+                    hp = hp_fn(range(window.min_inv, top + 1))
+                zone = np.flatnonzero(~_exceeds(hp + future_min, best_n))  # Z; NaN stays in
+                if zone.size and zone[-1] < window.size - 1:  # Z below c: price it alone
+                    a, b = int(zone[0]), int(zone[-1])
+                    part = ctx.engine.tail(t, r, cost_to_go[t + r], (a, b))
+                    zone = np.flatnonzero(~_exceeds(hp[a : b + 1] + part, best_n))
+                if not zone.size:  # no level on the grid reaches the best
+                    stats.candidates_pruned += 1
+                    continue
+                curve = hp[: window.size] + ctx.engine.tail(t, r, cost_to_go[t + r])
+            res = table_fn(ctx, curve, stats)
+            if prune:
+                wider = _certify(ctx, window, hp, future_min, curve, res.best_n + K)
+                if wider is not None:  # start over on the wider window
+                    tables = _sweep(ctx, table_fn, lengths, wider)
+                    tables.stats.window_widenings += 1
+                    return tables
+            if (res.best_n, r) < (best_n, best_r):  # ties go to the shorter cycle
+                best, best_r, best_n = res, r, res.best_n
         if best is None:
             if candidates:  # every candidate costs inf or NaN
                 raise ValueError(f"no cycle at period {t} has a finite cost: the costs overflow")
             continue
-        scanned += scans
         cost_to_go[t] = best.table
         lo = window.min_inv  # the curve indices as inventory levels
         reviews[t] = PolicyReview(t, best_r, lo + best.stop + 1, lo + best.best)

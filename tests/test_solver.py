@@ -30,7 +30,6 @@ from rss_policy import (
     solve_lost_sales,
     solve_plain,
 )
-from rss_policy import solver
 from rss_policy.cli import main as cli_main
 from rss_policy.solver import (
     QUANTILE_EPS,
@@ -542,13 +541,13 @@ class TestProbeAndZone:
 
 
 def _no_mean_bound(monkeypatch):
-    """The sweep with the min hp bound alone: J = -inf prunes nothing."""
+    """The sweep with the zone test alone: J = -inf prunes nothing."""
     monkeypatch.setattr(CycleCostEngine, "mean_bound", lambda engine, t: lambda r: -math.inf)
 
 
 class TestMeanDemandBound:
-    """The mean-demand bound drops only candidates that the min hp bound
-    skips or drops: every table, window, review and counter, and the exact
+    """The mean-demand bound drops only candidates that the zone test
+    skips: every table, window, review and counter, and the exact
     search's nodes, are the sweep's without it, bitwise, and it reads no
     longer cycle."""
 
@@ -649,10 +648,10 @@ class TestWindow:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_counters_are_one_pass_on_the_returned_window(self, seed):
-        # a failed certificate extends the tables decided so far to the wider
-        # window, so the tables and every counter but the widenings are those
-        # of the sweep on the returned window, which widens no more; also
-        # with a fixed schedule's lengths, which leave periods undecided
+        # a failed certificate starts the sweep over on the wider window, so
+        # the tables and every counter but the widenings are those of the
+        # sweep on the returned window, which widens no more; also with a
+        # fixed schedule's lengths, which leave periods undecided
         rng = np.random.default_rng(100 + seed)
         gaps = np.random.default_rng(seed)  # the schedules, apart from the instances
         widened = 0
@@ -684,23 +683,32 @@ class TestWindow:
         assert widened > 0
         assert grew_floor and grew_ceiling
 
+    @pytest.mark.parametrize("table_fn", [_kconvex_table, _plain_table])
     @pytest.mark.parametrize("tiny", [False, True])
-    def test_a_widening_never_sends_the_sweep_back_up(self, tiny):
-        # a failed certificate started the sweep over at period T, deciding
-        # every later period again; now each period is asked for once, from
-        # T down, however often the window widens
+    def test_a_widening_starts_the_sweep_over(self, tiny, table_fn):
+        # each failed certificate starts a new pass at period T on the wider
+        # window, and the last pass, which widens no more, is the result
         inst = gen_scalability(35, 1, seed=35)[0]
         ctx = SolveContext(inst)
+        T = inst.T
         asked = []
 
         def lengths(t):
             asked.append(t)
-            return range(1, inst.T - t + 2)
+            return range(1, T - t + 2)
 
-        tables = _sweep(ctx, _kconvex_table, lengths, tiny_window(ctx) if tiny else None)
-        assert tables.stats.window_widenings >= 2
-        assert asked == list(range(inst.T, 0, -1))
-        assert tables.reviews == _sweep(ctx, _kconvex_table, window=tables.grid).reviews
+        tables = _sweep(ctx, table_fn, lengths, tiny_window(ctx) if tiny else None)
+        starts = [k for k, t in enumerate(asked) if t == T]
+        passes = [asked[a:b] for a, b in zip(starts, starts[1:] + [len(asked)])]
+        assert starts[0] == 0 and all(p == list(range(T, T - len(p), -1)) for p in passes)
+        assert len(passes) == tables.stats.window_widenings + 1 >= 3
+        assert passes[-1] == list(range(T, 0, -1))
+        again = _sweep(ctx, table_fn, window=tables.grid)
+        assert tables.cost_to_go.keys() == again.cost_to_go.keys()
+        for t, table in tables.cost_to_go.items():
+            assert np.array_equal(table, again.cost_to_go[t]), t
+        assert tables.reviews == again.reviews
+        assert dataclasses.replace(tables.stats, window_widenings=0) == again.stats
 
     @pytest.mark.parametrize("means, tiny", [((20, 20), True), ((8, 8, 8), False)])
     def test_prune_reads_hp_up_past_a_falling_ceiling(self, means, tiny):
@@ -714,60 +722,6 @@ class TestWindow:
         start = tiny_window(ctx) if tiny else None
         windowed = _sweep(ctx, _kconvex_table, window=start)
         assert_window_matches_full_grid(ctx, windowed, full)
-
-    def test_a_redecision_keeps_each_tables_minimum_and_review(self, monkeypatch):
-        # after a widening the sweep decides each decided period again on
-        # its winning cycle, over the wider window (``cycle_parts``); it
-        # prunes on the min F it recorded when it first decided the period,
-        # and keeps the review it recorded then, so the table decided again
-        # must keep both
-        cycle = {}  # the cycle whose curve the table function gets next
-        built, redecided = {}, []  # (t, r) -> min of its last candidate table
-
-        def recording(table_fn):
-            def decide(ctx, curve, stats):
-                res = table_fn(ctx, curve, stats)
-                t, r, lo = cycle.pop("next")
-                if lo is None:  # a candidate: the last one built at t is t's winner
-                    built[t, r] = float(res.table.min())
-                else:
-                    redecided.append((t, r, lo, res, built[t, r]))
-                return res
-
-            return decide
-
-        # patched in the module, so the sweep still tells plain from kconvex
-        originals = {name: getattr(solver, name) for name in ("_kconvex_table", "_plain_table")}
-        for name, table_fn in originals.items():
-            monkeypatch.setattr(solver, name, recording(table_fn))
-        rng = np.random.default_rng(31)
-        # 16 draws and T = 35 re-decide 106 tables, 12 draws and T = 35 only 76
-        instances = [random_desk_instance(rng, mean_range=(10.0, 30.0)) for _ in range(16)]
-        count = 0
-        for inst in instances + [gen_scalability(35, 1, seed=35)[0]]:
-            ctx = SolveContext(inst)
-            tail, parts = ctx.engine.tail, ctx.engine.cycle_parts
-
-            def candidate_tail(t, r, future, span=None):  # a span prices a zone alone
-                cycle["next"] = (t, r, None)
-                return tail(t, r, future, span)
-
-            def winner_parts(t, r, future, lo):
-                both = parts(t, r, future, lo)  # through candidate_tail
-                cycle["next"] = (t, r, lo)
-                return both
-
-            monkeypatch.setattr(ctx.engine, "tail", candidate_tail)
-            monkeypatch.setattr(ctx.engine, "cycle_parts", winner_parts)
-            for name, table_fn in originals.items():
-                built.clear()
-                redecided.clear()
-                tables = _sweep(ctx, getattr(solver, name), window=tiny_window(ctx))
-                for t, r, lo, res, first_min in redecided:
-                    assert float(res.table.min()) == first_min, t
-                    assert tables.reviews[t] == PolicyReview(t, r, lo + res.stop + 1, lo + res.best)
-                count += len(redecided)
-        assert count >= 100
 
     def test_tables_live_on_the_window(self):
         inst = gen_scalability(35, 1, seed=35)[0]
