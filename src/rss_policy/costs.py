@@ -134,7 +134,14 @@ class CycleCostEngine:
         self._lo, self._hi = low, high
         self._beta = beta
         self._params = params
-        self._means = [demand.period(u).mean() for u in range(1, demand.horizon + 1)]
+        self._means = np.array([demand.period(u).mean() for u in range(1, demand.horizon + 1)])
+        # where mean_bound's sum is least for each cycle length r = 1..T:
+        # j = ceil(r b / (h + b)) clipped to 1..r (b / (h + b) <= 1, so only
+        # the 1 binds), as the index j - 1 and as the floats j and r - j
+        ratio = 1.0 / (1.0 + params.h / params.b) if params.b > 0 else 0.0  # h + b may overflow
+        r = np.arange(1.0, demand.horizon + 1)
+        j = np.maximum(np.ceil(ratio * r), 1.0)
+        self._least_at = j.astype(np.int64) - 1, j, r - j
         # _floors[u - 1] = floor_u of the module docstring
         self._floors = [low]
         for d in dmax[:-1]:
@@ -242,25 +249,21 @@ class CycleCostEngine:
 
         return read
 
-    def mean_bound(self, t: int) -> Callable[[int], float]:
-        """J(t, r) as a function of the cycle length r: the least over real y
-        of sum_k L(y - c_k), c_k the mean demand of periods t..t+k-1 for
-        k = 1..r. By Jensen's inequality it is at most hp(t, r) at every
-        position, and it is nondecreasing in r (``solver`` module docstring,
-        Prune). A call costs O(1) scalar operations once the means of the
-        periods up to t + r - 1 are summed, each once."""
-        h, b, means = self._params.h, self._params.b, self._means
-        ratio = 1.0 / (1.0 + h / b) if b > 0 else 0.0  # b / (h + b), where h + b may overflow
-        c, P = [0.0], [0.0]  # c[k] = c_k, and P[k] = c_1 + ... + c_k
-
-        def bound(r: int) -> float:
-            for k in range(len(c), r + 1):
-                c.append(c[-1] + means[t + k - 2])
-                P.append(P[-1] + c[-1])
-            j = min(max(math.ceil(ratio * r), 1), r)  # the minimum lies at y = c[j]
-            return h * (j * c[j] - P[j]) + b * (P[r] - P[j] - (r - j) * c[j])
-
-        return bound
+    def mean_bound(self, t: int) -> np.ndarray:
+        """J(t, r) for every cycle length r = 1..T - t + 1, at index r - 1:
+        the least over real y of sum_k L(y - c_k), c_k the mean demand of
+        periods t..t+k-1 for k = 1..r. By Jensen's inequality it is at most
+        hp(t, r) at every position, and it is nondecreasing in r (``solver``
+        module docstring, Prune). The cumulative means c and their prefix
+        sums P are two ``cumsum``, which add in order, and J is the closed
+        form at j = ceil(r b / (h + b)) clipped to 1..r. A J that overflows
+        is inf, and numpy warns: the caller scopes the warning."""
+        h, b = self._params.h, self._params.b
+        c = self._means[t - 1 :].cumsum()  # c[k - 1] = c_k
+        P = c.cumsum()  # P[k - 1] = c_1 + ... + c_k
+        n, (i, j, rj) = c.shape[0], self._least_at  # the minimum lies at y = c_j
+        cj, Pj = c[i[:n]], P[i[:n]]
+        return h * (j[:n] * cj - Pj) + b * (P - Pj - rj[:n] * cj)
 
     def tail(self, t: int, r: int, future: np.ndarray, span: tuple | None = None) -> np.ndarray:
         """Expected cost-to-go ``future`` at the next review of a cycle of r

@@ -118,10 +118,6 @@ class DemandPmf:
     def mean(self) -> float:
         return float(np.dot(self.probs, self.support))
 
-    def variance(self) -> float:
-        m = self.mean()
-        return float(np.dot(self.probs, (self.support - m) ** 2))
-
     def cdf(self) -> np.ndarray:
         """Cumulative probabilities aligned with ``support``."""
         return np.cumsum(self.probs)

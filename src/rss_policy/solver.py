@@ -174,14 +174,15 @@ stay those of the zone test alone, and only the reach, the longest
 cycle whose hp the sweep reads, falls: 8 instead of 35 on the T = 35
 scalability instance of seed 35, and 9 instead of 200 at T = 200, where
 the zone test alone reads every length.
-J costs O(1) scalar operations a candidate once the means are summed,
-and reads no curve. Its rounding is a few ulps of r (h + b) c_r,
-far below the margin of 1e-9 relative, and a rounded j off by one moves
-J only where the slope at c_j is within rounding of 0. For point masses
-J is exact where hp attains it, at the integer c_j, and each side is
-computed to a few ulps, so the margin keeps J from dropping a candidate
-the zone test would build, unless min hp lies within that rounding
-of best + 1e-9 |best|.
+J of every length of a period is one array (``mean_bound``), two
+``cumsum`` and the closed form, computed at each period that has
+candidates; it reads no curve. Its rounding is a few ulps of
+r (h + b) c_r, far below the margin of 1e-9 relative, and a rounded j
+off by one moves J only where the slope at c_j is within rounding of 0.
+For point masses J is exact where hp attains it, at the integer c_j,
+and each side is computed to a few ulps, so the margin keeps J from
+dropping a candidate the zone test would build, unless min hp lies
+within that rounding of best + 1e-9 |best|.
 
 Exactness. Each window level is computed by the grid's own arithmetic
 on the same values: one dot product of the same pmf with the same
@@ -194,11 +195,12 @@ rounding cannot certify a decision the exact values would not.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -229,9 +231,6 @@ class InventoryGrid:
         if not self.min_inv <= i <= self.max_inv:
             raise ValueError(f"inventory {i} outside grid [{self.min_inv}, {self.max_inv}]")
         return i - self.min_inv
-
-    def levels(self) -> np.ndarray:
-        return np.arange(self.min_inv, self.max_inv + 1)
 
 
 def build_grid(instance: Instance, demand: CumulativeDemandCache) -> InventoryGrid:
@@ -461,20 +460,20 @@ def _certify(
 def _sweep(
     ctx: SolveContext,
     table_fn: Callable[[SolveContext, np.ndarray, SolveStats], _CycleResult],
-    lengths: Optional[Callable[[int], Iterable[int]]] = None,
+    lengths: Optional[Callable[[int], Sequence[int]]] = None,
     window: Optional[InventoryGrid] = None,
 ) -> ValueTables:
     """Backward sweep over periods, keeping the locally best cycle length.
 
-    ``lengths(t)`` gives the candidate cycle lengths at period t in
-    increasing order, by default every length that fits the horizon; a
-    period without candidates gets no table and no review, and one whose
-    candidates all cost inf or NaN raises ``ValueError``. Ties between
-    cycle lengths go to the shorter cycle; the order-up-to tie-break
-    (largest level) is fixed inside the threshold scan. Each decided
-    period records one ``PolicyReview`` from its winning cycle, whose
-    curve indices of the stop and the order-up-to level become inventory
-    levels here and nowhere else.
+    ``lengths(t)`` gives the candidate cycle lengths at period t as a
+    sequence in increasing order (a range or a tuple), by default every
+    length that fits the horizon; a period without candidates gets no
+    table and no review, and one whose candidates all cost inf or NaN
+    raises ``ValueError``. Ties between cycle lengths go to the shorter
+    cycle; the order-up-to tie-break (largest level) is fixed inside the
+    threshold scan. Each decided period records one ``PolicyReview`` from
+    its winning cycle, whose curve indices of the stop and the
+    order-up-to level become inventory levels here and nowhere else.
 
     Under full backlogging the sweep decides on a window of the grid,
     ``_initial_window`` unless given (the whole grid makes it the
@@ -511,19 +510,22 @@ def _sweep(
         if not prune:
             levels[t + 1] = cost_to_go[t + 1]
             levels = {e: ctx.engine.backlog_step(t, w) for e, w in levels.items()}
-        candidates = list(range(1, T - t + 2) if lengths is None else lengths(t))
-        probe = reviews[t + 1].cycle + 1 if prune and t + 1 in reviews else None
-        candidates.sort(key=lambda r: r != probe)  # the probe first, the others in order
-        mean_bound = ctx.engine.mean_bound(t)
+        given = range(1, T - t + 2) if lengths is None else lengths(t)
+        if not given:  # no table and no review
+            continue
+        probe = reviews[t + 1].cycle + 1 if prune and t + 1 in reviews else 0  # 0: none
+        first = (probe,) if probe in given else ()  # the probe, then the others in order
+        candidates = itertools.chain(first, (r for r in given if r != probe))
+        J = ctx.engine.mean_bound(t) if prune else None
         best: Optional[_CycleResult] = None
         best_n, best_r = math.inf, 0  # r > 0: a cost of inf never wins
         for k, r in enumerate(candidates):
             if not prune:
                 curve = levels[t + r][-window.size :]
             else:
-                least, future_min = mean_bound(r), table_min[t + r]
+                least, future_min = J[r - 1], table_min[t + r]
                 if _exceeds(least, best_n):  # and so does J of every longer cycle
-                    stats.candidates_pruned += len(candidates) - k
+                    stats.candidates_pruned += len(given) - k
                     break
                 if _exceeds(least + future_min, best_n):
                     stats.candidates_pruned += 1
@@ -551,10 +553,8 @@ def _sweep(
                     return tables
             if (res.best_n, r) < (best_n, best_r):  # ties go to the shorter cycle
                 best, best_r, best_n = res, r, res.best_n
-        if best is None:
-            if candidates:  # every candidate costs inf or NaN
-                raise ValueError(f"no cycle at period {t} has a finite cost: the costs overflow")
-            continue
+        if best is None:  # every candidate costs inf or NaN
+            raise ValueError(f"no cycle at period {t} has a finite cost: the costs overflow")
         cost_to_go[t] = best.table
         lo = window.min_inv  # the curve indices as inventory levels
         reviews[t] = PolicyReview(t, best_r, lo + best.stop + 1, lo + best.best)

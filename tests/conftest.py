@@ -150,6 +150,21 @@ def two_branch_lost_sales_curve(
     return w
 
 
+def scalar_mean_bound(ctx: SolveContext, t: int) -> np.ndarray:
+    """``mean_bound`` by scalar arithmetic: the cumulative means c_k and
+    their prefix sums P_k grown one length at a time in Python floats,
+    and J(t, r) for r = 1..T - t + 1 from them one length at a time."""
+    h, b = ctx.params.h, ctx.params.b
+    ratio = 1.0 / (1.0 + h / b) if b > 0 else 0.0
+    c, P, J = [0.0], [0.0], []
+    for r in range(1, ctx.instance.T - t + 2):
+        c.append(c[-1] + ctx.demand.period(t + r - 1).mean())
+        P.append(P[-1] + c[-1])
+        j = min(max(math.ceil(ratio * r), 1), r)
+        J.append(h * (j * c[j] - P[j]) + b * (P[r] - P[j] - (r - j) * c[j]))
+    return np.array(J)
+
+
 def path_sum_cycle_cost(ctx: SolveContext, t: int, r: int, y: int, future: np.ndarray) -> float:
     """No-order cost of a cycle of r periods at period t from post-order
     position y (review cost excluded), by direct summation over the
@@ -177,12 +192,13 @@ def path_sum_policy_cost(ctx: SolveContext, policy) -> float:
     backward over its reviews: each review pays W, and K plus the order
     up to S at the levels below s."""
     grid, p = ctx.grid, ctx.params
+    levels = np.arange(grid.min_inv, grid.max_inv + 1)
     future = np.zeros(grid.size)
     for rv in reversed(policy.reviews):
-        curve = [path_sum_cycle_cost(ctx, rv.period, rv.cycle, y, future) for y in grid.levels()]
+        curve = [path_sum_cycle_cost(ctx, rv.period, rv.cycle, y, future) for y in levels]
         order = p.K + curve[grid.index(rv.order_up_to)]
         future = np.array([
-            p.W + (order if y < rv.reorder else curve[grid.index(y)]) for y in grid.levels()
+            p.W + (order if y < rv.reorder else curve[grid.index(y)]) for y in levels
         ])
     return float(future[grid.index(ctx.instance.I0)])
 
@@ -194,7 +210,7 @@ def full_grid_expected_cost(ctx: SolveContext, policy) -> float:
     grid, p, engine = ctx.grid, ctx.params, ctx.engine
     future = np.zeros(grid.size)
     for rv in reversed(policy.reviews):
-        hp = engine.cycle_hp_fn(rv.period, rv.cycle)(grid.levels())
+        hp = engine.cycle_hp_fn(rv.period, rv.cycle)(np.arange(grid.min_inv, grid.max_inv + 1))
         curve = hp + engine.tail(rv.period, rv.cycle, future)
         table = p.W + curve
         if rv.reorder > grid.min_inv:

@@ -32,6 +32,7 @@ from conftest import (
     path_sum_cycle_cost,
     path_sum_policy_cost,
     random_desk_instance,
+    scalar_mean_bound,
     tiny_window,
 )
 
@@ -48,7 +49,7 @@ class TestBoundaries:
     def test_deterministic_two_period_tail(self):
         # with point-mass demand the recursion telescopes into plain sums
         ctx = self._ctx()
-        ys = ctx.grid.levels()
+        ys = np.arange(ctx.grid.min_inv, ctx.grid.max_inv + 1)
         expected = _hp(ys - 3, ctx.params) + _hp(ys - 3 - 4, ctx.params)
         np.testing.assert_allclose(ctx.engine.cycle_hp_fn(1, 2)(ys), expected, atol=1e-12)
 
@@ -100,10 +101,11 @@ class TestMemoisationTransparency:
             ctx = SolveContext(random_desk_instance(rng))
             T = ctx.instance.T
             grid = ctx.grid
+            levels = np.arange(grid.min_inv, grid.max_inv + 1)
             for _ in range(6):
                 t = int(rng.integers(1, T + 1))
                 r = int(rng.integers(1, T - t + 2))
-                curve = ctx.engine.cycle_hp_fn(t, r)(grid.levels())
+                curve = ctx.engine.cycle_hp_fn(t, r)(levels)
                 ys = [grid.min_inv, grid.max_inv, *rng.integers(grid.min_inv, grid.max_inv, 5)]
                 for y in ys:
                     want = direct_cycle_cost(ctx, t, int(y), 0, r) - ctx.params.W
@@ -113,16 +115,17 @@ class TestMemoisationTransparency:
 class TestStructure:
     def test_convex_in_inventory(self, rng):
         ctx = SolveContext(random_desk_instance(rng, horizon=4))
+        ys = np.arange(ctx.grid.min_inv, ctx.grid.max_inv + 1)
         for t in range(1, 5):
             for r in range(1, 4 - t + 2):
-                vals = ctx.engine.cycle_hp_fn(t, r)(ctx.grid.levels())
+                vals = ctx.engine.cycle_hp_fn(t, r)(ys)
                 second_diff = vals[2:] - 2 * vals[1:-1] + vals[:-2]
                 assert second_diff.min() >= -1e-9
 
     def test_cache_idempotent_and_bounded(self, rng):
         ctx = SolveContext(random_desk_instance(rng, horizon=5))
         eng = ctx.engine
-        ys = ctx.grid.levels()
+        ys = np.arange(ctx.grid.min_inv, ctx.grid.max_inv + 1)
         first = eng.cycle_hp_fn(2, 3)(ys)
         stored = eng.stored_states
         assert np.array_equal(eng.cycle_hp_fn(2, 3)(ys), first)
@@ -239,10 +242,11 @@ class TestCurveRecursion:
         # random window and then the grid, in both orders
         ref = SolveContext(inst)
         grid = ref.grid
+        levels = np.arange(grid.min_inv, grid.max_inv + 1)
         want = {(t, r): level_recursion_hp(ref, t, r) for t, r in _all_cycles(inst.T)}
         ctx = SolveContext(inst)
         for t, r in _all_cycles(inst.T) + _all_cycles(inst.T)[::-1]:
-            hp = ctx.engine.cycle_hp_fn(t, r)(grid.levels())
+            hp = ctx.engine.cycle_hp_fn(t, r)(levels)
             assert np.array_equal(hp, want[(t, r)]), (t, r)
         for cycles in (_all_cycles(inst.T), _all_cycles(inst.T)[::-1]):
             ctx = SolveContext(inst)
@@ -251,7 +255,7 @@ class TestCurveRecursion:
                 span = want[(t, r)][lo - grid.min_inv : hi - grid.min_inv + 1]
                 hp = ctx.engine.cycle_hp_fn(t, r)
                 assert np.array_equal(hp(range(lo, hi + 1)), span), (t, r, lo, hi)
-                assert np.array_equal(hp(grid.levels()), want[(t, r)]), (t, r)
+                assert np.array_equal(hp(levels), want[(t, r)]), (t, r)
 
     def test_random_instances(self, rng):
         for _ in range(8):
@@ -289,12 +293,14 @@ class TestConvolvesOnce:
         # increasing length, which raises the reach one at a time
         inst = random_desk_instance(rng, horizon=6)
         cycles = _all_cycles(inst.T)
+        grid = SolveContext(inst).grid
+        levels = np.arange(grid.min_inv, grid.max_inv + 1)
         pieces = _record_pieces(monkeypatch)
         for order in (rng.permutation(cycles), sorted(cycles, key=lambda c: c[1])):
             ctx = SolveContext(inst)
             pieces.clear()
             for t, r in order:
-                ctx.engine.cycle_hp_fn(int(t), int(r))(ctx.grid.levels())
+                ctx.engine.cycle_hp_fn(int(t), int(r))(levels)
             assert _convolved_twice(pieces) == 0
             per_curve = collections.Counter((u, k) for u, k, _, _ in pieces)
             assert len(per_curve) == len(cycles)
@@ -302,12 +308,12 @@ class TestConvolvesOnce:
             # a repeated query only reads the memo
             built = len(pieces)
             for t, r in cycles:
-                ctx.engine.cycle_hp_fn(t, r)(ctx.grid.levels())
+                ctx.engine.cycle_hp_fn(t, r)(levels)
             assert len(pieces) == built
         # a long cycle builds its whole chain at once, one convolution each
         ctx = SolveContext(inst)
         calls = _count_convolutions(monkeypatch)
-        ctx.engine.cycle_hp_fn(1, inst.T)(ctx.grid.levels())
+        ctx.engine.cycle_hp_fn(1, inst.T)(levels)
         assert len(calls) == inst.T
 
     def test_solve_then_price_convolves_each_value_once(self, monkeypatch):
@@ -498,9 +504,10 @@ class TestReachSpans:
 
 
 class TestMeanBound:
-    """J(t, r) of ``mean_bound`` is the least of sum_k L(y - c_k) over y,
-    c_k the cumulative means, and at most hp(t, r) at every grid position;
-    with point masses hp attains it."""
+    """J(t, r) of ``mean_bound``, one array for each period t, is the
+    least of sum_k L(y - c_k) over y, c_k the cumulative means, and at
+    most hp(t, r) at every grid position; with point masses hp attains
+    it. The array has the bits of the scalar arithmetic."""
 
     @staticmethod
     def _check(inst, tight=False):
@@ -508,21 +515,21 @@ class TestMeanBound:
         p, T = inst.params, inst.T
         L = lambda x: p.h * max(x, 0.0) + p.b * max(-x, 0.0)
         means = [ctx.demand.period(u).mean() for u in range(1, T + 1)]
-        levels = ctx.grid.levels()
+        levels = np.arange(ctx.grid.min_inv, ctx.grid.max_inv + 1)
         for t in range(1, T + 1):
-            bound, last = ctx.engine.mean_bound(t), 0.0
+            J = ctx.engine.mean_bound(t)
+            assert J.shape == (T - t + 1,)
+            assert J.tobytes() == scalar_mean_bound(ctx, t).tobytes(), t
+            assert np.all(J >= np.concatenate(([0.0], J[:-1])) * (1 - 1e-12))  # nondecreasing
             for r in range(1, T - t + 2):
                 c = np.cumsum(means[t - 1 : t + r - 1])
-                J = bound(r)
                 # the piecewise linear sum is least at one of its breakpoints
                 brute = min(sum(L(y - ck) for ck in c) for y in c)
-                assert math.isclose(J, brute, rel_tol=1e-12, abs_tol=1e-9), (t, r)
+                assert math.isclose(J[r - 1], brute, rel_tol=1e-12, abs_tol=1e-9), (t, r)
                 hp_min = float(ctx.engine.cycle_hp_fn(t, r)(levels).min())
-                assert J <= hp_min + 1e-12 * hp_min, (t, r, J, hp_min)
+                assert J[r - 1] <= hp_min + 1e-12 * hp_min, (t, r, J[r - 1], hp_min)
                 if tight:  # the cumulative means are integers on the grid
-                    assert math.isclose(J, hp_min, rel_tol=1e-12, abs_tol=1e-9), (t, r)
-                assert J >= last * (1 - 1e-12)  # nondecreasing in r
-                last = J
+                    assert math.isclose(J[r - 1], hp_min, rel_tol=1e-12, abs_tol=1e-9), (t, r)
 
     def test_random_desk_instances(self, rng):
         for _ in range(10):
@@ -564,9 +571,10 @@ class TestPartialBacklogPaths:
         for ctx in self._contexts(beta):
             assert max(len(ctx.demand.period(u)) for u in (1, 2, 3)) <= 11
             grid = ctx.grid
+            levels = np.arange(grid.min_inv, grid.max_inv + 1)
             for t, r in _all_cycles(3):
                 future = rng.uniform(0.0, 100.0, grid.size)
-                want = [path_sum_cycle_cost(ctx, t, r, y, future) for y in grid.levels()]
+                want = [path_sum_cycle_cost(ctx, t, r, y, future) for y in levels]
                 got = ctx.engine.cycle_curve(t, r, future)
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9, err_msg=str((t, r)))
             below_grid |= min(ctx.engine._floors) < grid.min_inv

@@ -542,7 +542,8 @@ class TestProbeAndZone:
 
 def _no_mean_bound(monkeypatch):
     """The sweep with the zone test alone: J = -inf prunes nothing."""
-    monkeypatch.setattr(CycleCostEngine, "mean_bound", lambda engine, t: lambda r: -math.inf)
+    no_bound = lambda engine, t: np.full(engine._demand.horizon - t + 1, -math.inf)
+    monkeypatch.setattr(CycleCostEngine, "mean_bound", no_bound)
 
 
 class TestMeanDemandBound:
@@ -617,6 +618,24 @@ class TestMeanDemandBound:
             shorter += got["kconvex"][0] < want["kconvex"][0]
             widened += got["kconvex"][1][2].window_widenings > 0
         assert shorter >= 2 and widened >= 4
+
+    def test_computed_only_where_the_sweep_reads_it(self, rng, monkeypatch):
+        # the partial-backlog sweep has no bound, and scarf_fixed_R's
+        # periods between reviews have no candidate
+        computed = []
+        mean_bound = CycleCostEngine.mean_bound
+
+        def counted(engine, t):
+            computed.append(t)
+            return mean_bound(engine, t)
+
+        monkeypatch.setattr(CycleCostEngine, "mean_bound", counted)
+        inst = random_desk_instance(rng, 8, (10.0, 30.0))
+        solve_plain(dataclasses.replace(inst, beta=0.5))
+        assert computed == []
+        schedule = ReviewSchedule((1, 4, 5, 8))
+        scarf_fixed_R(inst, schedule)
+        assert set(computed) == set(schedule.periods)
 
 
 class TestWindow:

@@ -29,8 +29,9 @@ partial-backlog rollout.
 
 The bits depend on the host BLAS's summation order, so compare files
 made on one host; CI runs the script and checks only its line count,
-1825, which does not depend on the BLAS. It takes about 6 s on a 2-core
-x86_64 host with ``OPENBLAS_NUM_THREADS=1``.
+1825, which does not depend on the BLAS. It takes about 13 s under
+``python -X dev -W error`` on a 2-core x86_64 host with
+``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
