@@ -171,8 +171,8 @@ def scarf_fixed_R(
 @dataclass
 class EnumerationResult:
     """The optimal schedule and its policy. ``n_schedules`` counts the
-    full schedules priced; ``nodes_explored`` the suffixes built and
-    ``nodes_pruned`` those never built, which together are all 2^T - 1.
+    full schedules priced, ``nodes_explored`` the suffixes built and
+    ``nodes_pruned`` the others, never built: 2^T - 1 - nodes_explored.
     ``stats`` holds the counters of the pass on the final window:
     ``states_evaluated`` sums the node tables' threshold scans on the
     window, which count as on the grid when the scan stops in the window
@@ -218,9 +218,9 @@ def _prefix_bound(
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite cost is refused by the caller
 def _search(
     ctx: SolveContext, window: InventoryGrid, incumbent: float, budget: int
-) -> tuple[tuple[int, ...], int, int, int, SolveStats]:
+) -> tuple[tuple[int, ...], int, int, SolveStats]:
     """The branch-and-bound search on the window: the best schedule's
-    periods, the counters of ``EnumerationResult`` and the stats. When a
+    periods, ``n_schedules``, ``nodes_explored`` and the stats. When a
     table fails its check the search starts over on the wider window and
     returns that pass, with one more widening."""
     T, K = ctx.instance.T, ctx.params.K
@@ -233,7 +233,7 @@ def _search(
     stack = [(t, T + 1, zeros, (), None) for t in range(1, T + 1)]
     best_cost = float("inf")
     best_periods: tuple[int, ...] = ()
-    count = explored = pruned = 0
+    count = explored = 0
     while stack:
         if explored == budget:
             raise HorizonCapError(
@@ -256,7 +256,6 @@ def _search(
         if wider is None and parent is not None:
             inherited = parent[0] + float((res.table - parent[1]).min())
             if _exceeds(inherited - _INHERIT_SLACK * abs(inherited), cutoff):
-                pruned += 2 ** (t - 1) - 1  # the suffixes below this one
                 continue
         bound = _prefix_bound(ctx, window, t, res.table, i0_idx) if wider is None else wider
         if isinstance(bound, InventoryGrid):  # a failed check
@@ -264,13 +263,11 @@ def _search(
             found[-1].window_widenings += 1
             return found
         own, sdp = bound
-        if _exceeds(own, cutoff):
-            pruned += 2 ** (t - 1) - 1
-        else:
+        if not _exceeds(own, cutoff):
             stack.extend(
                 (u, t, res.table, periods, (own, sdp[u]) if u > 1 else None) for u in range(1, t)
             )
-    return best_periods, count, explored, pruned, stats
+    return best_periods, count, explored, stats
 
 
 def enumerate_optimal(
@@ -292,7 +289,7 @@ def enumerate_optimal(
     ctx = _context(instance, context, full_backlog=True)
     incumbent = solve_kconvex(instance, context=ctx)
     window = InventoryGrid(incumbent.grid.min_inv, ctx.grid.max_inv)
-    periods, count, explored, pruned, stats = _search(
+    periods, count, explored, stats = _search(
         ctx, window, incumbent.root_cost(instance.I0), budget
     )
     best_schedule = ReviewSchedule(periods)
@@ -304,5 +301,5 @@ def enumerate_optimal(
         n_schedules=count,
         stats=stats,
         nodes_explored=explored,
-        nodes_pruned=pruned,
+        nodes_pruned=2**instance.T - 1 - explored,
     )

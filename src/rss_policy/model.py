@@ -65,10 +65,6 @@ class ReviewSchedule:
         ends = self.periods[1:] + (horizon + 1,)
         return tuple(e - s for s, e in zip(self.periods, ends))
 
-    @property
-    def n_reviews(self) -> int:
-        return len(self.periods)
-
 
 @dataclass(frozen=True)
 class PolicyReview:

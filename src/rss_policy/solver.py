@@ -175,8 +175,9 @@ cycle whose hp the sweep reads, falls: 8 instead of 35 on the T = 35
 scalability instance of seed 35, and 9 instead of 200 at T = 200, where
 the zone test alone reads every length.
 J of every length of a period is one array (``mean_bound``), two
-``cumsum`` and the closed form, computed at each period that has
-candidates; it reads no curve. Its rounding is a few ulps of
+``cumsum`` and the closed form, computed at each period with a second
+candidate and read after its first build, before which best is inf and
+no bound skips; it reads no curve. Its rounding is a few ulps of
 r (h + b) c_r, far below the margin of 1e-9 relative, and a rounded j
 off by one moves J only where the slope at c_j is within rounding of 0.
 For point masses J is exact where hp attains it, at the integer c_j,
@@ -268,12 +269,12 @@ class SolveStats:
     search counts the whole window. ``q_iterations`` is the number of
     order-quantity candidates the exhaustive search covers, q = 0
     included: size * (size + 1) / 2 per cycle on a window of that size,
-    and 0 for kconvex. ``candidates_pruned`` is the number of candidate
-    cycles the sweep skipped unscanned by its bounds, J or the zone
-    (module docstring, Prune), never the probe; with the scanned ones it
-    counts each candidate once, and it is the full-grid sweep's, J or
-    not. ``window_widenings`` counts the failed certificates: each starts
-    the sweep (or the search) over on the wider window.
+    and 0 for kconvex. ``candidates_pruned`` is the cycle lengths offered
+    less those built: the ones the sweep's bounds, J or the zone (module
+    docstring, Prune), skipped unscanned, never the probe, which is built
+    first. It is the full-grid sweep's, J or not. ``window_widenings``
+    counts the failed certificates: each starts the sweep (or the search)
+    over on the wider window.
     """
 
     states_evaluated: int = 0
@@ -516,19 +517,17 @@ def _sweep(
         probe = reviews[t + 1].cycle + 1 if prune and t + 1 in reviews else 0  # 0: none
         first = (probe,) if probe in given else ()  # the probe, then the others in order
         candidates = itertools.chain(first, (r for r in given if r != probe))
-        J = ctx.engine.mean_bound(t) if prune else None
+        J = ctx.engine.mean_bound(t) if prune and len(given) > 1 else None
         best: Optional[_CycleResult] = None
-        best_n, best_r = math.inf, 0  # r > 0: a cost of inf never wins
-        for k, r in enumerate(candidates):
+        best_n, best_r, built = math.inf, 0, 0  # r > 0: a cost of inf never wins
+        for r in candidates:
             if not prune:
                 curve = levels[t + r][-window.size :]
             else:
-                least, future_min = J[r - 1], table_min[t + r]
-                if _exceeds(least, best_n):  # and so does J of every longer cycle
-                    stats.candidates_pruned += len(given) - k
+                future_min = table_min[t + r]  # no J before a build: best_n is inf
+                if built and _exceeds(J[r - 1], best_n):  # and so does J of every longer cycle
                     break
-                if _exceeds(least + future_min, best_n):
-                    stats.candidates_pruned += 1
+                if built and _exceeds(J[r - 1] + future_min, best_n):
                     continue
                 hp_fn, top = ctx.engine.cycle_hp_fn(t, r), window.max_inv
                 hp = hp_fn(range(window.min_inv, top + 1))
@@ -541,9 +540,9 @@ def _sweep(
                     part = ctx.engine.tail(t, r, cost_to_go[t + r], (a, b))
                     zone = np.flatnonzero(~_exceeds(hp[a : b + 1] + part, best_n))
                 if not zone.size:  # no level on the grid reaches the best
-                    stats.candidates_pruned += 1
                     continue
                 curve = hp[: window.size] + ctx.engine.tail(t, r, cost_to_go[t + r])
+            built += 1
             res = table_fn(ctx, curve, stats)
             if prune:
                 wider = _certify(ctx, window, hp, future_min, curve, res.best_n + K)
@@ -555,6 +554,7 @@ def _sweep(
                 best, best_r, best_n = res, r, res.best_n
         if best is None:  # every candidate costs inf or NaN
             raise ValueError(f"no cycle at period {t} has a finite cost: the costs overflow")
+        stats.candidates_pruned += len(given) - built
         cost_to_go[t] = best.table
         lo = window.min_inv  # the curve indices as inventory levels
         reviews[t] = PolicyReview(t, best_r, lo + best.stop + 1, lo + best.best)

@@ -97,13 +97,6 @@ def gen_scalability(T: int, n: int, seed: int) -> list[Instance]:
     return out
 
 
-def _demand_models() -> list[tuple[str, str, float]]:
-    """(tag, kind, cv) for the five demand models of the factorial design."""
-    models = [("poisson", "poisson", 0.0)]
-    models += [(f"normal{cv}", "normal", cv) for cv in ANALYSIS_CVS]
-    return models
-
-
 def gen_analysis(T: int, seed: int = 0) -> list[Instance]:
     """Full factorial design for one horizon: 5 K levels x 5 W levels x
     5 demand models x 6 patterns = 750 instances, h = 1, b = 10 and a
@@ -119,10 +112,12 @@ def gen_analysis(T: int, seed: int = 0) -> list[Instance]:
         pat: pattern_means(PatternSpec(kind=pat, base_mean=ANALYSIS_BASE_MEAN, T=T, seed=seed + T))
         for pat in PATTERNS
     }
+    # (tag, kind, cv) of the five demand models
+    models = [("poisson", "poisson", 0.0)] + [(f"normal{cv}", "normal", cv) for cv in ANALYSIS_CVS]
     out = []
     for K in ANALYSIS_COST_LEVELS:
         for W in ANALYSIS_COST_LEVELS:
-            for tag, kind, cv in _demand_models():
+            for tag, kind, cv in models:
                 for pat in PATTERNS:
                     demand = tuple(
                         DemandSpec(kind=kind, mean=float(m), cv=cv)

@@ -97,7 +97,7 @@ class TestScarfFixedSchedule:
         ctx = SolveContext(inst)
         for sched in all_schedules(4):
             tables = scarf_fixed_R(inst, sched, context=ctx)
-            assert tables.root_cost(inst.I0) == pytest.approx(7.0 * sched.n_reviews)
+            assert tables.root_cost(inst.I0) == pytest.approx(7.0 * len(sched.periods))
 
     def test_every_period_schedule_matches_brute_force(self, rng):
         # unrestricted ordering with zero review cost: the classic

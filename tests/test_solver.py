@@ -620,8 +620,9 @@ class TestMeanDemandBound:
         assert shorter >= 2 and widened >= 4
 
     def test_computed_only_where_the_sweep_reads_it(self, rng, monkeypatch):
-        # the partial-backlog sweep has no bound, and scarf_fixed_R's
-        # periods between reviews have no candidate
+        # the partial-backlog sweep has no bound, and J is read only after a
+        # period's first build: scarf_fixed_R's periods have at most one
+        # candidate, as has the heuristic's period T
         computed = []
         mean_bound = CycleCostEngine.mean_bound
 
@@ -635,7 +636,9 @@ class TestMeanDemandBound:
         assert computed == []
         schedule = ReviewSchedule((1, 4, 5, 8))
         scarf_fixed_R(inst, schedule)
-        assert set(computed) == set(schedule.periods)
+        assert computed == []
+        solve_kconvex(inst)
+        assert set(computed) == set(range(1, inst.T))
 
 
 class TestWindow:
