@@ -5,9 +5,10 @@ cost over the post-order positions at period t: the expected
 holding/penalty of periods t..t+r-1 plus the expected cost-to-go
 ``future`` at period t + r, whose states below ``future``'s span take
 its floor value ``future[0]``. The solvers and the evaluator decide on
-``CycleCostEngine.cycle_curve``; the exact search reads hp with the
-curve from ``cycle_parts``, and the heuristic sweep reads the two parts,
-``cycle_hp_fn`` and ``tail``, on its window, to prune before it builds.
+``CycleCostEngine.cycle_curve``; the exact search's bound reads hp with
+the curve from ``cycle_parts``, and the heuristic sweep and the exact
+search's nodes read the two parts, ``cycle_hp_fn`` and ``tail``, on
+their window, to prune on hp before they price the tail.
 
 Write hp(t, r) for the expected holding/penalty of a cycle of r periods,
 periods t..t+r-1, as a function of the post-order position y at period

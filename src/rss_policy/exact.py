@@ -12,13 +12,14 @@ measured against.
 Search. Schedules are searched depth-first over their suffixes. A
 suffix is a set of reviews in t..T with a review at t; its table F_t,
 the cost-to-go at period t, follows from the table of the suffix after
-it by one engine cycle curve (``cycle_parts``, with its hp, on the
-window below) and one threshold decision. The children of a suffix
-prepend one review u < t, and a suffix with a review at period 1 is a
-full schedule, whose cost is F_1 at the opening inventory. Only the
-tables of the current suffix's ancestors are alive, with one bound
-table for each child still on the stack (see the inherited bound), and
-the search is one loop over an explicit stack, with no recursion.
+it by one engine cycle curve (its hp, read first for the floor below,
+plus its ``tail``, on the window below) and one threshold decision.
+The children of a suffix prepend one review u < t, and a suffix with a
+review at period 1 is a full schedule, whose cost is F_1 at the opening
+inventory. Only the tables of the current suffix's ancestors are alive,
+with one bound table for each child still on the stack (see the
+inherited bound), and the search is one loop over an explicit stack,
+with no recursion.
 
 Bound. The schedules below a suffix at t > 1 share F_t and differ
 only in their reviews in 1..t-1. Each costs at least W plus the value at
@@ -116,6 +117,37 @@ does. The window keeps the grid's ceiling: one taken from the
 incumbent as well failed its check on nodes with long cycles often
 enough to cancel the gain.
 
+Floor. A popped node reads its hp on the window first, and is dropped
+before its tail is priced when a floor on every schedule below it
+exceeds best + 2e-9 |best|. With m the least value of the next table,
+the floor of a full schedule (t = 1) is W + min(hp(I0), K + min hp
+above I0) + m, and that of a suffix at t > 1 is 2W + P_{t-1} + min hp +
+m, where P_{t-1} sums min hp(u, 1) over u < t, once per pass. It holds
+because:
+
+* the tail is an expectation of values of the next table, so the cycle
+  curve is at least hp + m at every level, and a full schedule costs W
+  plus the curve at I0, or W + K plus the curve at a level above I0;
+* the suffix's table is at least W + min hp + m, each step of its
+  bound's SDP adds at least its period's one-period newsvendor minimum,
+  min hp(u, 1), to the least value of the table it steps from, and the
+  bound adds W; K, W >= 0 make the rest nonnegative;
+* hp is convex and does not fall below f (see Window), so its minimum
+  on the window is its minimum on the grid, and the next table is the
+  grid's on the window and constant below it, so m is the grid's too.
+
+So in exact arithmetic the floor lies at or below the node's cost or
+own bound on the grid. Both are computed within about 1e-13 relative,
+so the doubled margin leaves a dropped node's own bound above best by
+more than the margin: every node the floor drops is one the search
+prunes after building it, and a dropped full schedule costs more than
+the incumbent or than a cheaper full schedule. A dropped node still
+counts as explored, and a full schedule as priced; its tail, table,
+certificate and SDP are skipped. Costs, schedules, policies and node
+counts are the search's without the floor, bitwise; only
+``states_evaluated`` falls, and a check that a dropped node would have
+failed widens nothing.
+
 Node budget. The search builds at most ``budget`` suffixes and
 raises ``HorizonCapError`` when it needs more. The default, 2^14 - 1, is
 the number of suffixes full enumeration builds at T = 14, so every
@@ -132,6 +164,7 @@ import numpy as np
 from .demand import is_integer
 from .model import Instance, Policy, ReviewSchedule
 from .solver import (
+    _FLOOR_MARGIN,
     InventoryGrid,
     SolveContext,
     SolveStats,
@@ -174,9 +207,10 @@ class EnumerationResult:
     full schedules priced, ``nodes_explored`` the suffixes built and
     ``nodes_pruned`` the others, never built: 2^T - 1 - nodes_explored.
     ``stats`` holds the counters of the pass on the final window:
-    ``states_evaluated`` sums the node tables' threshold scans on the
-    window, which count as on the grid when the scan stops in the window
-    and count the whole window when it does not, and
+    ``states_evaluated`` sums the threshold scans of the node tables
+    built, none for a node its floor drops, on the window, which count as
+    on the grid when the scan stops in the window and count the whole
+    window when it does not, and
     ``window_widenings`` counts the restarts after a failed floor
     check."""
 
@@ -215,6 +249,18 @@ def _prefix_bound(
     return p.W + min(float(curve[i0_idx]), p.K + float(curve[i0_idx:].min())), tables
 
 
+def _node_floor(
+    ctx: SolveContext, t: int, hp: np.ndarray, future_min: float, prefix: float, i0_idx: int
+) -> float:
+    """The floor of the module docstring on every schedule below the node at
+    t, from its hp on the window and the least value of its next table;
+    ``prefix`` is the sum of min hp(u, 1) on the window over u < t."""
+    p = ctx.params
+    if t == 1:
+        return p.W + min(float(hp[i0_idx]), p.K + float(hp[i0_idx:].min())) + future_min
+    return 2 * p.W + prefix + float(hp.min()) + future_min
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite cost is refused by the caller
 def _search(
     ctx: SolveContext, window: InventoryGrid, incumbent: float, budget: int
@@ -225,6 +271,9 @@ def _search(
     returns that pass, with one more widening."""
     T, K = ctx.instance.T, ctx.params.K
     i0_idx = ctx.instance.I0 - window.min_inv
+    ys = range(window.min_inv, window.max_inv + 1)
+    # prefix[t - 1] = P_{t-1}, the sum of min hp(u, 1) on the window over u < t
+    prefix = np.cumsum([0.0] + [ctx.engine.cycle_hp_fn(u, 1)(ys).min() for u in range(1, T)])
     stats = SolveStats()
     zeros = np.zeros(window.size)
     # (review t, next review, table at the next review, later reviews, and
@@ -242,17 +291,23 @@ def _search(
             )
         t, end, future, later, parent = stack.pop()
         explored += 1
-        hp, curve = ctx.engine.cycle_parts(t, end - t, future, window.min_inv)
+        if t == 1:
+            count += 1
+        hp = ctx.engine.cycle_hp_fn(t, end - t)(ys)
+        future_min = float(future.min())
+        cutoff = min(incumbent, best_cost)
+        floor = _node_floor(ctx, t, hp, future_min, float(prefix[t - 1]), i0_idx)
+        if floor > cutoff + _FLOOR_MARGIN * abs(cutoff):
+            continue
+        curve = hp + ctx.engine.tail(t, end - t, future)
         res = _kconvex_table(ctx, curve, stats)
         periods = (t,) + later
         if t == 1:
-            count += 1
             cost = float(res.table[i0_idx])
             if cost < best_cost or (cost == best_cost and periods < best_periods):
                 best_cost, best_periods = cost, periods
             continue
-        wider = _certify(ctx, window, hp, future.min(), curve, res.best_n + K)
-        cutoff = min(incumbent, best_cost)
+        wider = _certify(ctx, window, hp, future_min, curve, res.best_n + K)
         if wider is None and parent is not None:
             inherited = parent[0] + float((res.table - parent[1]).min())
             if _exceeds(inherited - _INHERIT_SLACK * abs(inherited), cutoff):

@@ -413,6 +413,9 @@ def _plain_table(ctx: SolveContext, curve: np.ndarray, stats: SolveStats) -> _Cy
 # Relative slack over rounding of the sweep's bound and certificate (see the
 # module docstring) and of the exact search's bound (see ``exact``).
 _BOUND_MARGIN = 1e-9
+# The exact search drops a node by its floor only past twice the margin, so
+# that its own bound, at or above the floor, would prune it (see ``exact``).
+_FLOOR_MARGIN = 2 * _BOUND_MARGIN
 
 
 def _exceeds(a: float | np.ndarray, b: float) -> bool | np.ndarray:

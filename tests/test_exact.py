@@ -19,13 +19,15 @@ from rss_policy import (
     enumerate_optimal,
     expected_cost,
     extract_policy,
+    gen_analysis,
     gen_scalability,
     optimality_gap,
     scarf_fixed_R,
     solve_kconvex,
 )
 from rss_policy.cli import main as cli_main
-from rss_policy.exact import _prefix_bound
+from rss_policy.costs import CycleCostEngine
+from rss_policy.exact import _node_floor, _prefix_bound
 from conftest import (
     all_schedules,
     assert_same_search,
@@ -319,6 +321,83 @@ class TestEnumerateOptimal:
                     inherited = bound + float((child_table - sdp[u]).min())
                     assert inherited <= child_bound + 1e-9 * abs(child_bound)
         assert widened > 0
+
+    def test_floor_never_exceeds_its_subtree(self, rng):
+        # the floor a node reads from its hp lies below the cheapest schedule
+        # under it and, for a suffix at t > 1, below the suffix's own bound,
+        # so the doubled margin drops only nodes that bound prunes; cheap
+        # orders make the schedules order often, and point masses leave the
+        # tails no spread, so the floor comes close to both
+        for n in range(6):
+            T = int(rng.integers(2, 8))
+            K, W, b = rng.uniform(1.0, 16.0, 3)
+            kind = ("normal", 0.0) if n % 2 else ("poisson",)
+            means = rng.uniform(5.0, 20.0, T)
+            inst = Instance(
+                T=T,
+                params=CostParams(K=K, W=W, h=1.0, b=b),
+                I0=int(rng.integers(-20, 21)),
+                demand=tuple(DemandSpec(kind[0], float(m), *kind[1:]) for m in means),
+            )
+            ctx = SolveContext(inst)
+            g, f = ctx.grid.min_inv, solve_kconvex(inst, context=ctx).grid.min_inv
+            on_grid = range(g, ctx.grid.max_inv + 1)
+            on_window = range(f, ctx.grid.max_inv + 1)
+
+            def prefix(ys):
+                mins = [ctx.engine.cycle_hp_fn(u, 1)(ys).min() for u in range(1, T)]
+                return np.cumsum([0.0] + mins)
+
+            prefix_grid, prefix_window = prefix(on_grid), prefix(on_window)
+            scarf = {
+                s.periods: scarf_fixed_R(inst, s, context=ctx).root_cost(inst.I0)
+                for s in all_schedules(T)
+            }
+            tables = {p: full_grid_scarf(ctx, ReviewSchedule(p)).cost_to_go for p in scarf}
+            for suffix in {p[k:] for p in scarf for k in range(len(p))}:
+                t, end = suffix[0], (suffix[1:] + (T + 1,))[0]
+                held = tables[suffix if t == 1 else (1,) + suffix]
+                hp, future = ctx.engine.cycle_hp_fn(t, end - t), held[end]
+                floor = _node_floor(
+                    ctx, t, hp(on_grid), future.min(), prefix_grid[t - 1], inst.I0 - g
+                )
+                cheapest = min(c for p, c in scarf.items() if p[-len(suffix):] == suffix)
+                assert floor <= cheapest + 1e-12 * abs(cheapest)
+                if t > 1:
+                    bound, _ = _prefix_bound(ctx, ctx.grid, t, held[t], inst.I0 - g)
+                    assert floor <= bound + 1e-12 * abs(bound)
+                # on the search's window a next table flat below it gives the
+                # grid's floor: hp is least in the window, and so is the table
+                if np.all(future[: f - g] == future[f - g]):
+                    at_f = _node_floor(
+                        ctx, t, hp(on_window), future[f - g :].min(), prefix_window[t - 1],
+                        inst.I0 - f,
+                    )
+                    assert at_f == floor
+
+    def test_floor_drops_nodes_and_no_decision(self, monkeypatch):
+        # on factorial cells the floor drops nodes before their tails, and
+        # the search still makes the full-grid search's decisions
+        tails = [0]
+        priced = CycleCostEngine.tail
+
+        def counting(self, *args, **kwargs):
+            tails[0] += sys._getframe(1).f_code.co_name == "_search"
+            return priced(self, *args, **kwargs)
+
+        monkeypatch.setattr(CycleCostEngine, "tail", counting)
+        labels = {
+            "analysis-T10-K20-W20-poisson-STA",
+            "analysis-T10-K40-W40-normal0.3-DEC",
+            "analysis-T10-K20-W160-normal0.1-LCY2",
+        }
+        cells = [inst for inst in gen_analysis(10, seed=0) if inst.label in labels]
+        assert len(cells) == len(labels)
+        for inst in cells:
+            tails[0] = 0
+            res = enumerate_optimal(inst, context=SolveContext(inst))
+            assert 0 < tails[0] < res.nodes_explored, (inst.label, tails[0])
+            assert_same_search(res, full_grid_enumerate(SolveContext(inst)))
 
     def test_deterministic_tie_break(self):
         # zero demand and prohibitive K: every schedule with the same
